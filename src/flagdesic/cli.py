@@ -1,6 +1,8 @@
 """Command-line front door: flagdesic check|canonicalize|closedness|curve|examples|roots.
 
 Exit codes: 0 affirmative, 1 negative, 2 usage or parse error, 3 undetermined.
+``canonicalize`` exits 3 when the canonical form cannot be certified (its
+residual exceeds the bound, as near the rank cut), after printing why.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ def _cmd_canonicalize(args) -> int:
     except NotEquigeodesic as exc:
         print(f"not equigeodesic: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        raise _CliError(f"canonical form undetermined: {exc}", code=3)
     print("pairs (row, col, value):")
     for r, c, a in form.pairs:
         print(f"  ({r}, {c})  {a:.12g}")
@@ -126,7 +130,7 @@ def _cmd_closedness(args) -> int:
     except ExactSpectrumUnavailable as exc:
         raise _CliError(f"{exc}; rerun with --mode float")
     try:
-        verdict = is_killing_closed(x, args.bound)
+        verdict = is_killing_closed(x, args.bound, sd)
     except AllZeroSpectrum:
         raise _CliError("the zero vector has no period (constant curve)")
     thetas = "  ".join(f"{t:.12g}" for t in sd.thetas)

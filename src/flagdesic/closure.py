@@ -233,13 +233,17 @@ def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> Closedness
     return _commensurability_float(sd.thetas, theta_ref, bound)
 
 
-def is_killing_closed(x: TangentVector, bound: int = DEFAULT_BOUND) -> ClosednessVerdict:
+def is_killing_closed(
+    x: TangentVector, bound: int = DEFAULT_BOUND, sd: Optional[SpectralData] = None
+) -> ClosednessVerdict:
     """Spectral data -> commensurability, confirmed by exp(T A) ~ identity.
 
-    The confirmation guards the float path against accepting spuriously large
-    denominators; on failure the verdict downgrades to Undetermined.
+    ``sd`` is the spectral data of ``x`` when the caller already has it;
+    otherwise it is computed here. The confirmation guards the float path
+    against accepting spuriously large denominators; on failure the verdict
+    downgrades to Undetermined.
     """
-    verdict = commensurability(spectral_data(x), bound)
+    verdict = commensurability(spectral_data(x) if sd is None else sd, bound)
     if verdict.status is Closedness.COMMENSURATE:
         xf = x.to_float()
         n = x.partition.total

@@ -18,14 +18,15 @@ determine the spectrum {+/- i a_k}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .flag import FlagPartition, TangentVector
+from .flag import FlagPartition, TangentVector, block_norms_sq
 from .linalg import CMatrix, Mode, commutator, project_m
-from .metric import InvariantMetric, basis_metric, hadamard_action
+from .metric import InvariantMetric, hadamard_action
 
 #: Default relative tolerance for block products and bracket residuals.
 DEFAULT_EQUI_TOL = 1e-8
@@ -109,42 +110,48 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 
-def _ordered_triples(s: int):
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            for m in range(1, s + 1):
-                if i != j and j != m and i != m:
-                    yield i, j, m
-
-
 def _scan_block_products(x: TangentVector, tol: float):
     """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
 
-    Returns (worst residual, first violating triple or None, argmax triple).
+    Returns (worst residual, first violating triple or None, argmax triple),
+    both triples the first in lexicographic (i, j, m) order. One middle block
+    j at a time: A[:, J] @ A[J, :] holds every product a_ij a_jm at once, and
+    only the rows and columns of blocks joined to j by a nonzero block count.
     """
-    worst = 0.0
+    p = x.partition
+    a = x.matrix.data
+    exact = x.mode is Mode.EXACT
+    norms = block_norms_sq(p, a)
+    sizes = np.sqrt(norms.astype(float))
+    nonzero = norms != 0
+    np.fill_diagonal(nonzero, False)
+    parts = np.array(p.parts)
+    block_of = np.repeat(np.arange(p.s), parts)
     first_bad = None
-    argmax = None
-    for i, j, m in _ordered_triples(x.partition.s):
-        aij = x.block(i, j)
-        ajm = x.block(j, m)
-        if x.mode is Mode.EXACT:
-            prod = aij @ ajm
-            if prod.is_zero():
-                continue
-            res = prod.to_float().fro() / (aij.to_float().fro() * ajm.to_float().fro())
-        else:
-            nij = aij.fro()
-            njm = ajm.fro()
-            if nij == 0.0 or njm == 0.0:
-                continue
-            res = (aij @ ajm).fro() / (nij * njm)
-        if res > worst:
-            worst = res
-            argmax = (i, j, m)
-        if first_bad is None and (x.mode is Mode.EXACT or res > tol):
-            first_bad = (i, j, m)
-    return worst, first_bad, argmax
+    peaks = []  # (-residual, triple) of the largest residual per middle block
+    for j in range(p.s):
+        # only the blocks joined to j by a nonzero block can give a nonzero product
+        near = np.flatnonzero(nonzero[:, j] | nonzero[j, :])
+        if near.size < 2:
+            continue
+        idx = np.flatnonzero(np.isin(block_of, near))
+        lo, hi = p.offsets[j], p.offsets[j + 1]
+        prod = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        live = np.outer(nonzero[near, j], nonzero[j, near])
+        np.fill_diagonal(live, False)
+        res = np.zeros(live.shape)
+        scale = np.outer(sizes[near, j], sizes[j, near])
+        np.divide(np.sqrt(prod.astype(float)), scale, out=res, where=live)
+        bad = live & (prod != 0) if exact else res > tol
+        if bad.any():
+            i, m = near[np.argwhere(bad)[0]]
+            triple = (int(i) + 1, j + 1, int(m) + 1)
+            first_bad = triple if first_bad is None else min(first_bad, triple)
+        i, m = divmod(int(np.argmax(res)), near.size)
+        if res[i, m] > 0.0:
+            peaks.append((-float(res[i, m]), (int(near[i]) + 1, j + 1, int(near[m]) + 1)))
+    neg_worst, argmax = min(peaks, default=(-0.0, None))
+    return -neg_worst, first_bad, argmax
 
 
 def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
@@ -171,29 +178,40 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     """Bracket certificate: [X, L_ij X]_m = 0 for every 0/1 probe multiplier L_ij.
 
     The probes form a basis of all multiplier tables, so the s(s-1)/2 bracket
-    evaluations quantify over every invariant metric at once.
+    evaluations quantify over every invariant metric at once. Y = L_ij X is
+    a_ij + a_ji, so XY lives in the column slab I u J and YX in the row slab
+    I u J; each probe costs O(n (n_i + n_j)^2), and a probe with a_ij = 0
+    is skipped (Y = 0).
     """
     p = x.partition
+    a = x.matrix.data
+    exact = x.mode is Mode.EXACT
+    norms = block_norms_sq(p, a)
+    xnorm = math.sqrt(float(norms.sum()))
     worst = 0.0
     failed = False
-    xnorm = x.to_float().fro()
     for i, j in p.positive_pairs():
-        y = hadamard_action(basis_metric(p, i, j), x)
-        bracket = project_m(commutator(x.matrix, y.matrix), p)
-        if x.mode is Mode.EXACT:
-            if not bracket.is_zero():
-                failed = True
-                ynorm = y.to_float().fro()
-                worst = max(worst, bracket.to_float().fro() / (xnorm * ynorm))
-        else:
-            ynorm = y.fro()
-            if ynorm == 0.0 or xnorm == 0.0:
+        if not norms[i - 1, j - 1]:
+            continue
+        bi, bj = slice(*p.block_range(i)), slice(*p.block_range(j))
+        ni = bi.stop - bi.start
+        slab = np.r_[bi, bj]
+        xy = np.hstack([a[:, bj] @ a[bj, bi], a[:, bi] @ a[bi, bj]])  # columns I, J of XY
+        yx = np.vstack([a[bi, bj] @ a[bj, :], a[bj, bi] @ a[bi, :]])  # rows I, J of YX
+        inner = xy[slab, :] - yx[:, slab]  # the bracket on rows and columns I u J
+        inner[:ni, :ni] = inner[ni:, ni:] = 0  # diagonal blocks: not in m
+        xy[slab, :] = 0
+        yx[:, slab] = 0
+        pieces = (xy, yx, inner)  # disjoint supports; together [X, Y]_m
+        if exact:
+            if not any(v for piece in pieces for v in piece.flat):
                 continue
-            res = bracket.fro() / (xnorm * ynorm)
-            worst = max(worst, res)
-            if res > tol:
-                failed = True
-    if x.mode is Mode.FLOAT:
+            failed = True
+            pieces = [piece.astype(np.complex128) for piece in pieces]
+        bracket = math.sqrt(sum(float(np.vdot(q, q).real) for q in pieces))
+        ynorm = math.sqrt(float(norms[i - 1, j - 1] + norms[j - 1, i - 1]))
+        worst = max(worst, bracket / (xnorm * ynorm))
+    if not exact:
         failed = worst > tol
     triple = None
     if failed:
@@ -234,23 +252,13 @@ def is_essentially_block_diagonal(x: TangentVector, tol: float = ESSENTIAL_ENTRY
     A sufficient condition for being equigeodesic: the products a_ij a_jm then
     always involve a zero factor.
     """
-    s = x.partition.s
-    total = x.fro()
-    counts_row = [0] * (s + 1)
-    counts_col = [0] * (s + 1)
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            if i == j:
-                continue
-            blk = x.block(i, j)
-            if x.mode is Mode.EXACT:
-                nz = not blk.is_zero()
-            else:
-                nz = blk.fro() > tol * total
-            if nz:
-                counts_row[i] += 1
-                counts_col[j] += 1
-    return max(counts_row) <= 1 and max(counts_col) <= 1
+    norms = block_norms_sq(x.partition, x.matrix.data)
+    np.fill_diagonal(norms, 0)
+    if x.mode is Mode.EXACT:
+        nonzero = norms != 0
+    else:
+        nonzero = np.sqrt(norms) > tol * x.fro()
+    return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +267,19 @@ def is_essentially_block_diagonal(x: TangentVector, tol: float = ESSENTIAL_ENTRY
 
 
 def _block_svds(x: TangentVector):
-    """Compact SVD of every upper block; returns ({pair: (u, s, vh)}, sigma_max)."""
+    """Compact SVD of every nonzero upper block; returns ({pair: (u, s, vh)}, sigma_max).
+
+    Exactly-zero blocks have rank zero and are left out.
+    """
+    p = x.partition
+    a = x.matrix.data
+    norms = block_norms_sq(p, a)
     svds = {}
-    sigma_max = 0.0
-    for pair in x.partition.positive_pairs():
-        blk = x.block(*pair).data
-        u, s, vh = np.linalg.svd(blk, full_matrices=False)
-        svds[pair] = (u, s, vh)
-        if s.size:
-            sigma_max = max(sigma_max, float(s[0]))
+    for i, j in p.positive_pairs():
+        if norms[i - 1, j - 1] > 0.0:
+            blk = a[slice(*p.block_range(i)), slice(*p.block_range(j))]
+            svds[(i, j)] = np.linalg.svd(blk, full_matrices=False)
+    sigma_max = max((float(s[0]) for _, s, _ in svds.values()), default=0.0)
     return svds, sigma_max
 
 
@@ -285,8 +297,10 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
     Per block index, the image spaces of the incoming blocks are mutually
     orthogonal (this is what the equigeodesic condition buys), so one
     block-diagonal unitary U aligns every block with its singular vectors at
-    once. Raises NotEquigeodesic on inputs that fail the block condition;
-    for near-rank-boundary inputs the rank_tol cut is the caller's risk.
+    once. Raises NotEquigeodesic on inputs that fail the block condition.
+    Singular values at or below the rank_tol cut are left out of J, so the
+    residual may exceed the CANON_RESIDUAL_TOL contract by their norm; a
+    larger residual raises RuntimeError.
     """
     if x.mode is not Mode.FLOAT:
         raise ValueError("canonicalize is Float-mode only")
@@ -303,6 +317,8 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
 
     svds, sigma_max = _block_svds(x)
     threshold = rank_tol * sigma_max
+    # each singular value the cut drops stays in J_raw twice, at a_ij and a_ji
+    dropped = math.sqrt(2.0 * sum(np.sum(s[s <= threshold] ** 2) for _, s, _ in svds.values()))
 
     # gather singular-vector columns per block: left vectors of a_ij live in
     # block i, right vectors in block j, matched index by index
@@ -361,7 +377,7 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
             j_clean[col, row] = -a_k
 
     residual = float(np.linalg.norm(j_raw - j_clean))
-    bound = CANON_RESIDUAL_TOL * max(x.fro(), 1e-300)
+    bound = CANON_RESIDUAL_TOL * max(x.fro(), 1e-300) + dropped
     if residual > bound:
         raise RuntimeError(
             f"canonical form residual {residual:.3e} exceeds {bound:.3e}; "
@@ -391,8 +407,8 @@ def conjugation_invariants(x: TangentVector, rank_tol: float = RANK_TOL) -> Conj
     threshold = rank_tol * sigma_max
     ranks = {}
     values = {}
-    for pair, (_, s, _) in svds.items():
-        keep = [float(v) for v in s if v > threshold]
+    for pair in x.partition.positive_pairs():
+        keep = [float(v) for v in svds[pair][1] if v > threshold] if pair in svds else []
         ranks[pair] = len(keep)
         values[pair] = tuple(keep)
     return ConjugationInvariants(ranks=ranks, singular_values=values)

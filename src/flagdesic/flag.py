@@ -315,17 +315,24 @@ def off_block_positions(partition: FlagPartition) -> list:
     return out
 
 
+def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
+    """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j).
+
+    ``arr`` is an n x n complex array, or an object array of GaussianRational
+    entries, for which the table holds exact Fractions.
+    """
+    if arr.dtype == object:
+        sq = np.vectorize(GaussianRational.abs2, otypes=[object])(arr)
+    else:
+        sq = arr.real**2 + arr.imag**2
+    starts = partition.offsets[:-1]
+    return np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+
+
 def off_block_norm(partition: FlagPartition, arr: np.ndarray) -> float:
     """Frobenius norm of the off-diagonal-block part of a float array."""
-    total = 0.0
-    for i in range(1, partition.s + 1):
-        lo, hi = partition.block_range(i)
-        for j in range(1, partition.s + 1):
-            if i == j:
-                continue
-            co, ch = partition.block_range(j)
-            total += float(np.sum(np.abs(arr[lo:hi, co:ch]) ** 2))
-    return float(np.sqrt(total))
+    norms = block_norms_sq(partition, arr)
+    return float(np.sqrt(norms[~np.eye(partition.s, dtype=bool)].sum()))
 
 
 def compositions(n: int) -> Iterable:

@@ -77,15 +77,12 @@ class InvariantMetric:
     @cached_property
     def multiplier_matrix(self) -> np.ndarray:
         """n x n real multiplier grid; diagonal blocks are zero."""
-        n = self.partition.total
-        grid = np.zeros((n, n))
-        for i, j in self.partition.positive_pairs():
-            r0, r1 = self.partition.block_range(i)
-            c0, c1 = self.partition.block_range(j)
-            lam = self.value(i, j)
-            grid[r0:r1, c0:c1] = lam
-            grid[c0:c1, r0:r1] = lam
-        return grid
+        parts = self.partition.parts
+        pairs = np.array(list(self.lam), dtype=int).reshape(-1, 2) - 1
+        table = np.zeros((len(parts), len(parts)))
+        table[pairs[:, 0], pairs[:, 1]] = np.array(list(self.lam.values()), dtype=float)
+        table += table.T
+        return np.repeat(np.repeat(table, parts, axis=0), parts, axis=1)
 
 
 def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:

@@ -89,6 +89,45 @@ def test_canonicalize_rejects_chain(f3_chain, capsys):
     assert "not equigeodesic" in capsys.readouterr().err
 
 
+def test_canonicalize_drops_values_under_the_rank_cut(tmp_path, capsys):
+    # already diagonal; the 0.9e-9 entries fall under the cut 1e-9 * sigma_max
+    tiny = [[[0.9e-9, 0.0]]]
+    doc = {
+        "parts": [1] * 8,
+        "mode": "float",
+        "blocks": {"1,2": [[[1.0, 0.0]]], "3,4": tiny, "5,6": tiny, "7,8": tiny},
+    }
+    path = write_json(tmp_path / "cut.json", doc)
+    assert main(["canonicalize", path, "--out", str(tmp_path / "canon.json")]) == 0
+    assert "(1, 2)  1\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "canon.json").read_text())["pairs"] == [[1, 2, 1.0]]
+
+
+def test_canonicalize_uncertified_form_is_undetermined(monkeypatch, f9, capsys):
+    def refuse(x):
+        raise RuntimeError("canonical form residual exceeds the bound")
+
+    monkeypatch.setattr("flagdesic.cli.canonicalize", refuse)
+    assert main(["canonicalize", f9]) == 3
+    assert "undetermined" in capsys.readouterr().err
+
+
+def test_closedness_computes_the_spectrum_once(monkeypatch, tmp_path, capsys):
+    import flagdesic.closure as closure
+
+    calls = []
+    solve = closure.matrix_spectral_data
+
+    def counting(a):
+        calls.append(a)
+        return solve(a)
+
+    monkeypatch.setattr(closure, "matrix_spectral_data", counting)
+    path = write_json(tmp_path / "f4e.json", fixture_document("f4-x2y3", "exact"))
+    assert main(["closedness", path, "--mode", "exact"]) == 0
+    assert len(calls) == 1
+
+
 def test_closedness_commensurate(f4, capsys):
     assert main(["closedness", f4]) == 0
     out = capsys.readouterr().out

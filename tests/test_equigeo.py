@@ -1,7 +1,11 @@
 """Equigeodesic tests: both decision routes, structure predicates, canonical form."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tangent
 from flagdesic import (
@@ -170,6 +174,84 @@ def test_verdict_scale_invariance():
     assert not is_equigeodesic(x).is_equigeodesic
     y = TangentVector.from_blocks(p, {(1, 2): [[1e6]]})
     assert is_equigeodesic(y).is_equigeodesic
+
+
+def reference_block_condition(x, tol=1e-8):
+    """Direct per-triple loop over a_ij a_jm: (verdict, worst residual, violating triple)."""
+    exact = x.mode is Mode.EXACT
+    worst = 0.0
+    first_bad = None
+    for i, j, m in permutations(range(1, x.partition.s + 1), 3):  # lexicographic
+        aij = x.block(i, j)
+        ajm = x.block(j, m)
+        prod = aij @ ajm
+        if exact:
+            if prod.is_zero():
+                continue
+            res = prod.to_float().fro() / (aij.to_float().fro() * ajm.to_float().fro())
+        else:
+            if aij.fro() == 0.0 or ajm.fro() == 0.0:
+                continue
+            res = prod.fro() / (aij.fro() * ajm.fro())
+        worst = max(worst, res)
+        if first_bad is None and (exact or res > tol):
+            first_bad = (i, j, m)
+    ok = first_bad is None if exact else worst <= tol
+    return ok, worst, None if ok else first_bad
+
+
+@st.composite
+def sparse_block_vectors(draw, mode):
+    """Small Gaussian-integer entries on a random subset of the upper blocks (s <= 8).
+
+    Integer entries keep float products exact, so products that cancel
+    through orthogonality are exactly zero in both modes.
+    """
+    parts = draw(st.lists(st.integers(1, 2 if mode is Mode.EXACT else 3), min_size=1, max_size=8))
+    p = FlagPartition(tuple(parts))
+    density = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    blocks = {}
+    for i, j in p.positive_pairs():
+        if draw(st.floats(0.0, 1.0)) >= density:
+            continue
+        size = parts[i - 1] * parts[j - 1]
+        re = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+        im = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+        entries = [GR(r, c) if mode is Mode.EXACT else complex(r, c) for r, c in zip(re, im)]
+        blocks[(i, j)] = [entries[k : k + parts[j - 1]] for k in range(0, size, parts[j - 1])]
+    return TangentVector.from_blocks(p, blocks, mode)
+
+
+def _assert_matches_reference(x):
+    ok, worst, triple = reference_block_condition(x)
+    v = is_equigeodesic(x)
+    assert v.is_equigeodesic == ok
+    assert v.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
+    assert v.violating_triple == triple
+    assert equigeodesic_certificate(x).is_equigeodesic == ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_block_vectors(Mode.FLOAT))
+def test_block_condition_matches_reference_float(x):
+    _assert_matches_reference(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_block_vectors(Mode.EXACT))
+def test_block_condition_matches_reference_exact(x):
+    _assert_matches_reference(x)
+
+
+@pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])
+def test_first_violating_triple_is_lexicographic(mode):
+    # chains 1-4-5 and 2-3-6: (1, 4, 5) comes first although its middle block is later
+    p = FlagPartition((1,) * 6)
+    one = [[GR(1)]] if mode is Mode.EXACT else [[1.0]]
+    x = TangentVector.from_blocks(p, {(1, 4): one, (4, 5): one, (2, 3): one, (3, 6): one}, mode)
+    assert reference_block_condition(x)[2] == (1, 4, 5)
+    assert is_equigeodesic(x).violating_triple == (1, 4, 5)
+    assert equigeodesic_certificate(x).violating_triple == (1, 4, 5)
 
 
 # ---------------------------------------------------------------------------
