@@ -144,6 +144,10 @@ def _cmd_closedness(args) -> int:
     if verdict.status is Closedness.UNDETERMINED:
         if verdict.bound_used is not None:
             print(f"denominator bound: {verdict.bound_used}")
+        reason = verdict.reason
+        if verdict.defect is not None:
+            reason += f", exp(T A) defect {verdict.defect:.3e}"
+        print(f"reason: {reason}")
         return 3
     if verdict.bound_used is not None:
         print(f"denominator bound: {verdict.bound_used}")

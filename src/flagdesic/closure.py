@@ -19,7 +19,7 @@ convergents with |rho - p/q| <= 1/q^2 inside any denominator bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -31,7 +31,6 @@ from .linalg import (
     CMatrix,
     Mode,
     exact_skew_squares,
-    signed_thetas_from_squares,
     skew_spectrum,
     unitary_exp,
     _hermitian_from_skew,
@@ -77,11 +76,18 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class ClosednessVerdict:
+    """``reason`` says why a verdict is Undetermined: "continued-fraction" (a
+    ratio is neither resolved nor refuted within the bound) or
+    "exp-confirmation" (exp(T A) missed the identity). ``defect`` is
+    ||exp(T A) - I||_F wherever that check ran."""
+
     status: Closedness
     base_frequency: Optional[float] = None
     period: Optional[float] = None
     multipliers: Optional[tuple] = None
     bound_used: Optional[int] = None
+    reason: Optional[str] = None
+    defect: Optional[float] = None
 
     @property
     def closed(self) -> Optional[bool]:
@@ -102,9 +108,8 @@ def matrix_spectral_data(a: CMatrix) -> SpectralData:
     """Spectral data of any skew-Hermitian matrix (not only tangent vectors)."""
     if a.mode is Mode.FLOAT:
         return SpectralData(tuple(skew_spectrum(a)), Mode.FLOAT)
-    squares = exact_skew_squares(a)
-    thetas, aligned = signed_thetas_from_squares(squares, a)
-    return SpectralData(tuple(thetas), Mode.EXACT, tuple(aligned))
+    thetas, squares = exact_skew_squares(a)
+    return SpectralData(tuple(thetas), Mode.EXACT, tuple(squares))
 
 
 def spectral_data(x: TangentVector) -> SpectralData:
@@ -208,7 +213,9 @@ def _commensurability_float(thetas, theta_ref: float, bound: int) -> ClosednessV
             status=Closedness.INCOMMENSURATE_WITHIN_BOUND, bound_used=bound
         )
     if saw_undetermined:
-        return ClosednessVerdict(status=Closedness.UNDETERMINED, bound_used=bound)
+        return ClosednessVerdict(
+            status=Closedness.UNDETERMINED, bound_used=bound, reason="continued-fraction"
+        )
     lambda0, multipliers = _multipliers_and_base(ratios, theta_ref)
     return ClosednessVerdict(
         status=Closedness.COMMENSURATE,
@@ -241,16 +248,19 @@ def is_killing_closed(
     ``sd`` is the spectral data of ``x`` when the caller already has it;
     otherwise it is computed here. The confirmation guards the float path
     against accepting spuriously large denominators; on failure the verdict
-    downgrades to Undetermined.
+    downgrades to Undetermined with reason "exp-confirmation".
     """
     verdict = commensurability(spectral_data(x) if sd is None else sd, bound)
     if verdict.status is Closedness.COMMENSURATE:
         xf = x.to_float()
         n = x.partition.total
-        ident = CMatrix.identity(n, Mode.FLOAT)
+        ident = CMatrix.identity(n)
         defect = (unitary_exp(xf.matrix, verdict.period) - ident).fro()
         if defect > EXP_CONFIRM_TOL * n:
-            return ClosednessVerdict(status=Closedness.UNDETERMINED, bound_used=bound)
+            return ClosednessVerdict(
+                Closedness.UNDETERMINED, bound_used=bound, reason="exp-confirmation", defect=defect
+            )
+        return replace(verdict, defect=defect)
     return verdict
 
 

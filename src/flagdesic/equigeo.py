@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .flag import FlagPartition, TangentVector, block_norms_sq
-from .linalg import CMatrix, Mode, commutator, project_m
+from .flag import FlagPartition, TangentVector, block_norms_sq, block_sums
+from .linalg import CMatrix, Mode, commutator, integer_embedding, project_m
 from .metric import InvariantMetric, hadamard_action
 
 #: Default relative tolerance for block products and bracket residuals.
@@ -110,6 +110,28 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 
+def _block_arrays(x: TangentVector):
+    """(partition, array, squared block norms) the block kernels run on.
+
+    Float: the matrix itself. Exact: the integer embedding of D*A over the
+    doubled partition, so block (i, j) stays block (i, j), zero tests are int
+    tests, and D cancels from every normalized residual.
+    """
+    if x.mode is Mode.FLOAT:
+        return x.partition, x.matrix.data, block_norms_sq(x.partition, x.matrix.data)
+    _, e = integer_embedding(x.matrix)
+    p = FlagPartition(tuple(2 * k for k in x.partition.parts))
+    return p, e, _norms_sq(p, e)
+
+
+def _norms_sq(p: FlagPartition, a: np.ndarray) -> np.ndarray:
+    """Squared block norms; exact ints for an integer embedding, which holds
+    every entry twice, so its table is halved."""
+    if a.dtype != object:
+        return block_norms_sq(p, a)
+    return block_sums(p, a * a) // 2
+
+
 def _scan_block_products(x: TangentVector, tol: float):
     """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
 
@@ -118,11 +140,8 @@ def _scan_block_products(x: TangentVector, tol: float):
     j at a time: A[:, J] @ A[J, :] holds every product a_ij a_jm at once, and
     only the rows and columns of blocks joined to j by a nonzero block count.
     """
-    p = x.partition
-    a = x.matrix.data
+    p, a, norms = _block_arrays(x)
     exact = x.mode is Mode.EXACT
-    norms = block_norms_sq(p, a)
-    sizes = np.sqrt(norms.astype(float))
     nonzero = norms != 0
     np.fill_diagonal(nonzero, False)
     parts = np.array(p.parts)
@@ -136,12 +155,16 @@ def _scan_block_products(x: TangentVector, tol: float):
             continue
         idx = np.flatnonzero(np.isin(block_of, near))
         lo, hi = p.offsets[j], p.offsets[j + 1]
-        prod = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        prod = _norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
         live = np.outer(nonzero[near, j], nonzero[j, near])
         np.fill_diagonal(live, False)
-        res = np.zeros(live.shape)
-        scale = np.outer(sizes[near, j], sizes[j, near])
-        np.divide(np.sqrt(prod.astype(float)), scale, out=res, where=live)
+        if exact:  # int / int rounds correctly at any size, while the tables grow like D^4
+            scale = np.outer(norms[near, j], norms[j, near])
+            res = np.sqrt((np.where(live, prod, 0) / np.where(live, scale, 1)).astype(float))
+        else:
+            scale = np.outer(np.sqrt(norms[near, j]), np.sqrt(norms[j, near]))
+            res = np.zeros(live.shape)
+            np.divide(np.sqrt(prod), scale, out=res, where=live)
         bad = live & (prod != 0) if exact else res > tol
         if bad.any():
             i, m = near[np.argwhere(bad)[0]]
@@ -183,16 +206,16 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     I u J; each probe costs O(n (n_i + n_j)^2), and a probe with a_ij = 0
     is skipped (Y = 0).
     """
-    p = x.partition
-    a = x.matrix.data
+    p, a, norms = _block_arrays(x)
     exact = x.mode is Mode.EXACT
-    norms = block_norms_sq(p, a)
-    xnorm = math.sqrt(float(norms.sum()))
+    total = norms.sum()
+    xnorm = 0.0 if exact else math.sqrt(total)
     worst = 0.0
     failed = False
     for i, j in p.positive_pairs():
         if not norms[i - 1, j - 1]:
             continue
+        y_sq = norms[i - 1, j - 1] + norms[j - 1, i - 1]
         bi, bj = slice(*p.block_range(i)), slice(*p.block_range(j))
         ni = bi.stop - bi.start
         slab = np.r_[bi, bj]
@@ -207,10 +230,13 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
             if not any(v for piece in pieces for v in piece.flat):
                 continue
             failed = True
-            pieces = [piece.astype(np.complex128) for piece in pieces]
-        bracket = math.sqrt(sum(float(np.vdot(q, q).real) for q in pieces))
-        ynorm = math.sqrt(float(norms[i - 1, j - 1] + norms[j - 1, i - 1]))
-        worst = max(worst, bracket / (xnorm * ynorm))
+            bracket_sq = sum((q * q).sum() for q in pieces) // 2
+            # int / int rounds correctly at any size, while the ints grow like D^4
+            ratio = math.sqrt(bracket_sq / (total * y_sq))
+        else:
+            bracket = math.sqrt(sum(float(np.vdot(q, q).real) for q in pieces))
+            ratio = bracket / (xnorm * math.sqrt(y_sq))
+        worst = max(worst, ratio)
     if not exact:
         failed = worst > tol
     triple = None
@@ -252,7 +278,7 @@ def is_essentially_block_diagonal(x: TangentVector, tol: float = ESSENTIAL_ENTRY
     A sufficient condition for being equigeodesic: the products a_ij a_jm then
     always involve a zero factor.
     """
-    norms = block_norms_sq(x.partition, x.matrix.data)
+    _, _, norms = _block_arrays(x)
     np.fill_diagonal(norms, 0)
     if x.mode is Mode.EXACT:
         nonzero = norms != 0

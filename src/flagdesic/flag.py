@@ -315,18 +315,16 @@ def off_block_positions(partition: FlagPartition) -> list:
     return out
 
 
-def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
-    """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j).
-
-    ``arr`` is an n x n complex array, or an object array of GaussianRational
-    entries, for which the table holds exact Fractions.
-    """
-    if arr.dtype == object:
-        sq = np.vectorize(GaussianRational.abs2, otypes=[object])(arr)
-    else:
-        sq = arr.real**2 + arr.imag**2
+def block_sums(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
+    """s x s table whose entry [i-1, j-1] is the sum of block (i, j) of ``arr``."""
     starts = partition.offsets[:-1]
-    return np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+    return np.add.reduceat(np.add.reduceat(arr, starts, axis=0), starts, axis=1)
+
+
+def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
+    """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j)
+    of an n x n complex array."""
+    return block_sums(partition, arr.real**2 + arr.imag**2)
 
 
 def off_block_norm(partition: FlagPartition, arr: np.ndarray) -> float:

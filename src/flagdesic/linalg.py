@@ -4,7 +4,10 @@ Two computation modes run through the whole library:
 
 * ``Mode.FLOAT``  -- numpy complex128 matrices, tolerance-based predicates.
 * ``Mode.EXACT``  -- Gaussian rationals (pairs of ``fractions.Fraction``) in
-  object arrays, exact ring arithmetic and exact zero tests.
+  object arrays, exact ring arithmetic and exact zero tests. The block and
+  spectral kernels run on ``integer_embedding``: the matrix times the lcm of
+  its entry denominators, as a real array of Python ints, so no Fraction is
+  normalised inside their loops.
 
 A matrix never mixes modes; mixed-mode binary operations raise ``ValueError``.
 """
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -191,7 +194,6 @@ class GaussianRational:
 Scalar = Union[complex, GaussianRational]
 
 _GR_ZERO = GaussianRational(0)
-_GR_ONE = GaussianRational(1)
 
 
 def _as_exact(value) -> GaussianRational:
@@ -250,13 +252,9 @@ class CMatrix:
         return cls(np.full((rows, cols), _GR_ZERO, dtype=object), mode)
 
     @classmethod
-    def identity(cls, n: int, mode: Mode = Mode.FLOAT) -> "CMatrix":
-        if mode is Mode.FLOAT:
-            return cls(np.eye(n, dtype=np.complex128), mode)
-        arr = np.full((n, n), _GR_ZERO, dtype=object)
-        for k in range(n):
-            arr[k, k] = _GR_ONE
-        return cls(arr, mode)
+    def identity(cls, n: int) -> "CMatrix":
+        """The n x n Float identity."""
+        return cls(np.eye(n, dtype=np.complex128), Mode.FLOAT)
 
     # -- shape -------------------------------------------------------------
 
@@ -457,17 +455,15 @@ def _hermitian_from_skew(a: CMatrix) -> np.ndarray:
 def skew_spectrum(a: CMatrix, tol_factor: float = SKEW_TOL_FACTOR) -> list:
     """Sorted real list theta_1 >= ... >= theta_n with eig(a) = {i * theta_k}.
 
-    Float mode solves the Hermitian eigenproblem for -i a. Exact mode extracts
-    the rational eigenvalues of -a^2 (raising ExactSpectrumUnavailable if any
-    is irrational) and signs them against the float eigensolver.
+    Float mode solves the Hermitian eigenproblem for -i a. Exact mode returns
+    the float values of the exact spectrum from exact_skew_squares, which
+    raises ExactSpectrumUnavailable unless every theta^2 is rational.
     """
     require_skew_hermitian(a, tol_factor)
     if a.mode is Mode.FLOAT:
         w = np.linalg.eigvalsh(_hermitian_from_skew(a))
         return [float(t) for t in w[::-1]]
-    squares = exact_skew_squares(a)
-    thetas, _ = signed_thetas_from_squares(squares, a)
-    return thetas
+    return exact_skew_squares(a)[0]
 
 
 def unitary_exp(a: CMatrix, t: float) -> CMatrix:
@@ -492,140 +488,104 @@ def block_svd(a: CMatrix):
 
 
 # ---------------------------------------------------------------------------
-# exact spectral extraction
+# exact kernels on the integer embedding
 # ---------------------------------------------------------------------------
 
 
-def exact_char_poly(a: CMatrix) -> list:
-    """Monic characteristic polynomial of an Exact matrix.
+def integer_embedding(a: CMatrix):
+    """(D, E): D is the lcm of the entry denominators of an Exact matrix, and E
+    the real embedding of the Gaussian-integer matrix D*a (each entry z becomes
+    [[Re z, -Im z], [Im z, Re z]]) as Python ints in an object array.
 
-    Returns descending GaussianRational coefficients [1, c1, ..., cn] for
-    x^n + c1 x^(n-1) + ... + cn, computed by the trace recursion
-    M_k = A M_(k-1) + c_k I, c_k = -tr(A M_(k-1)) / k.
+    Embedding preserves sums and products and doubles every rank; block (i, j)
+    of D*a is block (i, j) of E over the partition with every part doubled.
     """
     if a.mode is not Mode.EXACT:
-        raise ValueError("exact_char_poly requires Exact mode")
-    if not a.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = a.n_rows
-    ident = CMatrix.identity(n, Mode.EXACT)
-    coeffs = [_GR_ONE]
-    m = ident
-    for k in range(1, n + 1):
-        am = a @ m
-        c = -(am.trace()) / k
-        coeffs.append(c)
-        m = am + ident.scale(c)
-    return coeffs
+        raise ValueError("integer_embedding requires Exact mode")
+    vals = a.data.ravel()
+    d = math.lcm(*(f.denominator for v in vals for f in (v.re, v.im)))
+
+    def scaled(fracs):
+        ints = [f.numerator * (d // f.denominator) for f in fracs]
+        return np.array(ints, dtype=object).reshape(a.shape)
+
+    re, im = scaled(v.re for v in vals), scaled(v.im for v in vals)
+    e = np.empty((2 * a.n_rows, 2 * a.n_cols), dtype=object)
+    e[0::2, 0::2] = e[1::2, 1::2] = re
+    e[1::2, 0::2], e[0::2, 1::2] = im, -im
+    return d, e
 
 
-def _synthetic_division(poly: list, root: Fraction):
-    """Divide a monic Fraction polynomial (descending coeffs) by (x - root)."""
-    out = [poly[0]]
-    for c in poly[1:]:
-        out.append(c + root * out[-1])
-    remainder = out.pop()
-    return out, remainder
-
-
-def _rational_roots(poly: list, approx: Iterable[float]) -> dict:
-    """All roots of a monic Fraction polynomial, or raise if any is irrational.
-
-    Candidates come from the float approximations (denominators bounded by the
-    lcm D of the coefficient denominators, which bounds every rational root's
-    denominator for a monic polynomial); each candidate is verified by exact
-    synthetic division, so a returned root is never wrong.
-    """
-    roots: dict = {}
-    work = list(poly)
-    while len(work) > 1 and work[-1] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        work.pop()
-
-    denom_lcm = 1
-    for c in work:
-        denom_lcm = math.lcm(denom_lcm, c.denominator)
-
-    candidates = set()
-    for v in approx:
-        if not math.isfinite(v):
+def _nullity(m: np.ndarray) -> int:
+    """Kernel dimension of a square integer matrix, by Bareiss (1968) elimination:
+    every entry stays an integer minor, so each division by the last pivot is exact."""
+    m = m.copy()
+    size = m.shape[0]
+    rank, prev = 0, 1
+    for c in range(size):
+        nonzero = np.flatnonzero(m[rank:, c])
+        if nonzero.size == 0:
             continue
-        exact_v = Fraction(v)
-        candidates.add(Fraction(round(exact_v * denom_lcm), denom_lcm))
-        candidates.add(exact_v.limit_denominator(denom_lcm))
-        candidates.add(Fraction(round(exact_v)))
-    for cand in sorted(candidates, reverse=True):
-        if cand == 0:
-            continue
-        while len(work) > 1:
-            quotient, remainder = _synthetic_division(work, cand)
-            if remainder != 0:
-                break
-            roots[cand] = roots.get(cand, 0) + 1
-            work = quotient
-    if len(work) > 1:
-        raise ExactSpectrumUnavailable(
-            f"characteristic polynomial has irrational roots "
-            f"(degree {len(work) - 1} factor remains); fall back to Float mode"
-        )
-    return roots
+        r = rank + int(nonzero[0])
+        m[[rank, r]] = m[[r, rank]]
+        pivot, below = m[rank, c], slice(rank + 1, size)
+        m[below, c + 1:] = (
+            pivot * m[below, c + 1:] - np.outer(m[below, c], m[rank, c + 1:])
+        ) // prev
+        prev, rank = pivot, rank + 1
+    return size - rank
 
 
-def exact_skew_squares(a: CMatrix) -> list:
-    """Rational eigenvalues of -a^2 for exact skew-Hermitian a.
+def exact_skew_squares(a: CMatrix):
+    """Exact spectrum of an Exact skew-Hermitian a, eig(a) = {i * theta_k}.
 
-    Returns [(theta_squared, multiplicity), ...] sorted descending; raises
-    ExactSpectrumUnavailable when the characteristic polynomial of -a^2 has an
-    irrational root.
+    Returns (thetas, squares) ordered so that thetas descend; squares[k] is
+    the exact Fraction theta_k^2 and thetas[k] its signed float square root.
+
+    For H = -i a, D*H has Gaussian-integer entries and D^2 (-a^2) = (D H)^2 a
+    monic integer characteristic polynomial, so a rational theta^2 has a
+    denominator dividing D^2. The float spectrum names candidates (nearest
+    fractions with denominators up to min(D^2, Q), Q the largest the float
+    error bound resolves), and exact nullities on the integer embedding accept
+    them with their multiplicities. A rational theta is signed by the nullities
+    of D H -/+ D theta; an irrational one has +theta and -theta equally often,
+    as the characteristic polynomial of H has rational coefficients. Raises
+    ExactSpectrumUnavailable when the accepted multiplicities fall short of n.
     """
     if a.mode is not Mode.EXACT:
         raise ValueError("exact_skew_squares requires Exact mode")
     require_skew_hermitian(a)
-    minus_a2 = -(a @ a)
-    coeffs = exact_char_poly(minus_a2)
-    fracs = []
-    for c in coeffs:
-        if c.im != 0:
-            raise ExactSpectrumUnavailable(
-                "characteristic polynomial of -a^2 is not real; input not skew-Hermitian"
-            )
-        fracs.append(c.re)
-    af = a.to_float().data
-    approx = [float(x) for x in np.linalg.eigvalsh(-(af @ af))]
-    roots = _rational_roots(fracs, approx)
-    for r in roots:
-        if r < 0:
-            raise ExactSpectrumUnavailable(f"-a^2 has a negative eigenvalue {r}")
-    total = sum(roots.values())
-    if total != a.n_rows:
-        raise ExactSpectrumUnavailable("rational root multiplicities do not fill the spectrum")
-    return sorted(roots.items(), key=lambda kv: kv[0], reverse=True)
-
-
-def signed_thetas_from_squares(squares: list, a: CMatrix):
-    """Assign signs to the exact magnitudes sqrt(theta^2) using float eigenvalues.
-
-    Returns (thetas, squares_aligned): both sorted so that thetas descend,
-    with squares_aligned[k] == thetas[k]^2 as a Fraction.
-    """
-    mags = []
-    for sq, mult in squares:
-        root = math.sqrt(float(sq))
-        mags.extend([(root, sq)] * mult)
-    mags.sort(key=lambda ms: ms[0], reverse=True)
-
-    float_thetas = skew_spectrum(a.to_float())
-    by_abs = sorted(range(len(float_thetas)), key=lambda k: abs(float_thetas[k]), reverse=True)
-    scale = max((m for m, _ in mags), default=0.0)
-    signed = []
-    for idx, (mag, sq) in zip(by_abs, mags):
-        ft = float_thetas[idx]
-        if abs(abs(ft) - mag) > 1e-6 * max(scale, 1.0):
-            raise ExactSpectrumUnavailable(
-                "float eigenvalues do not match the exact magnitudes; "
-                "spectrum too clustered to sign reliably"
-            )
-        theta = mag if ft >= 0 else -mag
-        signed.append((theta, sq))
-    signed.sort(key=lambda ts: ts[0], reverse=True)
-    return [t for t, _ in signed], [sq for _, sq in signed]
+    n = a.n_rows
+    d, e = integer_embedding(a)
+    h = np.empty_like(e)  # embedding of D*H: symmetric, as H is Hermitian
+    h[0::2], h[1::2] = e[1::2], -e[0::2]
+    eye = np.diag(np.ones(2 * n, dtype=object))
+    approx = np.linalg.eigvalsh(_hermitian_from_skew(a.to_float()))
+    # estimate (not a proven bound) of the float error of each theta^2: 2 n eps ||H||_2^2
+    delta = 2 * n * np.finfo(float).eps * float(np.max(np.abs(approx), initial=0.0)) ** 2
+    resolved = math.inf if delta == 0 else max(1, math.floor((2 * delta) ** -0.5))
+    d2 = d * d
+    spectrum, h_sq = [], None
+    for c in {Fraction(float(t) ** 2).limit_denominator(min(d2, resolved)) for t in approx}:
+        if (c * d2).denominator != 1:
+            continue  # D^2 c is not an integer, so c is no eigenvalue
+        mag = math.sqrt(float(c))
+        num, den = math.isqrt(c.numerator), math.isqrt(c.denominator)
+        if num * num == c.numerator and den * den == c.denominator:
+            plus = _nullity(den * h - num * d * eye) // 2
+            minus = _nullity(den * h + num * d * eye) // 2 if num else 0
+        else:
+            h_sq = h @ h if h_sq is None else h_sq
+            plus = minus = _nullity(h_sq - int(c * d2) * eye) // 4
+        spectrum += [(mag, c)] * plus + [(-mag, c)] * minus
+    if len(spectrum) != n:
+        raise ExactSpectrumUnavailable(
+            f"-a^2 has an irrational eigenvalue within the float error estimate: a rational one "
+            f"would have a denominator dividing D^2 = {d2}, and the estimate resolves "
+            f"denominators up to {resolved}"
+            if d2 <= resolved
+            else f"exact spectrum undecided: float precision resolves eigenvalue denominators "
+            f"up to {resolved}, but those of -a^2 may reach D^2 = {d2}"
+        )
+    spectrum.sort(key=lambda tc: tc[0], reverse=True)
+    return [t for t, _ in spectrum], [c for _, c in spectrum]

@@ -142,6 +142,19 @@ def test_closedness_of_single_root_plane_vector(tmp_path, capsys):
     assert "status: commensurate" in capsys.readouterr().out
 
 
+def test_check_exact_with_huge_denominators(tmp_path, capsys):
+    # D is about 1e90: the scaled products' squared norms pass the float range
+    dens = [10**30, 3**63, 7**36]
+    cells = [[[f"{q + 1}/{q}"]] for q in dens]
+    doc = {"parts": [1, 1, 1], "mode": "exact", "blocks": dict(zip(["1,2", "2,3", "1,3"], cells))}
+    path = write_json(tmp_path / "big.json", doc)
+    assert main(["check", path, "--mode", "exact"]) == 1
+    exact_out = capsys.readouterr().out
+    assert main(["check", path]) == 1
+    assert exact_out == capsys.readouterr().out
+    assert "violating triple (1, 2, 3)" in exact_out
+
+
 def test_closedness_exact_mode(tmp_path, capsys):
     path = write_json(tmp_path / "f4e.json", fixture_document("f4-x2y3", "exact"))
     assert main(["closedness", path, "--mode", "exact"]) == 0
@@ -175,7 +188,9 @@ def test_closedness_undetermined(tmp_path, capsys):
     }
     path = write_json(tmp_path / "near.json", doc)
     assert main(["closedness", path]) == 3
-    assert "undetermined" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "undetermined" in out
+    assert "reason: continued-fraction" in out
 
 
 def test_closedness_exact_unavailable_advises_float(tmp_path, capsys):
@@ -186,7 +201,9 @@ def test_closedness_exact_unavailable_advises_float(tmp_path, capsys):
     }
     path = write_json(tmp_path / "irr.json", doc)
     assert main(["closedness", path, "--mode", "exact"]) == 2
-    assert "--mode float" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "irrational eigenvalue" in err
+    assert err.count("--mode float") == 1 and "Float mode" not in err
 
 
 def test_curve_csv_shape_and_periodicity(tmp_path, f4):

@@ -1,6 +1,7 @@
 """Spectral data, commensurability, Killing-field closedness, coset probe."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,7 @@ def test_near_rational_is_undetermined():
     v = commensurability(SpectralData((1.0, rho, -rho, -1.0), Mode.FLOAT))
     assert v.status is Closedness.UNDETERMINED
     assert v.closed is None
+    assert v.reason == "continued-fraction" and v.defect is None
 
 
 def test_all_zero_spectrum_raises():
@@ -214,6 +216,20 @@ def test_f4_fixture_killing_closed():
     assert v.period == pytest.approx(2 * math.pi)
     ident = CMatrix.identity(4)
     assert (unitary_exp(x.matrix, v.period) - ident).fro() <= 1e-9
+    assert v.reason is None and 0.0 <= v.defect <= 1e-9
+
+
+def test_exp_confirmation_downgrade_carries_reason_and_defect():
+    # thetas 1, 1/997, 1/991, 1/983 resolve as rationals, but the common period
+    # 2*pi*997*991*983 is too long for float phases to return to the identity
+    p = FlagPartition((1,) * 8)
+    values = (1.0, 1 / 997, 1 / 991, 1 / 983)
+    x = TangentVector.from_blocks(p, {(2 * k + 1, 2 * k + 2): [[v]] for k, v in enumerate(values)})
+    assert commensurability(spectral_data(x)).status is Closedness.COMMENSURATE
+    v = is_killing_closed(x)
+    assert v.status is Closedness.UNDETERMINED
+    assert v.reason == "exp-confirmation"
+    assert v.defect > 8e-8  # EXP_CONFIRM_TOL * n
 
 
 def test_weyl_vectors_killing_closed():
@@ -285,6 +301,37 @@ def test_exact_float_agreement_small_integers():
             assert ve.closed == vf.closed
             if ve.status is Closedness.COMMENSURATE:
                 assert ve.base_frequency == pytest.approx(vf.base_frequency, rel=1e-9)
+
+
+def _two_by_two_rotations(values):
+    """Exact full flag with blocks (2k-1, 2k) = values[k-1]: thetas +-values."""
+    p = FlagPartition((1,) * (2 * len(values)))
+    blocks = {(2 * k + 1, 2 * k + 2): [[v]] for k, v in enumerate(values)}
+    return TangentVector.from_blocks(p, blocks, Mode.EXACT)
+
+
+@pytest.mark.parametrize(
+    "values, base",
+    [
+        # denominators of the characteristic polynomial of -A^2 grow like 10^(2n)
+        ([Fraction(k, 10) for k in range(1, 7)], Fraction(1, 10)),
+        # moduli 3 orders of magnitude apart
+        ([Fraction(1, 1000), Fraction(2001, 1000)], Fraction(1, 1000)),
+    ],
+)
+def test_exact_decides_rational_spectra_with_large_denominators(values, base):
+    x = _two_by_two_rotations(values)
+    sd = spectral_data(x)
+    expected = sorted(values + [-v for v in values], reverse=True)
+    assert list(sd.exact_squares) == [v * v for v in expected]
+    assert sd.thetas == pytest.approx([float(v) for v in expected], abs=1e-15)
+    v = is_killing_closed(x, sd=sd)
+    assert v.status is Closedness.COMMENSURATE
+    assert v.base_frequency == pytest.approx(float(base), rel=1e-12)
+    assert v.multipliers == tuple(int(t / base) for t in expected)
+    vf = is_killing_closed(x.to_float())
+    assert vf.status is Closedness.COMMENSURATE
+    assert vf.period == pytest.approx(v.period, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Equigeodesic tests: both decision routes, structure predicates, canonical form."""
 
+import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -166,6 +168,30 @@ def test_exact_equigeodesic_by_orthogonality():
     form = canonicalize(x.to_float())
     values = sorted(a for _, _, a in form.pairs)
     assert values == pytest.approx([np.sqrt(2), np.sqrt(2)])
+
+
+@pytest.mark.parametrize("digits", [30, 70])
+def test_exact_routes_with_huge_denominators(digits):
+    # entries (q+1)/q over coprime q of about `digits` digits: D has about
+    # 3 * digits, so the squared norms of block products leave the float range
+    dens = [10**digits, 3 ** math.ceil(digits / math.log10(3)), 7 ** math.ceil(digits / math.log10(7))]
+    near_one = [[[GR(Fraction(q + 1, q))]] for q in dens]
+    x = TangentVector.from_blocks(
+        FlagPartition((1, 1, 1)), dict(zip([(1, 2), (2, 3), (1, 3)], near_one)), Mode.EXACT
+    )
+    for route in (is_equigeodesic, equigeodesic_certificate):
+        v, vf = route(x), route(x.to_float())
+        assert not v.is_equigeodesic
+        assert v.violating_triple == vf.violating_triple == (1, 2, 3)
+        assert v.worst_residual == pytest.approx(vf.worst_residual, rel=1e-12)
+    assert not is_essentially_block_diagonal(x)
+    y = TangentVector.from_blocks(
+        FlagPartition((1, 1, 1, 1)), dict(zip([(1, 2), (3, 4)], near_one)), Mode.EXACT
+    )
+    for route in (is_equigeodesic, equigeodesic_certificate):
+        v = route(y)
+        assert v.is_equigeodesic and v.worst_residual == 0.0
+    assert is_essentially_block_diagonal(y)
 
 
 def test_verdict_scale_invariance():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex, random_skew
@@ -23,6 +23,7 @@ from flagdesic import (
     skew_spectrum,
     unitary_exp,
 )
+from flagdesic.linalg import _nullity, exact_skew_squares, integer_embedding
 
 GR = GaussianRational
 
@@ -292,14 +293,135 @@ def test_skew_spectrum_exact_unavailable_for_irrational():
         for c in range(2):
             arr[r, 2 + c] = GR(b[r][c])
             arr[2 + c, r] = GR(-b[r][c])
-    with pytest.raises(ExactSpectrumUnavailable):
+    # D = 1, so every rational eigenvalue would be an integer, which the float
+    # error estimate resolves: the refusal reports an irrational eigenvalue
+    with pytest.raises(ExactSpectrumUnavailable, match="irrational eigenvalue within"):
         skew_spectrum(CMatrix(arr, Mode.EXACT))
 
 
+def test_skew_spectrum_exact_undecided_names_both_denominators():
+    # theta^2 = 10^-10 is rational, but its denominator D^2 = 10^10 lies beyond
+    # what float precision resolves next to theta = 1: a refusal, not a proof
+    arr = np.full((4, 4), GR(0), dtype=object)
+    arr[0, 1], arr[1, 0] = GR(Fraction(1, 10**5)), GR(Fraction(-1, 10**5))
+    arr[2, 3], arr[3, 2] = GR(1), GR(-1)
+    with pytest.raises(ExactSpectrumUnavailable, match="undecided") as err:
+        skew_spectrum(CMatrix(arr, Mode.EXACT))
+    assert "irrational" not in str(err.value)
+    assert f"D^2 = {10**10}" in str(err.value)
+
+
 def test_skew_spectrum_exact_repeated_same_sign():
-    # diag(i, i) has thetas {1, 1}: the float-guided signing must not force a pair
+    # diag(i, i) has thetas {1, 1}: the signing must not force a pair
     a = CMatrix.from_exact([[GR(0, 1), 0], [0, GR(0, 1)]])
     assert skew_spectrum(a) == pytest.approx([1.0, 1.0])
+
+
+def test_exact_signs_of_a_complex_three_cycle():
+    # a = i U^*(P + P^T)U for the cyclic shift P and a Gaussian unit phase U:
+    # complex entries, thetas {2, -1, -1}, a spectrum that is not symmetric
+    u = [GR(1), GR(Fraction(3, 5), Fraction(4, 5)), GR(Fraction(5, 13), Fraction(-12, 13))]
+    rows = [[GR(0)] * 3 for _ in range(3)]
+    for r in range(3):
+        for c in ((r + 1) % 3, (r - 1) % 3):
+            rows[r][c] = GR(0, 1) * u[r].conjugate() * u[c]
+    a = CMatrix.from_exact(rows)
+    thetas, squares = exact_skew_squares(a)
+    assert thetas == [2.0, -1.0, -1.0]
+    assert squares == [4, 1, 1]
+    assert thetas == pytest.approx(skew_spectrum(a.to_float()), abs=1e-12)
+
+
+def test_integer_embedding_scales_and_embeds():
+    a = CMatrix.from_exact([[GR(Fraction(1, 2), Fraction(1, 3)), GR(2)], [GR(0, -1), GR(Fraction(-1, 4))]])
+    d, e = integer_embedding(a)
+    assert d == 12
+    assert e[:2, :2].tolist() == [[6, -4], [4, 6]]
+    assert e[2:, :2].tolist() == [[0, 12], [-12, 0]]
+    # a ring homomorphism: the embedding of (D a)^2 is E @ E
+    d_sq, e_sq = integer_embedding(a @ a)
+    assert ((e @ e) * d_sq == e_sq * d * d).all()
+
+
+def _rank_reference(rows):
+    """Rank by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.data())
+def test_nullity_matches_fraction_reference(n, r, data):
+    # low-rank integer products, with entries large enough to grow the minors
+    entries = st.integers(-(10**6), 10**6)
+    left = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    m = np.array(
+        [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(n)],
+        dtype=object,
+    )
+    assert _nullity(m) == n - _rank_reference(m.tolist())
+
+
+#: Rational rotation generators: (p^2 - q^2, 2pq) / (p^2 + q^2) for small p, q.
+_PYTHAGOREAN = [(p, q) for p in range(1, 5) for q in range(1, 5) if p != q]
+_UNIT_PHASES = [GR(1), GR(0, 1), GR(Fraction(3, 5), Fraction(4, 5)), GR(Fraction(5, 13), Fraction(-12, 13))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.fractions(-5, 5, max_denominator=1000)), min_size=1, max_size=10
+    ),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.sampled_from(_PYTHAGOREAN)), max_size=3),
+    st.lists(st.sampled_from(_UNIT_PHASES), min_size=16, max_size=16),
+)
+def test_exact_spectrum_sweep_matches_construction_and_float(atoms, rotations, phases):
+    # atoms: a pair block [[0, t], [-t, 0]] (thetas +-t) or a single [i t]
+    # (theta t); then conjugation by rational plane rotations and unit phases
+    expected, diag = [], []
+    for pair, t in atoms:
+        if len(expected) + 1 + pair > 16:
+            break
+        diag.append((pair, t))
+        expected += [t, -t] if pair else [t]
+    n = len(expected)
+    rows = [[GR(0)] * n for _ in range(n)]
+    k = 0
+    for pair, t in diag:
+        if pair:
+            rows[k][k + 1], rows[k + 1][k] = GR(t), GR(-t)
+        else:
+            rows[k][k] = GR(0, t)
+        k += 1 + pair
+    a = CMatrix.from_exact(rows)
+    for i, j, (p, q) in rotations:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        c, s = Fraction(p * p - q * q, p * p + q * q), Fraction(2 * p * q, p * p + q * q)
+        rot = [[Fraction(int(r == col)) for col in range(n)] for r in range(n)]
+        rot[i][i], rot[i][j], rot[j][i], rot[j][j] = c, -s, s, c
+        r = CMatrix.from_exact(rot)
+        a = r.H @ a @ r
+    u = CMatrix.from_exact([[phases[r] if r == col else GR(0) for col in range(n)] for r in range(n)])
+    a = u.H @ a @ u
+    thetas, squares = exact_skew_squares(a)
+    expected.sort(reverse=True)
+    assert squares == [t * t for t in expected]
+    assert thetas == pytest.approx([float(t) for t in expected], abs=1e-12)
+    assert thetas == pytest.approx(skew_spectrum(a.to_float()), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
