@@ -50,7 +50,6 @@ from .linalg import (
     Mode,
     NotSkewHermitian,
     Scalar,
-    block_svd,
     commutator,
     killing_inner,
     project_m,
@@ -89,7 +88,6 @@ __all__ = [
     "TRoot",
     "basis_metric",
     "basis_unit",
-    "block_svd",
     "build_roots",
     "canonicalize",
     "commensurability",

@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .closure import (
     AllZeroSpectrum,
     Closedness,
@@ -35,7 +37,14 @@ from .equigeo import (
     is_equigeodesic,
     is_geodesic_vector,
 )
-from .flag import FlagPartition, TangentVector, build_roots, off_block_positions, t_roots
+from .flag import (
+    FlagPartition,
+    TangentVector,
+    build_roots,
+    off_block_mask,
+    off_block_positions,
+    t_roots,
+)
 from .linalg import ExactSpectrumUnavailable, Mode, unitary_exp
 
 
@@ -157,7 +166,6 @@ def _cmd_closedness(args) -> int:
 def _cmd_curve(args) -> int:
     x = _load_vector(args.vector, "float")
     p = x.partition
-    positions = off_block_positions(p)
     if args.t_max < 0:
         raise _CliError("--t-max must be nonnegative")
     if args.t_max == 0:
@@ -166,22 +174,19 @@ def _cmd_curve(args) -> int:
         if args.samples < 1:
             raise _CliError("--samples must be at least 1")
         ts = [args.t_max * k / args.samples for k in range(args.samples + 1)]
+    mask = off_block_mask(p)
     header = ["t"]
-    for r, c in positions:
+    for r, c in off_block_positions(p):
         header.extend([f"re_{r + 1}_{c + 1}", f"im_{r + 1}_{c + 1}"])
     header.append("dist_k")
 
     rows = []
     for t in ts:
-        u = unitary_exp(x.matrix, t).data
-        row = [f"{t:.12g}"]
-        dist = 0.0
-        for r, c in positions:
-            v = u[r, c]
-            row.extend([f"{v.real:.15g}", f"{v.imag:.15g}"])
-            dist += abs(v) ** 2
-        row.append(f"{math.sqrt(dist):.15g}")
-        rows.append(row)
+        off = unitary_exp(x.matrix, t).data[mask]
+        re_im = np.column_stack([off.real, off.imag]).ravel()
+        # hypot is Python's abs(complex); summing the list keeps the row-major order
+        dist = math.sqrt(sum((np.hypot(off.real, off.imag) ** 2).tolist()))
+        rows.append([f"{t:.12g}", *(f"{v:.15g}" for v in re_im), f"{dist:.15g}"])
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -248,10 +248,13 @@ def is_killing_closed(
     ``sd`` is the spectral data of ``x`` when the caller already has it;
     otherwise it is computed here. The confirmation guards the float path
     against accepting spuriously large denominators; on failure the verdict
-    downgrades to Undetermined with reason "exp-confirmation".
+    downgrades to Undetermined with reason "exp-confirmation". An exact
+    verdict is a proof: it runs no float confirmation and carries no bound
+    and no defect.
     """
-    verdict = commensurability(spectral_data(x) if sd is None else sd, bound)
-    if verdict.status is Closedness.COMMENSURATE:
+    sd = spectral_data(x) if sd is None else sd
+    verdict = commensurability(sd, bound)
+    if verdict.status is Closedness.COMMENSURATE and sd.exact_squares is None:
         xf = x.to_float()
         n = x.partition.total
         ident = CMatrix.identity(n)

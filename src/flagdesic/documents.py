@@ -14,10 +14,9 @@ Missing blocks are zero. Metric documents carry {"parts": [...],
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional
-
-import numpy as np
 
 from .flag import FlagPartition, TangentVector
 from .linalg import CMatrix, GaussianRational, Mode
@@ -47,6 +46,18 @@ def _parse_key(key: str, s: int):
     return i, j
 
 
+def _finite(value, where: str) -> float:
+    """float(value) for a JSON number. json reads NaN and Infinity, and ints of
+    any size; the non-finite values and ints beyond the float range are rejected."""
+    try:
+        f = float(value)
+    except OverflowError:
+        raise DocumentError(f"{where}: value {value} is beyond the float range") from None
+    if not math.isfinite(f):
+        raise DocumentError(f"{where}: value {value!r} is not finite")
+    return f
+
+
 def _parse_float_entry(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -54,7 +65,7 @@ def _parse_float_entry(value, where: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in value)
     ):
         raise DocumentError(f"{where}: float entries must be [re, im] pairs, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_finite(value[0], where), _finite(value[1], where))
 
 
 def _parse_exact_entry(value, where: str) -> GaussianRational:
@@ -73,11 +84,8 @@ def _parse_block(raw, rows: int, cols: int, mode: Mode, where: str):
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DocumentError(f"{where}: expected a {rows}x{cols} matrix of entries")
-    if mode is Mode.FLOAT:
-        grid = [[_parse_float_entry(v, where) for v in row] for row in raw]
-        return CMatrix.from_complex(grid)
-    grid = [[_parse_exact_entry(v, where) for v in row] for row in raw]
-    return CMatrix(np.array(grid, dtype=object), Mode.EXACT)
+    parse = _parse_float_entry if mode is Mode.FLOAT else _parse_exact_entry
+    return CMatrix([[parse(v, where) for v in row] for row in raw], mode)
 
 
 def parse_vector_document(doc: dict) -> TangentVector:
@@ -88,9 +96,9 @@ def parse_vector_document(doc: dict) -> TangentVector:
         raise DocumentError("vector document is missing \"parts\"")
     try:
         partition = FlagPartition(tuple(doc["parts"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"invalid \"parts\": {exc}") from None
-    if "n" in doc and int(doc["n"]) != partition.total:
+    if "n" in doc and doc["n"] != partition.total:
         raise DocumentError(
             f"\"n\" = {doc['n']} does not match the partition total {partition.total}"
         )
@@ -122,22 +130,13 @@ def parse_vector_document(doc: dict) -> TangentVector:
 
     for pair, low in lower.items():
         implied = -low.H
-        if pair in upper:
-            if mode is Mode.EXACT:
-                if not (upper[pair] - implied).is_zero():
-                    raise DocumentError(
-                        f"blocks {pair} and {pair[::-1]} are inconsistent with a_ji = -a_ij^*"
-                    )
-            else:
-                diff = (upper[pair] - implied).fro()
-                scale = max(upper[pair].fro(), implied.fro(), 1.0)
-                if diff > HALF_CONSISTENCY_TOL * scale:
-                    raise DocumentError(
-                        f"blocks {pair} and {pair[::-1]} disagree by {diff:.3e}; "
-                        f"supply one half or make them consistent"
-                    )
-        else:
+        if pair not in upper:
             upper[pair] = implied
+        elif not upper[pair].allclose(implied, HALF_CONSISTENCY_TOL):
+            raise DocumentError(
+                f"blocks {pair} and {pair[::-1]} disagree by "
+                f"{(upper[pair] - implied).fro():.3e}; supply one half or make them consistent"
+            )
 
     try:
         return TangentVector.from_blocks(partition, upper, mode)
@@ -175,7 +174,7 @@ def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) 
         raise DocumentError("metric document is missing \"parts\"")
     try:
         own = FlagPartition(tuple(doc["parts"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"invalid \"parts\": {exc}") from None
     if partition is not None and own != partition:
         raise DocumentError(
@@ -188,7 +187,7 @@ def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) 
     for key, v in raw.items():
         i, j = _parse_key(key, own.s)
         pair = (i, j) if i < j else (j, i)
-        if not isinstance(v, (int, float)) or v <= 0:
+        if not isinstance(v, (int, float)) or _finite(v, f"lambda[{key!r}]") <= 0:
             raise DocumentError(f"lambda[{key!r}] must be a positive number, got {v!r}")
         if pair in values and float(values[pair]) != float(v):
             raise DocumentError(f"lambda for pair {pair} supplied twice with different values")

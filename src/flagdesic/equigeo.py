@@ -145,7 +145,7 @@ def _scan_block_products(x: TangentVector, tol: float):
     nonzero = norms != 0
     np.fill_diagonal(nonzero, False)
     parts = np.array(p.parts)
-    block_of = np.repeat(np.arange(p.s), parts)
+    block_of = p.block_index
     first_bad = None
     peaks = []  # (-residual, triple) of the largest residual per middle block
     for j in range(p.s):
@@ -505,26 +505,16 @@ def random_essentially_diagonal(
     phase.
     """
     rng = _as_rng(seed)
-    n = partition.total
     pairs = _sample_cross_pairs(partition, rng, keep_prob=0.8)
-    if mode is Mode.FLOAT:
-        arr = np.zeros((n, n), dtype=np.complex128)
-        for r, c in pairs:
-            if values is not None:
-                z = complex(values[rng.integers(len(values))])
-            else:
-                z = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
-            arr[r - 1, c - 1] = z
-            arr[c - 1, r - 1] = -np.conj(z)
-        return TangentVector(partition, CMatrix(arr, Mode.FLOAT))
-    if values is None:
-        raise ValueError("Exact sampling needs an explicit value set")
-    arr = CMatrix.zeros(n, n, Mode.EXACT).data.copy()
+    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
     for r, c in pairs:
-        z = values[rng.integers(len(values))]
+        if values is not None:
+            z = values[rng.integers(len(values))]
+        else:
+            z = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
         arr[r - 1, c - 1] = z
         arr[c - 1, r - 1] = -z.conjugate()
-    return TangentVector(partition, CMatrix(arr, Mode.EXACT))
+    return TangentVector(partition, CMatrix(arr, mode))
 
 
 def random_equigeodesic(partition: FlagPartition, seed) -> TangentVector:

@@ -47,6 +47,11 @@ class FlagPartition:
         return tuple(acc)
 
     @property
+    def block_index(self) -> np.ndarray:
+        """0-based block of each 0-based global index, as an int array of length n."""
+        return np.repeat(np.arange(self.s), self.parts)
+
+    @property
     def total(self) -> int:
         return self.offsets[-1]
 
@@ -160,16 +165,9 @@ def basis_unit(partition: FlagPartition, root: Root, mode: Mode = Mode.FLOAT) ->
     """Matrix unit with 1 at the root's global (row, col) position."""
     if root.kind != "M":
         raise ValueError("K-roots are isotropy directions, not tangent directions")
-    n = partition.total
-    r, c = root.global_row - 1, root.global_col - 1
-    if mode is Mode.FLOAT:
-        arr = np.zeros((n, n), dtype=np.complex128)
-        arr[r, c] = 1.0
-        return CMatrix(arr, mode)
-    mat = CMatrix.zeros(n, n, Mode.EXACT)
-    arr = mat.data.copy()
-    arr[r, c] = GaussianRational(1)
-    return CMatrix(arr, Mode.EXACT)
+    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
+    arr[root.global_row - 1, root.global_col - 1] = GaussianRational(1)
+    return CMatrix(arr, mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,11 +235,7 @@ class TangentVector:
 
         The lower half is completed as a_ji = -a_ij^*; missing blocks are zero.
         """
-        n = partition.total
-        if mode is Mode.FLOAT:
-            arr = np.zeros((n, n), dtype=np.complex128)
-        else:
-            arr = CMatrix.zeros(n, n, Mode.EXACT).data.copy()
+        arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
         for (i, j), blk in blocks.items():
             if not (1 <= i <= partition.s and 1 <= j <= partition.s):
                 raise ValueError(f"block key ({i},{j}) out of range 1..{partition.s}")
@@ -249,26 +243,13 @@ class TangentVector:
                 raise ValueError(f"from_blocks accepts upper block keys only, got ({i},{j})")
             r0, r1 = partition.block_range(i)
             c0, c1 = partition.block_range(j)
-            if mode is Mode.FLOAT:
-                if isinstance(blk, CMatrix):
-                    blk = blk.to_float().data
-                sub = np.array(blk, dtype=np.complex128)
-                if sub.shape != (r1 - r0, c1 - c0):
-                    raise ValueError(
-                        f"block ({i},{j}) has shape {sub.shape}, "
-                        f"expected {(r1 - r0, c1 - c0)}"
-                    )
-                arr[r0:r1, c0:c1] = sub
-                arr[c0:c1, r0:r1] = -sub.conj().T
-            else:
-                sub = blk if isinstance(blk, CMatrix) else CMatrix.from_exact(blk)
-                if sub.shape != (r1 - r0, c1 - c0):
-                    raise ValueError(
-                        f"block ({i},{j}) has shape {sub.shape}, "
-                        f"expected {(r1 - r0, c1 - c0)}"
-                    )
-                arr[r0:r1, c0:c1] = sub.data
-                arr[c0:c1, r0:r1] = (-sub.H).data
+            sub = CMatrix(blk.data if isinstance(blk, CMatrix) else blk, mode).data
+            if sub.shape != (r1 - r0, c1 - c0):
+                raise ValueError(
+                    f"block ({i},{j}) has shape {sub.shape}, expected {(r1 - r0, c1 - c0)}"
+                )
+            arr[r0:r1, c0:c1] = sub
+            arr[c0:c1, r0:r1] = -sub.conj().T
         return cls(partition, CMatrix(arr, mode))
 
 
@@ -282,37 +263,22 @@ def weyl_vector(
         raise ValueError("pass the positive root of the pair")
     if kind not in ("A", "S"):
         raise ValueError(f"kind must be 'A' or 'S', got {kind!r}")
-    n = partition.total
     r, c = root.global_row - 1, root.global_col - 1
-    if mode is Mode.FLOAT:
-        arr = np.zeros((n, n), dtype=np.complex128)
-        if kind == "A":
-            arr[r, c] = 1.0
-            arr[c, r] = -1.0
-        else:
-            arr[r, c] = 1j
-            arr[c, r] = 1j
-    else:
-        arr = CMatrix.zeros(n, n, Mode.EXACT).data.copy()
-        if kind == "A":
-            arr[r, c] = GaussianRational(1)
-            arr[c, r] = GaussianRational(-1)
-        else:
-            arr[r, c] = GaussianRational(0, 1)
-            arr[c, r] = GaussianRational(0, 1)
+    unit = GaussianRational(1) if kind == "A" else GaussianRational(0, 1)
+    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
+    arr[r, c] = unit
+    arr[c, r] = -unit.conjugate()
     return TangentVector(partition, CMatrix(arr, mode))
+
+
+def off_block_mask(partition: FlagPartition) -> np.ndarray:
+    """n x n boolean mask of the entries lying in off-diagonal blocks."""
+    return partition.block_index[:, None] != partition.block_index[None, :]
 
 
 def off_block_positions(partition: FlagPartition) -> list:
     """0-based (row, col) positions lying in off-diagonal blocks, row-major."""
-    n = partition.total
-    out = []
-    for r in range(n):
-        bi = partition.block_of(r + 1)
-        for c in range(n):
-            if partition.block_of(c + 1) != bi:
-                out.append((r, c))
-    return out
+    return [(r, c) for r, c in np.argwhere(off_block_mask(partition)).tolist()]
 
 
 def block_sums(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:

@@ -9,7 +9,13 @@ Two computation modes run through the whole library:
   its entry denominators, as a real array of Python ints, so no Fraction is
   normalised inside their loops.
 
-A matrix never mixes modes; mixed-mode binary operations raise ``ValueError``.
+The ``CMatrix`` constructor coerces entries once: to complex128 in Float mode,
+and through ``_as_exact`` in Exact mode, which accepts ``int``, ``Fraction``
+and ``GaussianRational`` and rejects floats. Every matrix operation is then one
+numpy expression that serves both modes, since numpy's object loops call the
+GaussianRational operators. Only zero tests differ: exact ones test each entry
+with ``bool``, never through a float. A matrix never mixes modes; mixed-mode
+binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -193,15 +199,19 @@ class GaussianRational:
 #: A matrix entry: builtin complex in Float mode, GaussianRational in Exact mode.
 Scalar = Union[complex, GaussianRational]
 
-_GR_ZERO = GaussianRational(0)
-
 
 def _as_exact(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value, 0)
-    raise ValueError(f"not an exact scalar: {value!r}")
+    raise ValueError(
+        f"Exact matrices hold int, Fraction or GaussianRational entries only; "
+        f"got {type(value).__name__} {value!r} (mode mixing is rejected)"
+    )
+
+
+_to_exact = np.vectorize(_as_exact, otypes=[object])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,20 +226,13 @@ class CMatrix:
     mode: Mode
 
     def __post_init__(self):
-        if self.mode is Mode.FLOAT:
-            arr = np.array(self.data, dtype=np.complex128)
-        elif self.mode is Mode.EXACT:
-            arr = np.array(self.data, dtype=object)
-            for v in arr.flat:
-                if not isinstance(v, GaussianRational):
-                    raise ValueError(
-                        "Exact matrices must hold GaussianRational entries only; "
-                        f"got {type(v).__name__} (mode mixing is rejected)"
-                    )
-        else:  # pragma: no cover
+        if self.mode not in (Mode.FLOAT, Mode.EXACT):  # pragma: no cover
             raise ValueError(f"unknown mode {self.mode!r}")
+        arr = np.array(self.data, dtype=np.complex128 if self.mode is Mode.FLOAT else object)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
+        if self.mode is Mode.EXACT:
+            arr = _to_exact(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -237,19 +240,16 @@ class CMatrix:
 
     @classmethod
     def from_complex(cls, rows) -> "CMatrix":
-        return cls(np.array(rows, dtype=np.complex128), Mode.FLOAT)
+        return cls(rows, Mode.FLOAT)
 
     @classmethod
     def from_exact(cls, rows: Sequence[Sequence]) -> "CMatrix":
         """Build an Exact matrix; entries may be int, Fraction or GaussianRational."""
-        grid = [[_as_exact(v) for v in row] for row in rows]
-        return cls(np.array(grid, dtype=object), Mode.EXACT)
+        return cls(rows, Mode.EXACT)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, mode: Mode = Mode.FLOAT) -> "CMatrix":
-        if mode is Mode.FLOAT:
-            return cls(np.zeros((rows, cols), dtype=np.complex128), mode)
-        return cls(np.full((rows, cols), _GR_ZERO, dtype=object), mode)
+        return cls(np.zeros((rows, cols), dtype=int), mode)
 
     @classmethod
     def identity(cls, n: int) -> "CMatrix":
@@ -296,54 +296,31 @@ class CMatrix:
         return CMatrix(self.data - other.data, self.mode)
 
     def __neg__(self) -> "CMatrix":
-        if self.mode is Mode.FLOAT:
-            return CMatrix(-self.data, self.mode)
-        return CMatrix(np.array([[-v for v in row] for row in self.data], dtype=object), self.mode)
+        return CMatrix(-self.data, self.mode)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "matmul", matmul=True)
         return CMatrix(np.dot(self.data, other.data), self.mode)
 
     def scale(self, s: Scalar) -> "CMatrix":
-        if self.mode is Mode.FLOAT:
-            return CMatrix(self.data * complex(s), self.mode)
-        g = _as_exact(s)
-        return CMatrix(np.array([[v * g for v in row] for row in self.data], dtype=object), self.mode)
+        s = CMatrix([[s]], self.mode).data[0, 0]  # coerced like an entry of this mode
+        return CMatrix(self.data * s, self.mode)
 
     @property
     def H(self) -> "CMatrix":
         """Conjugate transpose."""
-        if self.mode is Mode.FLOAT:
-            return CMatrix(self.data.conj().T.copy(), self.mode)
-        arr = np.array(
-            [[self.data[r, c].conjugate() for r in range(self.n_rows)] for c in range(self.n_cols)],
-            dtype=object,
-        )
-        return CMatrix(arr, self.mode)
+        return CMatrix(self.data.conj().T, self.mode)
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        if self.mode is Mode.FLOAT:
-            return complex(np.trace(self.data))
-        t = _GR_ZERO
-        for k in range(self.n_rows):
-            t = t + self.data[k, k]
-        return t
+        return np.trace(self.data)
 
     def fro(self) -> float:
-        """Frobenius norm (float in both modes)."""
+        """Frobenius norm (float in both modes; the exact sum of squares is rounded once)."""
         if self.mode is Mode.FLOAT:
             return float(np.linalg.norm(self.data))
-        return math.sqrt(float(self.fro2_exact()))
-
-    def fro2_exact(self) -> Fraction:
-        if self.mode is not Mode.EXACT:
-            raise ValueError("fro2_exact requires Exact mode")
-        total = Fraction(0)
-        for v in self.data.flat:
-            total += v.abs2()
-        return total
+        return math.sqrt(sum(v.abs2() for v in self.data.flat))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.mode is Mode.FLOAT:
@@ -358,10 +335,7 @@ class CMatrix:
         return CMatrix(self.data[r0:r1, c0:c1].copy(), self.mode)
 
     def to_float(self) -> "CMatrix":
-        if self.mode is Mode.FLOAT:
-            return self
-        arr = np.array([[complex(v) for v in row] for row in self.data], dtype=np.complex128)
-        return CMatrix(arr, Mode.FLOAT)
+        return CMatrix(self.data, Mode.FLOAT)
 
     def allclose(self, other: "CMatrix", tol: float = DEFAULT_RTOL) -> bool:
         """Relative Frobenius comparison in Float mode, exact equality in Exact."""
@@ -427,10 +401,7 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
     arr = a.data.copy()
     for i in range(1, partition.s + 1):
         lo, hi = partition.block_range(i)
-        if a.mode is Mode.FLOAT:
-            arr[lo:hi, lo:hi] = 0.0
-        else:
-            arr[lo:hi, lo:hi] = _GR_ZERO
+        arr[lo:hi, lo:hi] = 0
     return CMatrix(arr, a.mode)
 
 
@@ -474,17 +445,6 @@ def unitary_exp(a: CMatrix, t: float) -> CMatrix:
     w, v = np.linalg.eigh(_hermitian_from_skew(a))
     phases = np.exp(1j * t * w)
     return CMatrix((v * phases) @ v.conj().T, Mode.FLOAT)
-
-
-def block_svd(a: CMatrix):
-    """Full SVD a = P diag(sigma) Q^* with sigma descending.
-
-    Returns (P, sigma, Q) with P, Q unitary CMatrix and sigma a float array.
-    """
-    if a.mode is not Mode.FLOAT:
-        raise ValueError("block_svd is Float-mode only (exact SVD is out of scope)")
-    u, s, vh = np.linalg.svd(a.data, full_matrices=True)
-    return CMatrix(u, Mode.FLOAT), s, CMatrix(vh.conj().T, Mode.FLOAT)
 
 
 # ---------------------------------------------------------------------------

@@ -75,37 +75,36 @@ class InvariantMetric:
         return max(float(v) for v in self.lam.values())
 
     @cached_property
+    def multiplier_table(self) -> np.ndarray:
+        """s x s symmetric real table of the multipliers; the diagonal is zero."""
+        pairs = np.array(list(self.lam), dtype=int).reshape(-1, 2) - 1
+        table = np.zeros((self.partition.s, self.partition.s))
+        table[pairs[:, 0], pairs[:, 1]] = np.array(list(self.lam.values()), dtype=float)
+        return table + table.T
+
+    @cached_property
     def multiplier_matrix(self) -> np.ndarray:
         """n x n real multiplier grid; diagonal blocks are zero."""
-        parts = self.partition.parts
-        pairs = np.array(list(self.lam), dtype=int).reshape(-1, 2) - 1
-        table = np.zeros((len(parts), len(parts)))
-        table[pairs[:, 0], pairs[:, 1]] = np.array(list(self.lam.values()), dtype=float)
-        table += table.T
-        return np.repeat(np.repeat(table, parts, axis=0), parts, axis=1)
+        return _block_grid(self.partition, self.multiplier_table)
+
+
+def _block_grid(partition: FlagPartition, table: np.ndarray) -> np.ndarray:
+    """n x n array constant on each block, from an s x s table."""
+    return np.repeat(np.repeat(table, partition.parts, axis=0), partition.parts, axis=1)
 
 
 def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:
     """Termwise product: block (i, j) of the result is lambda_ij * a_ij.
 
-    Exact tangent vectors stay exact; the float multipliers are applied as
-    their exact rational values (0/1 probes in particular stay exactly 0/1).
+    The multipliers enter in the mode of ``x``: Exact tangent vectors stay
+    exact, each float multiplier applied as its exact rational value
+    Fraction(lambda) (0/1 probes in particular stay exactly 0/1).
     """
     if g.partition != x.partition:
         raise ValueError("metric and tangent vector live on different partitions")
-    if x.mode is Mode.FLOAT:
-        data = x.matrix.data * g.multiplier_matrix
-        return TangentVector(x.partition, CMatrix(data, Mode.FLOAT))
-    arr = x.matrix.data.copy()
-    for i, j in x.partition.positive_pairs():
-        lam = Fraction(g.value(i, j))
-        r0, r1 = x.partition.block_range(i)
-        c0, c1 = x.partition.block_range(j)
-        for r in range(r0, r1):
-            for c in range(c0, c1):
-                arr[r, c] = arr[r, c] * lam
-                arr[c, r] = arr[c, r] * lam
-    return TangentVector(x.partition, CMatrix(arr, Mode.EXACT))
+    table = CMatrix(np.vectorize(Fraction, otypes=[object])(g.multiplier_table), x.mode)
+    data = x.matrix.data * _block_grid(x.partition, table.data)
+    return TangentVector(x.partition, CMatrix(data, x.mode))
 
 
 def basis_metric(partition: FlagPartition, i: int, j: int) -> InvariantMetric:

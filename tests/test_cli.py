@@ -7,7 +7,7 @@ import math
 import pytest
 
 from flagdesic.cli import main
-from flagdesic.documents import fixture_document
+from flagdesic.documents import fixture_document, fixture_names
 
 
 def write_json(path, doc):
@@ -69,6 +69,30 @@ def test_check_with_metric(tmp_path, f3_chain, capsys):
 
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/thing.json"]) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_rejects_non_finite_numbers(tmp_path, f3_chain, bad, capsys):
+    # json reads NaN, Infinity and -Infinity as floats
+    vec = write_json(tmp_path / "v.json", {"parts": [1, 1], "blocks": {"1,2": [[[bad, 0.0]]]}})
+    assert main(["check", vec]) == 2
+    err = capsys.readouterr().err
+    assert "block '1,2'" in err and "not finite" in err
+    metric = write_json(tmp_path / "g.json", {"parts": [1, 1, 1], "lambda": {"1,2": bad}})
+    assert main(["check", f3_chain, metric]) == 2
+    err = capsys.readouterr().err
+    assert "lambda['1,2']" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("command", ["check", "closedness"])
+def test_exact_and_float_modes_print_the_same(tmp_path, capsys, command, name):
+    path = write_json(tmp_path / "x.json", fixture_document(name, "exact"))
+    outputs = []
+    for mode in ("float", "exact"):
+        code = main([command, path, "--mode", mode])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_canonicalize_fixture(tmp_path, f9, capsys):

@@ -232,6 +232,16 @@ def test_exp_confirmation_downgrade_carries_reason_and_defect():
     assert v.defect > 8e-8  # EXP_CONFIRM_TOL * n
 
 
+def test_exact_verdict_skips_exp_confirmation():
+    # the same vector in exact mode: the commensurability is proven, so the
+    # float exp(T A) check that downgrades the float verdict does not run
+    values = (1, Fraction(1, 997), Fraction(1, 991), Fraction(1, 983))
+    v = is_killing_closed(_two_by_two_rotations(values))
+    assert v.status is Closedness.COMMENSURATE
+    assert v.period == pytest.approx(2 * math.pi * 997 * 991 * 983, rel=1e-12)
+    assert v.bound_used is None and v.reason is None and v.defect is None
+
+
 def test_weyl_vectors_killing_closed():
     for parts in [(1, 1, 1), (2, 2), (3, 1, 1)]:
         p = FlagPartition(parts)

@@ -14,10 +14,12 @@ from flagdesic import (
     ExactSpectrumUnavailable,
     FlagPartition,
     GaussianRational,
+    InvariantMetric,
     Mode,
     NotSkewHermitian,
-    block_svd,
+    TangentVector,
     commutator,
+    hadamard_action,
     killing_inner,
     project_m,
     skew_spectrum,
@@ -80,6 +82,13 @@ def test_gaussian_rational_reduced_and_conjugate():
 def test_mode_mixing_rejected():
     with pytest.raises(ValueError):
         CMatrix(np.array([[GR(1), 0.5]], dtype=object), Mode.EXACT)
+    with pytest.raises(ValueError, match="mode mixing"):
+        CMatrix([[GR(1), 1j]], Mode.EXACT)
+    with pytest.raises(ValueError, match="mode mixing"):
+        CMatrix.from_exact([[1]]).scale(0.5)
+    coerced = CMatrix([[1, Fraction(1, 2)]], Mode.EXACT)
+    assert all(type(v) is GR for v in coerced.data.flat)
+    assert coerced.entry(0, 1) == GR(Fraction(1, 2))
     a = CMatrix.from_complex([[1.0]])
     b = CMatrix.from_exact([[1]])
     with pytest.raises(ValueError, match="mode"):
@@ -95,6 +104,48 @@ def test_dimension_mismatch_rejected():
         commutator(a, b)
     with pytest.raises(ValueError, match="dimension"):
         killing_inner(a, b)
+
+
+# ---------------------------------------------------------------------------
+# one expression for both modes
+# ---------------------------------------------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+gaussians = st.builds(GR, small_rationals, small_rationals)
+
+
+@st.composite
+def exact_matrices(draw):
+    parts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = sum(parts)
+    square = st.lists(st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n)
+    return FlagPartition(parts), CMatrix.from_exact(draw(square)), CMatrix.from_exact(draw(square))
+
+
+def assert_same(exact, flt):
+    assert exact.mode is Mode.EXACT
+    np.testing.assert_allclose(exact.to_float().data, flt.data, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_matrices(), gaussians, st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+def test_exact_operations_agree_with_float(mats, g, lams):
+    p, a, b = mats
+    af, bf = a.to_float(), b.to_float()
+    assert_same(-a, -af)
+    assert_same(a.H, af.H)
+    assert_same(a.scale(g), af.scale(complex(g)))
+    assert complex(a.trace()) == pytest.approx(af.trace(), rel=1e-12, abs=1e-12)
+    assert_same(a @ b, af @ bf)
+    assert_same(project_m(a, p), project_m(af, p))
+    blocks = {
+        (i, j): a.submatrix(*p.block_range(i), *p.block_range(j)) for i, j in p.positive_pairs()
+    }
+    x = TangentVector.from_blocks(p, blocks, Mode.EXACT)
+    xf = TangentVector.from_blocks(p, {k: blk.to_float() for k, blk in blocks.items()})
+    assert_same(x.matrix, xf.matrix)
+    g_metric = InvariantMetric(p, dict(zip(p.positive_pairs(), lams)))
+    assert_same(hadamard_action(g_metric, x).matrix, hadamard_action(g_metric, xf).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -474,34 +525,3 @@ def test_unitary_exp_rejects_exact_mode():
     with pytest.raises(ValueError, match="Float"):
         unitary_exp(a, 1.0)
 
-
-# ---------------------------------------------------------------------------
-# block_svd
-# ---------------------------------------------------------------------------
-
-
-def test_block_svd_diagonal():
-    a = CMatrix.from_complex([[3, 0], [0, 1]])
-    p, sigma, q = block_svd(a)
-    assert sigma == pytest.approx([3.0, 1.0])
-    assert (p @ p.H - CMatrix.identity(2)).fro() <= 1e-12
-
-
-def test_block_svd_column_vector():
-    a = CMatrix.from_complex([[2.5], [0.0], [0.0]])
-    _, sigma, _ = block_svd(a)
-    assert sigma == pytest.approx([2.5])
-
-
-def test_block_svd_reconstruction():
-    rng = np.random.default_rng(37)
-    a = random_complex(3, 2, rng)
-    p, sigma, q = block_svd(a)
-    rec = p.data[:, : len(sigma)] @ np.diag(sigma) @ q.data[:, : len(sigma)].conj().T
-    assert np.linalg.norm(rec - a.data) <= 1e-10 * a.fro()
-    assert list(sigma) == sorted(sigma, reverse=True)
-
-
-def test_block_svd_rejects_exact():
-    with pytest.raises(ValueError, match="Float"):
-        block_svd(CMatrix.from_exact([[1]]))
