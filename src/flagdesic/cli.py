@@ -45,7 +45,7 @@ from .flag import (
     off_block_positions,
     t_roots,
 )
-from .linalg import ExactSpectrumUnavailable, Mode, unitary_exp
+from .linalg import ExactSpectrumUnavailable, Mode, killing_flow
 
 
 class _CliError(Exception):
@@ -180,9 +180,10 @@ def _cmd_curve(args) -> int:
         header.extend([f"re_{r + 1}_{c + 1}", f"im_{r + 1}_{c + 1}"])
     header.append("dist_k")
 
+    _, flow = killing_flow(x.matrix)
     rows = []
     for t in ts:
-        off = unitary_exp(x.matrix, t).data[mask]
+        off = flow(t)[mask]
         re_im = np.column_stack([off.real, off.imag]).ravel()
         # hypot is Python's abs(complex); summing the list keeps the row-major order
         dist = math.sqrt(sum((np.hypot(off.real, off.imag) ** 2).tolist()))

@@ -27,14 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .flag import TangentVector, off_block_norm
-from .linalg import (
-    CMatrix,
-    Mode,
-    exact_skew_squares,
-    skew_spectrum,
-    unitary_exp,
-    _hermitian_from_skew,
-)
+from .linalg import Mode, exact_skew_squares, killing_flow, skew_spectrum
 
 #: Default continued-fraction denominator bound.
 DEFAULT_BOUND = 10**6
@@ -104,8 +97,8 @@ class ClosednessVerdict:
 # ---------------------------------------------------------------------------
 
 
-def matrix_spectral_data(a: CMatrix) -> SpectralData:
-    """Spectral data of any skew-Hermitian matrix (not only tangent vectors)."""
+def matrix_spectral_data(a) -> SpectralData:
+    """Spectral data of any skew-Hermitian CMatrix (not only tangent vectors)."""
     if a.mode is Mode.FLOAT:
         return SpectralData(tuple(skew_spectrum(a)), Mode.FLOAT)
     thetas, squares = exact_skew_squares(a)
@@ -248,18 +241,16 @@ def is_killing_closed(
     ``sd`` is the spectral data of ``x`` when the caller already has it;
     otherwise it is computed here. The confirmation guards the float path
     against accepting spuriously large denominators; on failure the verdict
-    downgrades to Undetermined with reason "exp-confirmation". An exact
-    verdict is a proof: it runs no float confirmation and carries no bound
-    and no defect.
+    downgrades to Undetermined with reason "exp-confirmation". It reads the
+    spectrum, as A = V diag(i theta) V^* with V unitary: ||exp(T A) - I||_F =
+    ||e^{i T theta} - 1||_2. An exact verdict is a proof: it runs no float
+    confirmation and carries no bound and no defect.
     """
     sd = spectral_data(x) if sd is None else sd
     verdict = commensurability(sd, bound)
     if verdict.status is Closedness.COMMENSURATE and sd.exact_squares is None:
-        xf = x.to_float()
-        n = x.partition.total
-        ident = CMatrix.identity(n)
-        defect = (unitary_exp(xf.matrix, verdict.period) - ident).fro()
-        if defect > EXP_CONFIRM_TOL * n:
+        defect = float(np.linalg.norm(np.exp(1j * verdict.period * np.array(sd.thetas)) - 1.0))
+        if defect > EXP_CONFIRM_TOL * x.partition.total:
             return ClosednessVerdict(
                 Closedness.UNDETERMINED, bound_used=bound, reason="exp-confirmation", defect=defect
             )
@@ -303,15 +294,14 @@ def coset_return_probe(
     Local minima of d with d <= tol are returned as (t, d) candidates.
     This is a sampling heuristic: a reported candidate is evidence of a coset
     return, and an empty list proves nothing about density or openness.
+    Float mode only: ``killing_flow`` rejects an Exact ``x``.
     """
-    if x.mode is not Mode.FLOAT:
-        raise ValueError("coset_return_probe is Float-mode only")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if step is not None and step <= 0:
         raise ValueError("step must be positive")
     p = x.partition
-    w, v = np.linalg.eigh(_hermitian_from_skew(x.matrix))
+    w, flow = killing_flow(x.matrix)
     top = float(np.max(np.abs(w), initial=0.0))
     if top == 0.0:
         return []
@@ -319,8 +309,7 @@ def coset_return_probe(
         step = 1e-3 * (2.0 * math.pi / top)
 
     def dist(t: float) -> float:
-        u = (v * np.exp(1j * t * w)) @ v.conj().T
-        return off_block_norm(p, u)
+        return off_block_norm(p, flow(t))
 
     ts = np.arange(step, t_max + 0.5 * step, step)
     if ts.size == 0:

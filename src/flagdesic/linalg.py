@@ -354,25 +354,19 @@ class CMatrix:
 # ---------------------------------------------------------------------------
 
 
-def skew_defect(a: CMatrix) -> float:
-    """Frobenius norm of a + a^*; exact zero reported as 0.0 in Exact mode."""
+def require_skew_hermitian(a: CMatrix):
+    """Raise NotSkewHermitian unless a + a^* vanishes: exactly in Exact mode, and
+    within SKEW_TOL_FACTOR * ||a||_F in Float mode."""
     if not a.is_square:
         raise ValueError("skew-Hermitian test requires a square matrix")
-    return (a + a.H).fro()
-
-
-def is_skew_hermitian(a: CMatrix, tol_factor: float = SKEW_TOL_FACTOR) -> bool:
+    defect = a + a.H
     if a.mode is Mode.EXACT:
-        return (a + a.H).is_zero()
-    return skew_defect(a) <= tol_factor * a.fro()
-
-
-def require_skew_hermitian(a: CMatrix, tol_factor: float = SKEW_TOL_FACTOR):
-    if not is_skew_hermitian(a, tol_factor):
-        raise NotSkewHermitian(
-            f"matrix is not skew-Hermitian (defect {skew_defect(a):.3e}, "
-            f"tolerance {tol_factor * a.fro():.3e})"
-        )
+        ok, tol = defect.is_zero(), "exact test"
+    else:
+        bound = SKEW_TOL_FACTOR * a.fro()
+        ok, tol = defect.fro() <= bound, f"tolerance {bound:.3e}"
+    if not ok:
+        raise NotSkewHermitian(f"matrix is not skew-Hermitian (defect {defect.fro():.3e}, {tol})")
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +392,8 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
         raise ValueError(
             f"matrix shape {a.shape} does not match partition of total {partition.total}"
         )
-    arr = a.data.copy()
-    for i in range(1, partition.s + 1):
-        lo, hi = partition.block_range(i)
-        arr[lo:hi, lo:hi] = 0
-    return CMatrix(arr, a.mode)
+    idx = partition.block_index
+    return CMatrix(np.where(idx[:, None] != idx[None, :], a.data, 0), a.mode)
 
 
 def killing_inner(a: CMatrix, b: CMatrix) -> Scalar:
@@ -423,28 +414,34 @@ def _hermitian_from_skew(a: CMatrix) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def skew_spectrum(a: CMatrix, tol_factor: float = SKEW_TOL_FACTOR) -> list:
+def skew_spectrum(a: CMatrix) -> list:
     """Sorted real list theta_1 >= ... >= theta_n with eig(a) = {i * theta_k}.
 
     Float mode solves the Hermitian eigenproblem for -i a. Exact mode returns
     the float values of the exact spectrum from exact_skew_squares, which
     raises ExactSpectrumUnavailable unless every theta^2 is rational.
     """
-    require_skew_hermitian(a, tol_factor)
+    require_skew_hermitian(a)
     if a.mode is Mode.FLOAT:
         w = np.linalg.eigvalsh(_hermitian_from_skew(a))
         return [float(t) for t in w[::-1]]
     return exact_skew_squares(a)[0]
 
 
-def unitary_exp(a: CMatrix, t: float) -> CMatrix:
-    """exp(t a) for skew-Hermitian a, via the spectral decomposition of -i a."""
+def killing_flow(a: CMatrix):
+    """(w, flow) for a Float skew-Hermitian a, from one eigendecomposition -i a = V diag(w) V^*:
+    ``w`` ascending, eig(a) = {i * w_k}, and ``flow(t)`` the array exp(t a) = V diag(e^{i t w}) V^*.
+    Callers sampling the Killing field exp(t a) at many t call this once."""
     if a.mode is not Mode.FLOAT:
-        raise ValueError("unitary_exp is Float-mode only")
+        raise ValueError("killing_flow is Float-mode only")
     require_skew_hermitian(a)
     w, v = np.linalg.eigh(_hermitian_from_skew(a))
-    phases = np.exp(1j * t * w)
-    return CMatrix((v * phases) @ v.conj().T, Mode.FLOAT)
+    return w, lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
+
+
+def unitary_exp(a: CMatrix, t: float) -> CMatrix:
+    """exp(t a) for a Float skew-Hermitian a: one sample of ``killing_flow(a)``."""
+    return CMatrix(killing_flow(a)[1](t), Mode.FLOAT)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A metric is a symmetric table {lambda_ij > 0} over unordered block pairs; it
 acts on tangent matrices entry by entry (Hadamard product with the
-block-constant multiplier matrix). The degenerate 0/1 multipliers used as
-bracket probes share the data shape but are flagged and excluded from
-metric-only operations.
+block-constant multiplier matrix). The degenerate 0/1 probe multipliers
+L_ij share the data shape but are flagged and excluded from metric-only
+operations; the bracket certificate evaluates [X, L_ij X] on block slabs and
+never builds them.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:
 def basis_metric(partition: FlagPartition, i: int, j: int) -> InvariantMetric:
     """Degenerate probe multiplier: 1 on the (i, j)/(j, i) blocks, 0 elsewhere.
 
-    Not positive definite, hence flagged; used as a finite certificate basis,
-    every multiplier table being a positive combination of these.
+    Not positive definite, hence flagged. Every multiplier table is a positive
+    combination of these, which is why the bracket certificate may test only
+    them; it evaluates them on block slabs and never builds one.
     """
     if i == j:
         raise ValueError("probe multipliers connect two distinct blocks")

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from flagdesic.cli import main
@@ -82,6 +83,16 @@ def test_check_rejects_non_finite_numbers(tmp_path, f3_chain, bad, capsys):
     assert main(["check", f3_chain, metric]) == 2
     err = capsys.readouterr().err
     assert "lambda['1,2']" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("bad", [[1.5, 1], [2.0, 1], ["2", True], [True, True]])
+def test_check_rejects_non_integer_parts(tmp_path, f3_chain, bad, capsys):
+    vec = write_json(tmp_path / "v.json", {"parts": bad, "blocks": {}})
+    assert main(["check", vec]) == 2
+    assert 'invalid "parts"' in capsys.readouterr().err
+    metric = write_json(tmp_path / "g.json", {"parts": bad, "lambda": {}})
+    assert main(["check", f3_chain, metric]) == 2
+    assert 'invalid "parts"' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -255,6 +266,27 @@ def test_curve_csv_shape_and_periodicity(tmp_path, f4):
     first = [float(v) for v in data[0][1:]]
     last = [float(v) for v in data[-1][1:]]
     assert max(abs(a - b) for a, b in zip(first, last)) <= 1e-8
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_curve_decomposes_once_and_closedness_never(tmp_path, f9, monkeypatch, capsys):
+    calls = _count_eigh(monkeypatch)
+    out = str(tmp_path / "c.csv")
+    assert main(["curve", f9, "--t-max", "6.283185307179586", "--samples", "50", "--out", out]) == 0
+    assert len(calls) == 1
+    assert main(["closedness", f9]) == 0
+    assert len(calls) == 1
 
 
 def test_curve_t_max_zero_single_identity_row(tmp_path, f4, capsys):

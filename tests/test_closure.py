@@ -222,14 +222,36 @@ def test_f4_fixture_killing_closed():
 def test_exp_confirmation_downgrade_carries_reason_and_defect():
     # thetas 1, 1/997, 1/991, 1/983 resolve as rationals, but the common period
     # 2*pi*997*991*983 is too long for float phases to return to the identity
-    p = FlagPartition((1,) * 8)
-    values = (1.0, 1 / 997, 1 / 991, 1 / 983)
-    x = TangentVector.from_blocks(p, {(2 * k + 1, 2 * k + 2): [[v]] for k, v in enumerate(values)})
+    x = _downgrade_vector()
     assert commensurability(spectral_data(x)).status is Closedness.COMMENSURATE
     v = is_killing_closed(x)
     assert v.status is Closedness.UNDETERMINED
     assert v.reason == "exp-confirmation"
     assert v.defect > 8e-8  # EXP_CONFIRM_TOL * n
+
+
+def _downgrade_vector():
+    p = FlagPartition((1,) * 8)
+    values = (1.0, 1 / 997, 1 / 991, 1 / 983)
+    return TangentVector.from_blocks(p, {(2 * k + 1, 2 * k + 2): [[v]] for k, v in enumerate(values)})
+
+
+@pytest.mark.parametrize("x", [fixture_vector("f4-x2y3"), _downgrade_vector()])
+def test_confirmation_defect_read_from_spectrum_matches_exp(x):
+    # ||exp(T A) - I||_F = ||e^{i T theta} - 1||_2, whether the check passes or downgrades
+    period = commensurability(spectral_data(x)).period
+    n = x.partition.total
+    expected = (unitary_exp(x.matrix, period) - CMatrix.identity(n)).fro()
+    assert is_killing_closed(x).defect == pytest.approx(expected, abs=1e-12)
+
+
+def test_float_closedness_runs_no_eigendecomposition(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert is_killing_closed(fixture_vector("f9-333")).status is Closedness.COMMENSURATE
+    assert is_killing_closed(_downgrade_vector()).reason == "exp-confirmation"
 
 
 def test_exact_verdict_skips_exp_confirmation():

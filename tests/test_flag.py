@@ -44,6 +44,18 @@ def test_partition_validation():
         FlagPartition((2, -1))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", True, False, None])
+def test_partition_rejects_non_integer_parts(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        FlagPartition((bad, 1))
+
+
+def test_partition_accepts_numpy_integers():
+    p = FlagPartition(tuple(np.array([2, 1, 3])))
+    assert p.parts == (2, 1, 3)
+    assert all(type(k) is int for k in p.parts)
+
+
 def test_build_roots_full_flag_f3():
     p = FlagPartition((1, 1, 1))
     k_pos, m_pos = build_roots(p)
@@ -199,6 +211,23 @@ def test_tangent_vector_validation():
 
     with pytest.raises(ValueError, match="shape"):
         TangentVector(p, CMatrix.zeros(4, 4))
+
+
+def test_tangent_vector_names_the_nonzero_diagonal_block():
+    p = FlagPartition((1, 2, 2))
+    exact = np.zeros((5, 5), dtype=object)
+    exact[2, 4], exact[4, 2] = GaussianRational(1, 1), GaussianRational(-1, 1)
+    TangentVector(p, CMatrix(exact, Mode.EXACT))
+    exact[1, 2], exact[2, 1] = GaussianRational(1), GaussianRational(-1)
+    with pytest.raises(ValueError, match=r"^diagonal block 2 is not zero \(not in m\)$"):
+        TangentVector(p, CMatrix(exact, Mode.EXACT))
+
+    fl = np.zeros((5, 5), dtype=complex)
+    fl[0, 1], fl[1, 0] = 3.0, -3.0
+    fl[3, 4], fl[4, 3] = 4.0, -4.0  # diagonal block 3, norm sqrt(32)
+    msg = r"^diagonal block 3 is not zero \(norm 5\.657e\+00 > 7\.071e-09\)$"
+    with pytest.raises(ValueError, match=msg):
+        TangentVector(p, CMatrix(fl, Mode.FLOAT))
 
 
 def test_from_blocks_shapes_and_completion():

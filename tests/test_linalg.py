@@ -25,7 +25,13 @@ from flagdesic import (
     skew_spectrum,
     unitary_exp,
 )
-from flagdesic.linalg import _nullity, exact_skew_squares, integer_embedding
+from flagdesic.linalg import (
+    _nullity,
+    exact_skew_squares,
+    integer_embedding,
+    killing_flow,
+    require_skew_hermitian,
+)
 
 GR = GaussianRational
 
@@ -303,6 +309,19 @@ def test_skew_spectrum_rejects_non_skew():
         skew_spectrum(CMatrix.from_complex([[1, 0], [0, 1]]))
 
 
+def test_require_skew_hermitian_reports_defect_and_tolerance():
+    # a + a^* = [[2, 0], [0, 0]]: defect 2, tolerance 1e-9 * ||a||_F = 1e-9 * sqrt(3)
+    a = CMatrix.from_complex([[1, 1], [-1, 0]])
+    with pytest.raises(NotSkewHermitian, match=r"defect 2\.000e\+00, tolerance 1\.732e-09"):
+        require_skew_hermitian(a)
+    with pytest.raises(NotSkewHermitian, match="defect 2.000e"):
+        require_skew_hermitian(CMatrix.from_exact([[1, 1], [-1, 0]]))
+    z = GaussianRational(1, 2)
+    require_skew_hermitian(CMatrix.from_exact([[0, z], [-z.conjugate(), 0]]))
+    with pytest.raises(ValueError, match="square"):
+        require_skew_hermitian(CMatrix.zeros(2, 3))
+
+
 def test_skew_spectrum_sums_to_trace():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -524,4 +543,15 @@ def test_unitary_exp_rejects_exact_mode():
     a = CMatrix.from_exact([[0, 1], [-1, 0]])
     with pytest.raises(ValueError, match="Float"):
         unitary_exp(a, 1.0)
+
+
+def test_killing_flow_samples_match_unitary_exp():
+    a = random_skew(5, np.random.default_rng(3))
+    w, flow = killing_flow(a)
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(w, sorted(skew_spectrum(a)), atol=1e-12)
+    for t in (0.0, 0.7, -2.5):
+        assert np.array_equal(flow(t), unitary_exp(a, t).data)
+    with pytest.raises(ValueError, match="Float"):
+        killing_flow(CMatrix.from_exact([[0, 1], [-1, 0]]))
 
