@@ -4,114 +4,59 @@ Decide and certify which tangent directions of F(n; n_1,...,n_s) generate
 curves that are geodesic for every invariant metric, reduce them to a
 block-unitary canonical form, and classify the closedness of the Killing
 fields they generate through eigenvalue commensurability.
+
+Submodules load on first use (PEP 562): ``import flagdesic`` imports none of
+them, and ``from flagdesic import canonicalize`` imports only what
+``flagdesic.equigeo`` needs.
 """
 
-from .closure import (
-    AllZeroSpectrum,
-    Closedness,
-    ClosednessVerdict,
-    SpectralData,
-    commensurability,
-    coset_return_probe,
-    is_killing_closed,
-    matrix_spectral_data,
-    spectral_data,
-)
-from .equigeo import (
-    CanonicalForm,
-    ConjugationInvariants,
-    EquigeodesicVerdict,
-    NotEquigeodesic,
-    canonicalize,
-    conjugation_invariants,
-    equigeodesic_certificate,
-    is_equigeodesic,
-    is_essentially_block_diagonal,
-    is_essentially_diagonal,
-    is_geodesic_vector,
-    random_block_unitary,
-    random_equigeodesic,
-    random_essentially_diagonal,
-)
-from .flag import (
-    FlagPartition,
-    Root,
-    TangentVector,
-    TRoot,
-    basis_unit,
-    build_roots,
-    t_roots,
-    weyl_vector,
-)
-from .linalg import (
-    CMatrix,
-    ExactSpectrumUnavailable,
-    GaussianRational,
-    Mode,
-    NotSkewHermitian,
-    Scalar,
-    commutator,
-    killing_inner,
-    project_m,
-    skew_spectrum,
-    unitary_exp,
-)
-from .metric import (
-    InvariantMetric,
-    basis_metric,
-    hadamard_action,
-    metric_inner,
-    random_metric,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroSpectrum",
-    "CanonicalForm",
-    "Closedness",
-    "ClosednessVerdict",
-    "CMatrix",
-    "ConjugationInvariants",
-    "EquigeodesicVerdict",
-    "ExactSpectrumUnavailable",
-    "FlagPartition",
-    "GaussianRational",
-    "InvariantMetric",
-    "Mode",
-    "NotEquigeodesic",
-    "NotSkewHermitian",
-    "Root",
-    "Scalar",
-    "SpectralData",
-    "TangentVector",
-    "TRoot",
-    "basis_metric",
-    "basis_unit",
-    "build_roots",
-    "canonicalize",
-    "commensurability",
-    "commutator",
-    "conjugation_invariants",
-    "coset_return_probe",
-    "equigeodesic_certificate",
-    "hadamard_action",
-    "is_equigeodesic",
-    "is_essentially_block_diagonal",
-    "is_essentially_diagonal",
-    "is_geodesic_vector",
-    "is_killing_closed",
-    "killing_inner",
-    "matrix_spectral_data",
-    "metric_inner",
-    "project_m",
-    "random_block_unitary",
-    "random_equigeodesic",
-    "random_essentially_diagonal",
-    "random_metric",
-    "skew_spectrum",
-    "spectral_data",
-    "t_roots",
-    "unitary_exp",
-    "weyl_vector",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "closure": (
+        "AllZeroSpectrum", "Closedness", "ClosednessVerdict", "SpectralData",
+        "commensurability", "coset_return_probe", "is_killing_closed",
+        "matrix_spectral_data", "spectral_data",
+    ),
+    "equigeo": (
+        "CanonicalForm", "ConjugationInvariants", "EquigeodesicVerdict", "NotEquigeodesic",
+        "canonicalize", "conjugation_invariants", "equigeodesic_certificate",
+        "is_equigeodesic", "is_essentially_block_diagonal", "is_essentially_diagonal",
+        "is_geodesic_vector", "random_block_unitary", "random_equigeodesic",
+        "random_essentially_diagonal",
+    ),
+    "flag": (
+        "FlagPartition", "Root", "TangentVector", "TRoot",
+        "basis_unit", "build_roots", "t_roots", "weyl_vector",
+    ),
+    "linalg": (
+        "CMatrix", "ExactSpectrumUnavailable", "GaussianRational", "Mode",
+        "NotSkewHermitian", "Scalar", "commutator", "killing_inner", "project_m",
+        "skew_spectrum", "unitary_exp",
+    ),
+    "metric": (
+        "InvariantMetric", "basis_metric", "hadamard_action", "metric_inner", "random_metric",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # so flagdesic.closure and the rest work after a bare import
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,20 +8,13 @@ residual exceeds the bound, as near the rank cut), after printing why.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import importlib
 import json
 import math
 import sys
 
 import numpy as np
 
-from .closure import (
-    AllZeroSpectrum,
-    Closedness,
-    is_killing_closed,
-    spectral_data,
-)
 from .documents import (
     DocumentError,
     fixture_document,
@@ -29,13 +22,6 @@ from .documents import (
     parse_metric_document,
     parse_vector_document,
     serialize_vector,
-)
-from .equigeo import (
-    NotEquigeodesic,
-    canonicalize,
-    equigeodesic_certificate,
-    is_equigeodesic,
-    is_geodesic_vector,
 )
 from .flag import (
     FlagPartition,
@@ -46,6 +32,31 @@ from .flag import (
     t_roots,
 )
 from .linalg import ExactSpectrumUnavailable, Mode, killing_flow
+
+#: Names bound here from the modules only some commands need, when first needed,
+#: so each command compiles and runs only the modules it uses.
+_LAZY = {
+    "closure": ("AllZeroSpectrum", "Closedness", "is_killing_closed", "spectral_data"),
+    "equigeo": (
+        "NotEquigeodesic", "canonicalize", "equigeodesic_certificate", "is_equigeodesic",
+        "is_geodesic_vector",
+    ),
+}
+
+
+def _load(module: str) -> None:
+    """Bind ``_LAZY[module]`` here; a name already bound (by a test or a tracer) is kept."""
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _CliError(Exception):
@@ -84,6 +95,7 @@ def _write_out(text: str, out):
 
 
 def _cmd_check(args) -> int:
+    _load("equigeo")
     x = _load_vector(args.vector, args.mode)
     if args.metric is not None:
         g = parse_metric_document(_load_json(args.metric), x.partition)
@@ -102,6 +114,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
+    _load("equigeo")
     x = _load_vector(args.vector, "float")
     try:
         form = canonicalize(x)
@@ -133,6 +146,7 @@ def serialize_vector_with_canonical(x, form) -> dict:
 
 
 def _cmd_closedness(args) -> int:
+    _load("closure")
     x = _load_vector(args.vector, args.mode)
     try:
         sd = spectral_data(x)
@@ -164,10 +178,13 @@ def _cmd_closedness(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    import csv
+    import io
+
     x = _load_vector(args.vector, "float")
     p = x.partition
-    if args.t_max < 0:
-        raise _CliError("--t-max must be nonnegative")
+    if not (math.isfinite(args.t_max) and args.t_max >= 0):
+        raise _CliError("--t-max must be finite and nonnegative")
     if args.t_max == 0:
         ts = [0.0]
     else:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .flag import FlagPartition, TangentVector
 from .linalg import CMatrix, GaussianRational, Mode
-from .metric import InvariantMetric
+
+if TYPE_CHECKING:
+    from .metric import InvariantMetric
 
 #: Agreement required when a document redundantly supplies both block halves.
 HALF_CONSISTENCY_TOL = 1e-12
@@ -168,6 +170,8 @@ def serialize_vector(x: TangentVector) -> dict:
 
 def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) -> InvariantMetric:
     """Metric from {"parts": [...], "lambda": {"i,j": value}}; absent pairs get 1."""
+    from .metric import InvariantMetric  # here, so only commands given a metric load it
+
     if not isinstance(doc, dict):
         raise DocumentError("metric document must be a JSON object")
     if "parts" not in doc:

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, block_norms_sq, block_sums
 from .linalg import CMatrix, Mode, commutator, integer_embedding, project_m
-from .metric import InvariantMetric, hadamard_action
+
+if TYPE_CHECKING:
+    from .metric import InvariantMetric
 
 #: Default relative tolerance for block products and bracket residuals.
 DEFAULT_EQUI_TOL = 1e-8
@@ -80,6 +82,12 @@ class ConjugationInvariants:
     singular_values: dict
 
 
+def _require_tol(tol: float) -> None:
+    # a nan tol would fail the block condition and pass the certificate on one vector
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 # ---------------------------------------------------------------------------
 # geodesic test for one metric
 # ---------------------------------------------------------------------------
@@ -91,6 +99,9 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
     Returns (verdict, residual) with the residual normalized by
     ||X||_F^2 * max(lambda); exact inputs are evaluated in Float.
     """
+    from .metric import hadamard_action  # here, so only commands given a metric load it
+
+    _require_tol(tol)
     if g.degenerate:
         raise ValueError("degenerate probe multipliers are not metrics")
     if g.partition != x.partition:
@@ -184,6 +195,7 @@ def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> Equigeod
     which makes the verdict scale-invariant; Exact mode is a strict zero test.
     Vacuously true when the partition has fewer than three blocks.
     """
+    _require_tol(tol)
     worst, first_bad, _ = _scan_block_products(x, tol)
     if x.mode is Mode.EXACT:
         ok = first_bad is None
@@ -206,6 +218,7 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     I u J; each probe costs O(n (n_i + n_j)^2), and a probe with a_ij = 0
     is skipped (Y = 0).
     """
+    _require_tol(tol)
     p, a, norms = _block_arrays(x)
     exact = x.mode is Mode.EXACT
     total = norms.sum()

@@ -421,11 +421,11 @@ def skew_spectrum(a: CMatrix) -> list:
     the float values of the exact spectrum from exact_skew_squares, which
     raises ExactSpectrumUnavailable unless every theta^2 is rational.
     """
+    if a.mode is Mode.EXACT:
+        return exact_skew_squares(a)[0]
     require_skew_hermitian(a)
-    if a.mode is Mode.FLOAT:
-        w = np.linalg.eigvalsh(_hermitian_from_skew(a))
-        return [float(t) for t in w[::-1]]
-    return exact_skew_squares(a)[0]
+    w = np.linalg.eigvalsh(_hermitian_from_skew(a))
+    return [float(t) for t in w[::-1]]
 
 
 def killing_flow(a: CMatrix):
@@ -511,9 +511,10 @@ def exact_skew_squares(a: CMatrix):
     """
     if a.mode is not Mode.EXACT:
         raise ValueError("exact_skew_squares requires Exact mode")
-    require_skew_hermitian(a)
     n = a.n_rows
     d, e = integer_embedding(a)
+    if not a.is_square or (e + e.T).any():  # E antisymmetric <=> a skew-Hermitian
+        require_skew_hermitian(a)  # raises, naming the defect
     h = np.empty_like(e)  # embedding of D*H: symmetric, as H is Hermitian
     h[0::2], h[1::2] = e[1::2], -e[0::2]
     eye = np.diag(np.ones(2 * n, dtype=object))

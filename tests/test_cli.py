@@ -68,6 +68,15 @@ def test_check_with_metric(tmp_path, f3_chain, capsys):
     assert "geodesic" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_rejects_invalid_tol(tmp_path, f9, tol, capsys):
+    metric = write_json(tmp_path / "g.json", {"parts": [3, 3, 3], "lambda": {}})
+    for argv in (["check", f9], ["check", f9, metric]):
+        assert main([*argv, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: tolerance must be finite and nonnegative" in err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/thing.json"]) == 2
 
@@ -287,6 +296,14 @@ def test_curve_decomposes_once_and_closedness_never(tmp_path, f9, monkeypatch, c
     assert len(calls) == 1
     assert main(["closedness", f9]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "-1"])
+def test_curve_rejects_invalid_t_max(tmp_path, f4, t_max, capsys):
+    out_path = tmp_path / "c.csv"
+    assert main(["curve", f4, f"--t-max={t_max}", "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", "error: --t-max must be finite and nonnegative\n")
+    assert not out_path.exists()
 
 
 def test_curve_t_max_zero_single_identity_row(tmp_path, f4, capsys):

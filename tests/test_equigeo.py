@@ -87,6 +87,18 @@ def test_geodesic_rejects_probe_and_mismatch():
         is_geodesic_vector(x, InvariantMetric.normal(FlagPartition((2, 1))))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_invalid_tolerance_rejected(tol, mode):
+    # nan made the block condition false and the certificate true on the same vector
+    x = fixture_vector("f9-333", mode)
+    for route in (is_equigeodesic, equigeodesic_certificate):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            route(x, tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        is_geodesic_vector(x, InvariantMetric.normal(x.partition), tol)
+
+
 # ---------------------------------------------------------------------------
 # is_equigeodesic and the certificate
 # ---------------------------------------------------------------------------

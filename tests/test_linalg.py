@@ -21,6 +21,7 @@ from flagdesic import (
     commutator,
     hadamard_action,
     killing_inner,
+    matrix_spectral_data,
     project_m,
     skew_spectrum,
     unitary_exp,
@@ -320,6 +321,17 @@ def test_require_skew_hermitian_reports_defect_and_tolerance():
     require_skew_hermitian(CMatrix.from_exact([[0, z], [-z.conjugate(), 0]]))
     with pytest.raises(ValueError, match="square"):
         require_skew_hermitian(CMatrix.zeros(2, 3))
+
+
+def test_exact_spectrum_rejects_non_skew():
+    # the exact kernels test skewness on the integer embedding, not through TangentVector
+    i = GR(0, 1)
+    for a in (CMatrix.from_exact([[1, 1], [-1, 0]]), CMatrix.from_exact([[0, i], [-i, 0]])):
+        for solve in (exact_skew_squares, skew_spectrum, matrix_spectral_data):
+            with pytest.raises(NotSkewHermitian, match="not skew-Hermitian .*exact test"):
+                solve(a)
+    with pytest.raises(ValueError, match="square"):
+        exact_skew_squares(CMatrix.zeros(2, 3, Mode.EXACT))
 
 
 def test_skew_spectrum_sums_to_trace():

@@ -1,0 +1,90 @@
+"""Start-up guards: each command, in a fresh interpreter, loads only the modules it uses."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import flagdesic
+from flagdesic.documents import fixture_document
+
+# ``python -m flagdesic.cli``: the package, then cli as __main__
+PROBE = """
+import json, runpy, sys
+sys.argv, code = ["flagdesic", *sys.argv[1:]], None
+try:
+    runpy.run_module("flagdesic.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("flagdesic") or m == "csv")
+print(json.dumps([code, loaded]))
+"""
+
+BASE = ["flagdesic", "flagdesic.documents", "flagdesic.flag", "flagdesic.linalg"]
+
+
+def run_fresh(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(flagdesic.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("startup")
+    paths = {"out": str(tmp / "out")}
+    for name, doc in [("vector", fixture_document("f9-333")),
+                      ("exact", fixture_document("f9-333", "exact")),
+                      ("metric", {"parts": [3, 3, 3], "lambda": {"1,2": 2.0}})]:
+        paths[name] = str(tmp / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ("examples --list", []),
+    ("roots 3 3 3", []),
+    ("check {vector}", ["flagdesic.equigeo"]),
+    ("check {vector} {metric}", ["flagdesic.equigeo", "flagdesic.metric"]),
+    ("canonicalize {vector} --out {out}", ["flagdesic.equigeo"]),
+    ("closedness {vector}", ["flagdesic.closure"]),
+    ("closedness {exact} --mode exact", ["flagdesic.closure"]),
+    ("curve {vector} --t-max 1 --samples 4 --out {out}", ["csv"]),
+])
+def test_command_loads_only_its_modules(files, argv, extra):
+    code, loaded = run_fresh(PROBE, *argv.format(**files).split())
+    assert code == 0
+    assert loaded == sorted(BASE + extra)
+
+
+def test_import_flagdesic_loads_no_submodule():
+    code = "import json, sys, flagdesic; print(json.dumps(sorted(m for m in sys.modules if m.startswith('flagdesic'))))"
+    assert run_fresh(code) == ["flagdesic"]
+
+
+def test_every_public_name_resolves():
+    listed = dir(flagdesic)
+    for name in flagdesic.__all__:
+        scope = {}
+        exec(f"from flagdesic import {name}", scope)
+        home = importlib.import_module(f"flagdesic.{flagdesic._MODULE_OF[name]}")
+        assert scope[name] is getattr(home, name)
+        assert name in listed
+    assert len(flagdesic.__all__) == sum(map(len, flagdesic._EXPORTS.values()))  # no name twice
+
+
+def test_unknown_attribute_raises():
+    import flagdesic.cli as cli
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flagdesic.no_such_name
+    with pytest.raises(ImportError):
+        exec("from flagdesic import no_such_name", {})
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
