@@ -201,7 +201,7 @@ def _cmd_curve(args) -> int:
     rows = []
     for t in ts:
         off = flow(t)[mask]
-        re_im = np.column_stack([off.real, off.imag]).ravel()
+        re_im = np.column_stack([off.real, off.imag]).ravel().tolist()  # Python floats format faster
         # hypot is Python's abs(complex); summing the list keeps the row-major order
         dist = math.sqrt(sum((np.hypot(off.real, off.imag) ** 2).tolist()))
         rows.append([f"{t:.12g}", *(f"{v:.15g}" for v in re_im), f"{dist:.15g}"])

@@ -19,10 +19,9 @@ convergents with |rho - p/q| <= 1/q^2 inside any denominator bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,8 +53,7 @@ class Closedness(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalue data of a skew-Hermitian matrix: eig = {i * theta_k}.
 
     ``thetas`` is sorted descending. In Exact mode ``exact_squares`` holds the
@@ -67,8 +65,7 @@ class SpectralData:
     exact_squares: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class ClosednessVerdict:
+class ClosednessVerdict(NamedTuple):
     """``reason`` says why a verdict is Undetermined: "continued-fraction" (a
     ratio is neither resolved nor refuted within the bound) or
     "exp-confirmation" (exp(T A) missed the identity). ``defect`` is
@@ -254,7 +251,7 @@ def is_killing_closed(
             return ClosednessVerdict(
                 Closedness.UNDETERMINED, bound_used=bound, reason="exp-confirmation", defect=defect
             )
-        return replace(verdict, defect=defect)
+        return verdict._replace(defect=defect)
     return verdict
 
 

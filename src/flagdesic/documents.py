@@ -18,7 +18,7 @@ import math
 import re
 from typing import TYPE_CHECKING, Optional
 
-from .flag import FlagPartition, TangentVector
+from .flag import FlagPartition, TangentVector, block_sums
 from .linalg import CMatrix, GaussianRational, Mode
 
 if TYPE_CHECKING:
@@ -148,17 +148,17 @@ def parse_vector_document(doc: dict) -> TangentVector:
 
 def serialize_vector(x: TangentVector) -> dict:
     """Upper-triangle document for a tangent vector; zero blocks are omitted."""
+    p, a = x.partition, x.matrix.data
+    nonzero = block_sums(p, a != 0)  # counts, not norms: tiny squares underflow to 0
     blocks = {}
-    for i, j in x.partition.positive_pairs():
-        blk = x.block(i, j)
-        if blk.is_zero():
+    for i, j in p.positive_pairs():
+        if not nonzero[i - 1, j - 1]:
             continue
+        (r0, r1), (c0, c1) = p.block_range(i), p.block_range(j)
         if x.mode is Mode.FLOAT:
-            data = [
-                [[float(v.real), float(v.imag)] for v in row] for row in blk.data
-            ]
+            data = [[[v.real, v.imag] for v in row] for row in a[r0:r1, c0:c1].tolist()]
         else:
-            data = [[str(v) for v in row] for row in blk.data]
+            data = [[str(v) for v in row] for row in a[r0:r1, c0:c1]]
         blocks[f"{i},{j}"] = data
     return {
         "n": x.partition.total,

@@ -19,8 +19,7 @@ determine the spectrum {+/- i a_k}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,16 +50,14 @@ class NotEquigeodesic(ValueError):
         self.violating_triple = violating_triple
 
 
-@dataclass(frozen=True)
-class EquigeodesicVerdict:
+class EquigeodesicVerdict(NamedTuple):
     is_equigeodesic: bool
     method: str  # "block-condition" or "bracket-certificate"
     worst_residual: float
     violating_triple: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Block-diagonal unitary U with essentially diagonal J = U^* A U.
 
     ``pairs`` lists the extracted entries (global row, global col, a_k) with
@@ -74,8 +71,7 @@ class CanonicalForm:
     residual: float
 
 
-@dataclass(frozen=True)
-class ConjugationInvariants:
+class ConjugationInvariants(NamedTuple):
     """Numerical block ranks and singular values, per unordered block pair."""
 
     ranks: dict

@@ -9,8 +9,7 @@ everywhere in the public API.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -19,34 +18,40 @@ from .linalg import (
     SKEW_TOL_FACTOR,
     CMatrix,
     GaussianRational,
+    Immutable,
     Mode,
     require_skew_hermitian,
 )
 
 
-@dataclass(frozen=True)
-class FlagPartition:
-    """Ordered partition (n_1,...,n_s) of n, with cumulative offsets."""
+class _ByValue(Immutable):
+    """Immutable type that compares and hashes by ``_key()``, the tuple of its fields."""
 
-    parts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in self.parts):
-            raise ValueError(f"partition parts must be integers, got {tuple(self.parts)!r}")
-        parts = tuple(int(p) for p in self.parts)
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class FlagPartition(_ByValue):
+    """Ordered partition (n_1,...,n_s) of n, with cumulative offsets (0, n_1, ..., n)."""
+
+    def __init__(self, parts: tuple):
+        if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in parts):
+            raise ValueError(f"partition parts must be integers, got {tuple(parts)!r}")
+        parts = tuple(int(p) for p in parts)
         if not parts:
             raise ValueError("partition needs at least one part")
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "offsets", (0, *accumulate(parts)))
 
-    @cached_property
-    def offsets(self) -> tuple:
-        """Cumulative sums (0, n_1, n_1+n_2, ..., n)."""
-        acc = [0]
-        for p in self.parts:
-            acc.append(acc[-1] + p)
-        return tuple(acc)
+    def _key(self) -> tuple:
+        return (self.parts,)
 
     @property
     def block_index(self) -> np.ndarray:
@@ -86,21 +91,19 @@ class FlagPartition:
         return self.total**2 - sum(p * p for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_ByValue):
     """Root eps^i_a - eps^j_b in block coordinates.
 
     K-roots have i == j (isotropy directions), M-roots i != j (tangent
     directions). Positivity is global-row < global-column.
     """
 
-    partition: FlagPartition
-    i: int
-    j: int
-    a: int
-    b: int
-
-    def __post_init__(self):
+    def __init__(self, partition: FlagPartition, i: int, j: int, a: int, b: int):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         p = self.partition
         if not (1 <= self.i <= p.s and 1 <= self.j <= p.s):
             raise ValueError(f"block pair ({self.i},{self.j}) out of range 1..{p.s}")
@@ -108,6 +111,9 @@ class Root:
             raise ValueError(f"inner pair ({self.a},{self.b}) out of range for blocks")
         if (self.i, self.a) == (self.j, self.b):
             raise ValueError("a root needs two distinct basis functionals")
+
+    def _key(self) -> tuple:
+        return self.partition, self.i, self.j, self.a, self.b
 
     @property
     def kind(self) -> str:
@@ -126,16 +132,17 @@ class Root:
         return self.global_row < self.global_col
 
 
-@dataclass(frozen=True)
-class TRoot:
+class TRoot(_ByValue):
     """Block pair (i, j), i != j; the image of an M-root under restriction."""
 
-    i: int
-    j: int
-
-    def __post_init__(self):
+    def __init__(self, i: int, j: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
         if self.i == self.j:
             raise ValueError("T-roots connect two distinct blocks")
+
+    def _key(self) -> tuple:
+        return self.i, self.j
 
     @property
     def positive(self) -> bool:
@@ -172,14 +179,13 @@ def basis_unit(partition: FlagPartition, root: Root, mode: Mode = Mode.FLOAT) ->
     return CMatrix(arr, mode)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Element of the tangent space m: skew-Hermitian with zero diagonal blocks."""
+class TangentVector(Immutable):
+    """Element of the tangent space m: skew-Hermitian with zero diagonal blocks.
+    Equality is identity."""
 
-    partition: FlagPartition
-    matrix: CMatrix
-
-    def __post_init__(self):
+    def __init__(self, partition: FlagPartition, matrix: CMatrix):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "matrix", matrix)
         n = self.partition.total
         if self.matrix.shape != (n, n):
             raise ValueError(

@@ -21,7 +21,6 @@ binary operations raise ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence, Union
@@ -53,12 +52,22 @@ class ExactSpectrumUnavailable(ValueError):
     """The exact spectral extraction failed; caller should fall back to Float."""
 
 
-class GaussianRational:
+class Immutable:
+    """Base of the library's immutable value types: ``__init__`` validates and stores
+    each field once with ``object.__setattr__``, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(Immutable):
     """Exact complex scalar p/q + (r/s)i with arbitrary-precision rational parts.
 
-    Instances are immutable by convention and hashable. Arithmetic accepts
-    ``int`` and ``Fraction`` operands so that numpy object-dtype reductions
-    (which may seed sums with integer zero) work transparently.
+    Instances are immutable and hashable. Arithmetic accepts ``int`` and
+    ``Fraction`` operands so that numpy object-dtype reductions (which may seed
+    sums with integer zero) work transparently.
     """
 
     __slots__ = ("re", "im")
@@ -66,9 +75,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -214,27 +220,24 @@ def _as_exact(value) -> GaussianRational:
 _to_exact = np.vectorize(_as_exact, otypes=[object])
 
 
-@dataclass(frozen=True, eq=False)
-class CMatrix:
+class CMatrix(Immutable):
     """Dense complex matrix in one of the two scalar modes.
 
     ``data`` is complex128 for Float and an object array of GaussianRational
-    for Exact; it is frozen after construction.
+    for Exact; it is frozen after construction. Equality is identity.
     """
 
-    data: np.ndarray
-    mode: Mode
-
-    def __post_init__(self):
-        if self.mode not in (Mode.FLOAT, Mode.EXACT):  # pragma: no cover
-            raise ValueError(f"unknown mode {self.mode!r}")
-        arr = np.array(self.data, dtype=np.complex128 if self.mode is Mode.FLOAT else object)
+    def __init__(self, data: np.ndarray, mode: Mode):
+        if mode not in (Mode.FLOAT, Mode.EXACT):  # pragma: no cover
+            raise ValueError(f"unknown mode {mode!r}")
+        arr = np.array(data, dtype=np.complex128 if mode is Mode.FLOAT else object)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        if self.mode is Mode.EXACT:
+        if mode is Mode.EXACT:
             arr = _to_exact(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "mode", mode)
 
     # -- constructors ------------------------------------------------------
 
@@ -359,14 +362,15 @@ def require_skew_hermitian(a: CMatrix):
     within SKEW_TOL_FACTOR * ||a||_F in Float mode."""
     if not a.is_square:
         raise ValueError("skew-Hermitian test requires a square matrix")
-    defect = a + a.H
     if a.mode is Mode.EXACT:
-        ok, tol = defect.is_zero(), "exact test"
+        e = integer_embedding(a)[1]
+        ok, tol = not (e + e.T).any(), "exact test"  # E antisymmetric <=> a skew-Hermitian
     else:
         bound = SKEW_TOL_FACTOR * a.fro()
-        ok, tol = defect.fro() <= bound, f"tolerance {bound:.3e}"
+        ok, tol = (a + a.H).fro() <= bound, f"tolerance {bound:.3e}"
     if not ok:
-        raise NotSkewHermitian(f"matrix is not skew-Hermitian (defect {defect.fro():.3e}, {tol})")
+        defect = (a + a.H).fro()
+        raise NotSkewHermitian(f"matrix is not skew-Hermitian (defect {defect:.3e}, {tol})")
 
 
 # ---------------------------------------------------------------------------

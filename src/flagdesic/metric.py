@@ -10,32 +10,29 @@ never builds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .flag import FlagPartition, TangentVector
-from .linalg import CMatrix, Mode
+from .linalg import CMatrix, Immutable, Mode
 
 #: lambda sampling range for random_metric (log-uniform).
 RANDOM_LAMBDA_RANGE = (1e-2, 1e2)
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantMetric:
-    """Multiplier table lambda_ij indexed by block pairs i < j.
+class InvariantMetric(Immutable):
+    """Multiplier table lambda_ij indexed by block pairs i < j. Equality is identity.
 
     ``degenerate=True`` marks probe multipliers (zeros allowed); those are not
     metrics and are rejected by metric-only operations.
     """
 
-    partition: FlagPartition
-    lam: dict
-    degenerate: bool = field(default=False)
-
-    def __post_init__(self):
+    def __init__(self, partition: FlagPartition, lam: dict, degenerate: bool = False):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "degenerate", degenerate)
         expected = set(self.partition.positive_pairs())
         got = set(self.lam)
         if got != expected:

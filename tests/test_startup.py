@@ -12,16 +12,20 @@ import pytest
 import flagdesic
 from flagdesic.documents import fixture_document
 
-# ``python -m flagdesic.cli``: the package, then cli as __main__
+# ``python -m flagdesic.cli``: the package, then cli as __main__. numpy, argparse and json
+# load first, so ``added`` holds only what flagdesic itself imports, whatever they import.
 PROBE = """
-import json, runpy, sys
+import argparse, json, runpy, sys
+import numpy
+before = set(sys.modules)
 sys.argv, code = ["flagdesic", *sys.argv[1:]], None
 try:
     runpy.run_module("flagdesic.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.startswith("flagdesic") or m == "csv")
-print(json.dumps([code, loaded]))
+added = sorted(set(sys.modules) - before)
+print(json.dumps([code, loaded, added]))
 """
 
 BASE = ["flagdesic", "flagdesic.documents", "flagdesic.flag", "flagdesic.linalg"]
@@ -58,9 +62,10 @@ def files(tmp_path_factory):
     ("curve {vector} --t-max 1 --samples 4 --out {out}", ["csv"]),
 ])
 def test_command_loads_only_its_modules(files, argv, extra):
-    code, loaded = run_fresh(PROBE, *argv.format(**files).split())
+    code, loaded, added = run_fresh(PROBE, *argv.format(**files).split())
     assert code == 0
     assert loaded == sorted(BASE + extra)
+    assert "dataclasses" not in added  # no record class is generated at import
 
 
 def test_import_flagdesic_loads_no_submodule():
