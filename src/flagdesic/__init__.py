@@ -25,21 +25,20 @@ _EXPORTS = {
         "CanonicalForm", "ConjugationInvariants", "EquigeodesicVerdict", "NotEquigeodesic",
         "canonicalize", "conjugation_invariants", "equigeodesic_certificate",
         "is_equigeodesic", "is_essentially_block_diagonal", "is_essentially_diagonal",
-        "is_geodesic_vector", "random_block_unitary", "random_equigeodesic",
-        "random_essentially_diagonal",
+        "is_geodesic_vector",
     ),
-    "flag": (
-        "FlagPartition", "Root", "TangentVector", "TRoot",
-        "basis_unit", "build_roots", "t_roots", "weyl_vector",
+    "examples": (
+        "random_block_unitary", "random_equigeodesic", "random_essentially_diagonal",
+        "random_metric",
     ),
+    "flag": ("FlagPartition", "TangentVector", "build_roots", "t_roots"),
+    "gaussian": ("GaussianRational",),
     "linalg": (
-        "CMatrix", "ExactSpectrumUnavailable", "GaussianRational", "Mode",
-        "NotSkewHermitian", "Scalar", "commutator", "killing_inner", "project_m",
-        "skew_spectrum", "unitary_exp",
+        "CMatrix", "ExactSpectrumUnavailable", "Mode", "NotSkewHermitian", "Scalar",
+        "commutator", "killing_inner", "project_m", "skew_spectrum", "unitary_exp",
     ),
-    "metric": (
-        "InvariantMetric", "basis_metric", "hadamard_action", "metric_inner", "random_metric",
-    ),
+    "metric": ("InvariantMetric", "basis_metric", "hadamard_action", "metric_inner"),
+    "roots": ("Root", "TRoot", "basis_unit", "weyl_vector"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

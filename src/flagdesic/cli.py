@@ -15,14 +15,7 @@ import sys
 
 import numpy as np
 
-from .documents import (
-    DocumentError,
-    fixture_document,
-    fixture_names,
-    parse_metric_document,
-    parse_vector_document,
-    serialize_vector,
-)
+from .documents import DocumentError, parse_metric_document, parse_vector_document, serialize_vector
 from .flag import (
     FlagPartition,
     TangentVector,
@@ -41,6 +34,7 @@ _LAZY = {
         "NotEquigeodesic", "canonicalize", "equigeodesic_certificate", "is_equigeodesic",
         "is_geodesic_vector",
     ),
+    "examples": ("fixture_document", "fixture_names"),
 }
 
 
@@ -215,6 +209,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    _load("examples")
     if args.list:
         for name in fixture_names():
             print(name)
@@ -247,63 +242,66 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_MODE = (("--mode",), {"choices": ["float", "exact"], "default": "float"})
+_OUT = (("--out",), {"default": None, "help": "output file (default stdout)"})
+
+#: The subcommands, in help order: name -> (help, handler, add_argument calls).
+_COMMANDS = {
+    "check": ("equigeodesic / geodesic verdicts for a vector file", _cmd_check, [
+        (("vector",), {}),
+        (("metric",), {"nargs": "?", "default": None, "help": "optional metric file"}),
+        _MODE,
+        (("--tol",), {"type": float, "default": 1e-8}),
+    ]),
+    "canonicalize": ("block-unitary essentially diagonal form", _cmd_canonicalize, [
+        (("vector",), {}),
+        _OUT,
+    ]),
+    "closedness": ("Killing-field closedness via the spectrum", _cmd_closedness, [
+        (("vector",), {}),
+        _MODE,
+        (("--bound",), {"type": int, "default": 1000000}),
+    ]),
+    "curve": ("sample exp(tA) along the curve into CSV", _cmd_curve, [
+        (("vector",), {}),
+        (("--t-max",), {"type": float, "required": True, "dest": "t_max"}),
+        (("--samples",), {"type": int, "default": 200}),
+        _OUT,
+    ]),
+    "examples": ("emit a built-in example document", _cmd_examples, [
+        (("name",), {"nargs": "?", "default": None}),
+        (("--list",), {"action": "store_true"}),
+        _MODE,
+        _OUT,
+    ]),
+    "roots": ("root and module counts for a partition", _cmd_roots, [
+        (("parts",), {"nargs": "+", "type": int}),
+    ]),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command`` alone: the only one
+    a command line naming it can reach. Usage still lists every command."""
     parser = argparse.ArgumentParser(
         prog="flagdesic",
         description="Equigeodesic vectors on flag manifolds: certification, "
         "canonical forms, and Killing-field closedness.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, mode=True, tol=False, bound=False, out=False):
-        if mode:
-            sp.add_argument("--mode", choices=["float", "exact"], default="float")
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-8)
-        if bound:
-            sp.add_argument("--bound", type=int, default=1000000)
-        if out:
-            sp.add_argument("--out", default=None, help="output file (default stdout)")
-
-    sp = sub.add_parser("check", help="equigeodesic / geodesic verdicts for a vector file")
-    sp.add_argument("vector")
-    sp.add_argument("metric", nargs="?", default=None, help="optional metric file")
-    add_common(sp, tol=True)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("canonicalize", help="block-unitary essentially diagonal form")
-    sp.add_argument("vector")
-    add_common(sp, mode=False, out=True)
-    sp.set_defaults(func=_cmd_canonicalize)
-
-    sp = sub.add_parser("closedness", help="Killing-field closedness via the spectrum")
-    sp.add_argument("vector")
-    add_common(sp, bound=True)
-    sp.set_defaults(func=_cmd_closedness)
-
-    sp = sub.add_parser("curve", help="sample exp(tA) along the curve into CSV")
-    sp.add_argument("vector")
-    sp.add_argument("--t-max", type=float, required=True, dest="t_max")
-    sp.add_argument("--samples", type=int, default=200)
-    add_common(sp, mode=False, out=True)
-    sp.set_defaults(func=_cmd_curve)
-
-    sp = sub.add_parser("examples", help="emit a built-in example document")
-    sp.add_argument("name", nargs="?", default=None)
-    sp.add_argument("--list", action="store_true")
-    add_common(sp, out=True)
-    sp.set_defaults(func=_cmd_examples)
-
-    sp = sub.add_parser("roots", help="root and module counts for a partition")
-    sp.add_argument("parts", nargs="+", type=int)
-    add_common(sp, mode=False)
-    sp.set_defaults(func=_cmd_roots)
-
+    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for args, kwargs in arguments:
+                sp.add_argument(*args, **kwargs)
+            sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -145,19 +144,17 @@ def _assess_ratio(rho: float, bound: int):
 
 
 def _multipliers_and_base(ratios, theta_ref: float):
-    """From signed rational ratios theta_k/theta_ref, the common base frequency.
+    """From signed rational ratios theta_k/theta_ref, given as integer pairs (p, q)
+    with q > 0, the common base frequency.
 
-    lambda_0 = theta_ref * gcd(numerators) / lcm(denominators); the integer
-    multipliers it induces have gcd 1, so 2*pi/lambda_0 is the minimal period.
+    Over the lcm ell of the denominators the ratios are N_k / ell with integers
+    N_k = p (ell // q). lambda_0 = theta_ref * g / ell with g = gcd(N_k) makes
+    the multipliers N_k // g coprime, so 2*pi/lambda_0 is the minimal period.
     """
-    nums = [abs(r.numerator) for r in ratios if r != 0]
-    dens = [r.denominator for r in ratios if r != 0]
-    g = math.gcd(*nums) if nums else 1
-    ell = math.lcm(*dens) if dens else 1
-    base_ratio = Fraction(g, ell)
-    multipliers = tuple(int(r / base_ratio) for r in ratios)
-    lambda0 = float(base_ratio) * theta_ref
-    return lambda0, multipliers
+    ell = math.lcm(*(q for p, q in ratios if p))
+    scaled = [p * (ell // q) for p, q in ratios]
+    g = math.gcd(*scaled)
+    return g / ell * theta_ref, tuple(k // g for k in scaled)
 
 
 def _commensurability_exact(sd: SpectralData) -> ClosednessVerdict:
@@ -168,14 +165,13 @@ def _commensurability_exact(sd: SpectralData) -> ClosednessVerdict:
     ratios = []
     for theta, s_k in zip(thetas, squares):
         if s_k == 0:
-            ratios.append(Fraction(0))
+            ratios.append((0, 1))
             continue
         t = s_k / s_ref
         sp, sq = math.isqrt(t.numerator), math.isqrt(t.denominator)
         if sp * sp != t.numerator or sq * sq != t.denominator:
             return ClosednessVerdict(status=Closedness.INCOMMENSURATE)
-        r = Fraction(sp, sq)
-        ratios.append(-r if theta < 0 else r)
+        ratios.append((-sp if theta < 0 else sp, sq))
     theta_ref = math.sqrt(float(s_ref))
     lambda0, multipliers = _multipliers_and_base(ratios, theta_ref)
     return ClosednessVerdict(
@@ -193,7 +189,7 @@ def _commensurability_float(thetas, theta_ref: float, bound: int) -> ClosednessV
     for theta in thetas:
         kind, p, q = _assess_ratio(theta / theta_ref, bound)
         if kind == "rational":
-            ratios.append(Fraction(p, q))
+            ratios.append((p, q))
         elif kind == "irrational":
             saw_irrational = True
         else:

@@ -1,4 +1,4 @@
-"""File formats for tangent vectors and metrics, plus the built-in fixtures.
+"""File formats for tangent vectors and metrics.
 
 A vector document is a JSON object
 
@@ -19,9 +19,10 @@ import re
 from typing import TYPE_CHECKING, Optional
 
 from .flag import FlagPartition, TangentVector, block_sums
-from .linalg import CMatrix, GaussianRational, Mode
+from .linalg import CMatrix, Mode
 
 if TYPE_CHECKING:
+    from .gaussian import GaussianRational
     from .metric import InvariantMetric
 
 #: Agreement required when a document redundantly supplies both block halves.
@@ -48,6 +49,11 @@ def _parse_key(key: str, s: int):
     return i, j
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number: json reads true and false as bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value, where: str) -> float:
     """float(value) for a JSON number. json reads NaN and Infinity, and ints of
     any size; the non-finite values and ints beyond the float range are rejected."""
@@ -64,14 +70,16 @@ def _parse_float_entry(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(map(_is_number, value))
     ):
         raise DocumentError(f"{where}: float entries must be [re, im] pairs, got {value!r}")
     return complex(_finite(value[0], where), _finite(value[1], where))
 
 
 def _parse_exact_entry(value, where: str) -> GaussianRational:
-    if isinstance(value, int):
+    from .gaussian import GaussianRational
+
+    if isinstance(value, int) and not isinstance(value, bool):
         return GaussianRational(value)
     if not isinstance(value, str):
         raise DocumentError(f"{where}: exact entries must be strings like \"p/q+r/si\"")
@@ -191,7 +199,7 @@ def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) 
     for key, v in raw.items():
         i, j = _parse_key(key, own.s)
         pair = (i, j) if i < j else (j, i)
-        if not isinstance(v, (int, float)) or _finite(v, f"lambda[{key!r}]") <= 0:
+        if not _is_number(v) or _finite(v, f"lambda[{key!r}]") <= 0:
             raise DocumentError(f"lambda[{key!r}] must be a positive number, got {v!r}")
         if pair in values and float(values[pair]) != float(v):
             raise DocumentError(f"lambda for pair {pair} supplied twice with different values")
@@ -207,91 +215,3 @@ def serialize_metric(g: InvariantMetric) -> dict:
         "parts": list(g.partition.parts),
         "lambda": {f"{i},{j}": g.value(i, j) for i, j in g.partition.positive_pairs()},
     }
-
-
-# ---------------------------------------------------------------------------
-# built-in fixtures
-# ---------------------------------------------------------------------------
-
-
-def _fixture_f3_u12(mode: str) -> dict:
-    entry = [[1.0, 0.0]] if mode == "float" else ["1"]
-    return {
-        "n": 3,
-        "parts": [1, 1, 1],
-        "mode": mode,
-        "blocks": {"1,2": [entry]},
-    }
-
-
-def _fixture_fn_211(mode: str) -> dict:
-    # partition (3,1,1): two orthogonal column blocks, not block-diagonal,
-    # already essentially diagonal with values a=1, b=2
-    if mode == "float":
-        a12 = [[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]]
-        a13 = [[[0.0, 0.0]], [[2.0, 0.0]], [[0.0, 0.0]]]
-    else:
-        a12 = [["1"], ["0"], ["0"]]
-        a13 = [["0"], ["2"], ["0"]]
-    return {
-        "n": 5,
-        "parts": [3, 1, 1],
-        "mode": mode,
-        "blocks": {"1,2": a12, "1,3": a13},
-    }
-
-
-def _fixture_f9_333(mode: str) -> dict:
-    # partition (3,3,3) with sigma = (1,2,3,4): sigma1, sigma2 on the (1,2)
-    # block diagonal, sigma3 at the bottom-left of (1,3), sigma4 at the
-    # bottom-right of (2,3)
-    def num(v):
-        return [float(v), 0.0] if mode == "float" else str(v)
-
-    z = num(0)
-    a12 = [[num(1), z, z], [z, num(2), z], [z, z, z]]
-    a13 = [[z, z, z], [z, z, z], [num(3), z, z]]
-    a23 = [[z, z, z], [z, z, z], [z, z, num(4)]]
-    return {
-        "n": 9,
-        "parts": [3, 3, 3],
-        "mode": mode,
-        "blocks": {"1,2": a12, "1,3": a13, "2,3": a23},
-    }
-
-
-def _fixture_f4_x2y3(mode: str) -> dict:
-    def num(v):
-        return [[[float(v), 0.0]]] if mode == "float" else [[str(v)]]
-
-    return {
-        "n": 4,
-        "parts": [1, 1, 1, 1],
-        "mode": mode,
-        "blocks": {"1,2": num(2), "3,4": num(3)},
-    }
-
-
-_FIXTURES = {
-    "f3-u12": _fixture_f3_u12,
-    "fn-211": _fixture_fn_211,
-    "f9-333": _fixture_f9_333,
-    "f4-x2y3": _fixture_f4_x2y3,
-}
-
-
-def fixture_names() -> list:
-    return sorted(_FIXTURES)
-
-
-def fixture_document(name: str, mode: str = "float") -> dict:
-    """One of the built-in example documents, in float or exact form."""
-    if name not in _FIXTURES:
-        raise KeyError(name)
-    if mode not in ("float", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return _FIXTURES[name](mode)
-
-
-def fixture_vector(name: str, mode: str = "float") -> TangentVector:
-    return parse_vector_document(fixture_document(name, mode))

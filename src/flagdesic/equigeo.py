@@ -447,92 +447,3 @@ def conjugation_invariants(x: TangentVector, rank_tol: float = RANK_TOL) -> Conj
         ranks[pair] = len(keep)
         values[pair] = tuple(keep)
     return ConjugationInvariants(ranks=ranks, singular_values=values)
-
-
-# ---------------------------------------------------------------------------
-# samplers
-# ---------------------------------------------------------------------------
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def random_block_unitary(partition: FlagPartition, seed) -> CMatrix:
-    """Haar-distributed element of U(n_1) + ... + U(n_s) (block-diagonal)."""
-    rng = _as_rng(seed)
-    n = partition.total
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(1, partition.s + 1):
-        lo, hi = partition.block_range(i)
-        nb = hi - lo
-        z = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        q = q * (d / np.abs(d))
-        out[lo:hi, lo:hi] = q
-    return CMatrix(out, Mode.FLOAT)
-
-
-def _sample_cross_pairs(partition: FlagPartition, rng: np.random.Generator, keep_prob: float):
-    """Disjoint global index pairs crossing block boundaries."""
-    pool = list(rng.permutation(partition.total) + 1)
-    chosen = []
-    skipped = []
-    while pool:
-        u = pool.pop()
-        partner = None
-        for k, v in enumerate(pool):
-            if partition.block_of(v) != partition.block_of(u):
-                partner = k
-                break
-        if partner is None:
-            continue
-        v = pool.pop(partner)
-        if rng.random() < keep_prob:
-            chosen.append((min(u, v), max(u, v)))
-        else:
-            skipped.append((min(u, v), max(u, v)))
-    if not chosen and skipped:
-        chosen.append(skipped[0])
-    return chosen
-
-
-def random_essentially_diagonal(
-    partition: FlagPartition,
-    seed,
-    mode: Mode = Mode.FLOAT,
-    values=None,
-) -> TangentVector:
-    """Essentially diagonal skew-Hermitian sample with zero diagonal blocks.
-
-    One nonzero entry per row and column at most, all of them crossing block
-    boundaries. ``values``, when given, is the draw set for entries (required
-    for Exact mode); otherwise magnitudes are uniform in [0.3, 3] with random
-    phase.
-    """
-    rng = _as_rng(seed)
-    pairs = _sample_cross_pairs(partition, rng, keep_prob=0.8)
-    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
-    for r, c in pairs:
-        if values is not None:
-            z = values[rng.integers(len(values))]
-        else:
-            z = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
-        arr[r - 1, c - 1] = z
-        arr[c - 1, r - 1] = -z.conjugate()
-    return TangentVector(partition, CMatrix(arr, mode))
-
-
-def random_equigeodesic(partition: FlagPartition, seed) -> TangentVector:
-    """Random equigeodesic vector.
-
-    An essentially diagonal sample conjugated by a random block-diagonal
-    unitary: the converse of the canonical form construction.
-    """
-    rng = _as_rng(seed)
-    base = random_essentially_diagonal(partition, rng)
-    u = random_block_unitary(partition, rng)
-    return base.conjugated_by(u)

@@ -1,8 +1,8 @@
-"""Combinatorial skeleton of the flag manifold F(n; n_1,...,n_s).
+"""Block skeleton of the flag manifold F(n; n_1,...,n_s).
 
-Partitions, block coordinates, the type-A root system split into isotropy
-(K) and complementary (M) roots, T-roots, and the standard real tangent
-vectors spanning each root plane. Block and inner indices are 1-based
+Partitions, block coordinates, tangent vectors, block-wise norms, and the
+positive roots of a partition (``build_roots``, ``t_roots``: their types live
+in ``roots``, loaded on the first call). Block and inner indices are 1-based
 everywhere in the public API.
 """
 
@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .linalg import (
-    SKEW_TOL_FACTOR,
-    CMatrix,
-    GaussianRational,
-    Immutable,
-    Mode,
-    require_skew_hermitian,
-)
+from .linalg import SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, require_skew_hermitian
 
 
 class _ByValue(Immutable):
@@ -91,66 +84,10 @@ class FlagPartition(_ByValue):
         return self.total**2 - sum(p * p for p in self.parts)
 
 
-class Root(_ByValue):
-    """Root eps^i_a - eps^j_b in block coordinates.
-
-    K-roots have i == j (isotropy directions), M-roots i != j (tangent
-    directions). Positivity is global-row < global-column.
-    """
-
-    def __init__(self, partition: FlagPartition, i: int, j: int, a: int, b: int):
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        p = self.partition
-        if not (1 <= self.i <= p.s and 1 <= self.j <= p.s):
-            raise ValueError(f"block pair ({self.i},{self.j}) out of range 1..{p.s}")
-        if not (1 <= self.a <= p.parts[self.i - 1] and 1 <= self.b <= p.parts[self.j - 1]):
-            raise ValueError(f"inner pair ({self.a},{self.b}) out of range for blocks")
-        if (self.i, self.a) == (self.j, self.b):
-            raise ValueError("a root needs two distinct basis functionals")
-
-    def _key(self) -> tuple:
-        return self.partition, self.i, self.j, self.a, self.b
-
-    @property
-    def kind(self) -> str:
-        return "K" if self.i == self.j else "M"
-
-    @property
-    def global_row(self) -> int:
-        return self.partition.offsets[self.i - 1] + self.a
-
-    @property
-    def global_col(self) -> int:
-        return self.partition.offsets[self.j - 1] + self.b
-
-    @property
-    def positive(self) -> bool:
-        return self.global_row < self.global_col
-
-
-class TRoot(_ByValue):
-    """Block pair (i, j), i != j; the image of an M-root under restriction."""
-
-    def __init__(self, i: int, j: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        if self.i == self.j:
-            raise ValueError("T-roots connect two distinct blocks")
-
-    def _key(self) -> tuple:
-        return self.i, self.j
-
-    @property
-    def positive(self) -> bool:
-        return self.i < self.j
-
-
 def build_roots(partition: FlagPartition):
     """Positive K-roots and positive M-roots of the partition."""
+    from .roots import Root
+
     k_pos = []
     for i in range(1, partition.s + 1):
         ni = partition.parts[i - 1]
@@ -167,16 +104,9 @@ def build_roots(partition: FlagPartition):
 
 def t_roots(partition: FlagPartition) -> list:
     """Positive T-roots: all block pairs (i, j) with i < j."""
+    from .roots import TRoot
+
     return [TRoot(i, j) for i, j in partition.positive_pairs()]
-
-
-def basis_unit(partition: FlagPartition, root: Root, mode: Mode = Mode.FLOAT) -> CMatrix:
-    """Matrix unit with 1 at the root's global (row, col) position."""
-    if root.kind != "M":
-        raise ValueError("K-roots are isotropy directions, not tangent directions")
-    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
-    arr[root.global_row - 1, root.global_col - 1] = GaussianRational(1)
-    return CMatrix(arr, mode)
 
 
 class TangentVector(Immutable):
@@ -261,24 +191,6 @@ class TangentVector(Immutable):
         return cls(partition, CMatrix(arr, mode))
 
 
-def weyl_vector(
-    partition: FlagPartition, root: Root, kind: str, mode: Mode = Mode.FLOAT
-) -> TangentVector:
-    """Real root-plane vector: kind "A" gives E_pq - E_qp, "S" gives i(E_pq + E_qp)."""
-    if root.kind != "M":
-        raise ValueError("Weyl tangent vectors exist for M-roots only")
-    if not root.positive:
-        raise ValueError("pass the positive root of the pair")
-    if kind not in ("A", "S"):
-        raise ValueError(f"kind must be 'A' or 'S', got {kind!r}")
-    r, c = root.global_row - 1, root.global_col - 1
-    unit = GaussianRational(1) if kind == "A" else GaussianRational(0, 1)
-    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
-    arr[r, c] = unit
-    arr[c, r] = -unit.conjugate()
-    return TangentVector(partition, CMatrix(arr, mode))
-
-
 def off_block_mask(partition: FlagPartition) -> np.ndarray:
     """n x n boolean mask of the entries lying in off-diagonal blocks."""
     return partition.block_index[:, None] != partition.block_index[None, :]
@@ -305,13 +217,3 @@ def off_block_norm(partition: FlagPartition, arr: np.ndarray) -> float:
     """Frobenius norm of the off-diagonal-block part of a float array."""
     norms = block_norms_sq(partition, arr)
     return float(np.sqrt(norms[~np.eye(partition.s, dtype=bool)].sum()))
-
-
-def compositions(n: int) -> Iterable:
-    """All ordered partitions of n (2^(n-1) of them), as tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest

@@ -10,16 +10,12 @@ never builds them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .flag import FlagPartition, TangentVector
 from .linalg import CMatrix, Immutable, Mode
-
-#: lambda sampling range for random_metric (log-uniform).
-RANDOM_LAMBDA_RANGE = (1e-2, 1e2)
 
 
 class InvariantMetric(Immutable):
@@ -100,8 +96,12 @@ def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:
     """
     if g.partition != x.partition:
         raise ValueError("metric and tangent vector live on different partitions")
-    table = CMatrix(np.vectorize(Fraction, otypes=[object])(g.multiplier_table), x.mode)
-    data = x.matrix.data * _block_grid(x.partition, table.data)
+    table = g.multiplier_table
+    if x.mode is Mode.EXACT:
+        from fractions import Fraction
+
+        table = np.vectorize(Fraction, otypes=[object])(table)
+    data = x.matrix.data * _block_grid(x.partition, CMatrix(table, x.mode).data)
     return TangentVector(x.partition, CMatrix(data, x.mode))
 
 
@@ -133,11 +133,3 @@ def metric_inner(g: InvariantMetric, x: TangentVector, y: TangentVector) -> floa
     gx = hadamard_action(g, x)
     val = np.trace(gx.matrix.data @ y.matrix.data)
     return float(-val.real)
-
-
-def random_metric(partition: FlagPartition, seed) -> InvariantMetric:
-    """Multipliers drawn i.i.d. log-uniform on [1e-2, 1e2]; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    lo, hi = np.log10(RANDOM_LAMBDA_RANGE[0]), np.log10(RANDOM_LAMBDA_RANGE[1])
-    lam = {pair: float(10.0 ** rng.uniform(lo, hi)) for pair in partition.positive_pairs()}
-    return InvariantMetric(partition, lam)

@@ -35,8 +35,9 @@ from flagdesic import (
     unitary_exp,
     weyl_vector,
 )
-from flagdesic.documents import fixture_vector
-from flagdesic.flag import build_roots, compositions
+from flagdesic.examples import fixture_vector
+from flagdesic.flag import build_roots
+from flagdesic.roots import compositions
 
 GR = GaussianRational
 

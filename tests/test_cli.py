@@ -1,14 +1,20 @@
 """End-to-end CLI tests: exit codes, reports, file outputs."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flagdesic import cli
 from flagdesic.cli import main
-from flagdesic.documents import fixture_document, fixture_names
+from flagdesic.examples import fixture_document, fixture_names
 
 
 def write_json(path, doc):
@@ -358,3 +364,144 @@ def test_roots_invalid_partition(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# help and usage texts
+# ---------------------------------------------------------------------------
+
+HELP_ARGVS = [[], ["--help"], ["nosuch"], ["--mode", "exact"]] + [
+    argv for name in cli._COMMANDS for argv in ([name, "--help"], [name, "--bogus"], [name, "3", "--bogus"])
+]
+
+
+def _outcome(run):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parse_exit(parser, argv):
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_and_usage_texts_match_the_parser_of_every_command(argv):
+    # main adds only the subparser argv[0] names; its texts must not show it
+    expected = _outcome(lambda: _parse_exit(cli._build_parser(), argv))
+    assert _outcome(lambda: main(argv)) == expected
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_a_named_command_builds_only_its_subparser(name):
+    listed, everything = cli._build_parser(name).format_help(), cli._build_parser().format_help()
+    for other, (help_text, _, _) in cli._COMMANDS.items():
+        assert help_text in everything
+        assert (help_text in listed) == (other == name)
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+#: Values that no field of a vector document accepts, at any depth.
+NOT_A_FIELD_VALUE = st.sampled_from([None, True, False, "x", [], {"x": 1}])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+COMMANDS = st.sampled_from([
+    ["check"], ["check", "--mode", "exact"], ["closedness"], ["closedness", "--mode", "exact"],
+    ["canonicalize"], ["curve", "--t-max", "1", "--samples", "2"],
+])
+
+FIXTURE_DOCS = st.builds(fixture_document, st.sampled_from(fixture_names()),
+                         st.sampled_from(["float", "exact"]))
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _draw_path(data, doc, min_depth=0):
+    """A path into ``doc``, its depth drawn first so that deep leaves are drawn as often as keys."""
+    paths = [p for p in _paths(doc) if len(p) >= min_depth]
+    depth = data.draw(st.sampled_from(sorted({len(p) for p in paths})))
+    return data.draw(st.sampled_from([p for p in paths if len(p) == depth]))
+
+
+def _edit(doc, path, value=None, delete=False):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run_on_text(tmp_path_factory, command, text):
+    work = tmp_path_factory.getbasetemp()
+    (work / "mutated.json").write_text(text)
+    argv = [command[0], str(work / "mutated.json"), *command[1:]]
+    if command[0] in ("canonicalize", "curve"):
+        argv += ["--out", str(work / "mutated.out")]
+    return _outcome(lambda: main(argv))
+
+
+@settings(deadline=None)
+@given(FIXTURE_DOCS, COMMANDS, st.data())
+def test_mutated_documents_exit_with_a_documented_code(tmp_path_factory, doc, command, data):
+    path = _draw_path(data, doc, min_depth=1)
+    if data.draw(st.booleans()):
+        doc = _edit(doc, path, delete=True)
+    else:
+        doc = _edit(doc, path, data.draw(JSON_VALUES))
+    code, _, err = _run_on_text(tmp_path_factory, command, json.dumps(doc))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert (code == 2) == err.startswith("error: ")
+
+
+def _assert_exit_2(tmp_path_factory, command, text):
+    code, out, err = _run_on_text(tmp_path_factory, command, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIXTURE_DOCS, COMMANDS, NOT_A_FIELD_VALUE, st.data())
+def test_wrong_typed_values_exit_2(tmp_path_factory, doc, command, value, data):
+    _assert_exit_2(tmp_path_factory, command, json.dumps(_edit(doc, _draw_path(data, doc), value)))
+
+
+@settings(deadline=None)
+@given(FIXTURE_DOCS, COMMANDS, st.data())
+def test_missing_or_bad_parts_and_truncated_json_exit_2(tmp_path_factory, doc, command, data):
+    kind = data.draw(st.sampled_from(["missing parts", "bad parts", "truncated"]))
+    if kind == "missing parts":
+        doc = _edit(doc, ("parts",), delete=True)
+    elif kind == "bad parts":
+        bad = st.integers(-2, 0) | st.floats() | NOT_A_FIELD_VALUE  # parts are positive ints
+        parts = data.draw(st.lists(st.integers(1, 3)))
+        parts.insert(data.draw(st.integers(0, len(parts))), data.draw(bad))
+        doc = _edit(doc, ("parts",), parts)
+    text = json.dumps(doc)
+    if kind == "truncated":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    _assert_exit_2(tmp_path_factory, command, text)

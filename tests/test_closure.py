@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagdesic import (
     AllZeroSpectrum,
@@ -24,8 +26,9 @@ from flagdesic import (
     unitary_exp,
     weyl_vector,
 )
-from flagdesic.documents import fixture_vector
-from flagdesic.flag import Root
+from flagdesic.closure import _multipliers_and_base
+from flagdesic.examples import fixture_vector
+from flagdesic.roots import Root
 
 GR = GaussianRational
 
@@ -202,6 +205,29 @@ def test_commensurability_verdict_scale_invariant():
         assert v.status is Closedness.COMMENSURATE
         assert v.multipliers == (3, 2, -2, -3)
         assert v.base_frequency == pytest.approx(c)
+
+
+def _fraction_multipliers_and_base(ratios, theta_ref):
+    """The base frequency and multipliers computed on Fractions, as closure once did."""
+    nums = [abs(r.numerator) for r in ratios if r != 0]
+    dens = [r.denominator for r in ratios if r != 0]
+    base = Fraction(math.gcd(*nums), math.lcm(*dens))
+    return float(base) * theta_ref, tuple(int(r / base) for r in ratios)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(1, 10**6)), min_size=1, max_size=12)
+    .filter(lambda pairs: any(p for p, _ in pairs)),
+    st.floats(1e-6, 1e6),
+)
+def test_integer_pair_base_frequency_matches_fractions(pairs, theta_ref):
+    # pairs need not be in lowest terms
+    lambda0, multipliers = _multipliers_and_base(pairs, theta_ref)
+    ref_lambda0, ref_multipliers = _fraction_multipliers_and_base(
+        [Fraction(p, q) for p, q in pairs], theta_ref
+    )
+    assert multipliers == ref_multipliers
+    assert abs(lambda0 - ref_lambda0) <= math.ulp(ref_lambda0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 """Document parsing, serialization round trips, and the fixture corpus."""
 
+import json
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_tangent
 from flagdesic import FlagPartition, GaussianRational, Mode, TangentVector
 from flagdesic.documents import (
     DocumentError,
-    fixture_document,
-    fixture_names,
-    fixture_vector,
     parse_metric_document,
     parse_vector_document,
     serialize_metric,
     serialize_vector,
 )
-from flagdesic.metric import random_metric
+from flagdesic.examples import fixture_document, fixture_names, fixture_vector, random_metric
 
 GR = GaussianRational
 
@@ -159,3 +162,52 @@ def test_fixture_f9_layout_matches_display():
     assert a[0, 3] == 1 and a[1, 4] == 2 and a[2, 6] == 3 and a[5, 8] == 4
     assert a[3, 0] == -1 and a[4, 1] == -2 and a[6, 2] == -3 and a[8, 5] == -4
     assert np.count_nonzero(a) == 8
+
+
+def test_booleans_are_not_numbers():
+    # json reads true and false as bools, which Python counts as ints
+    with pytest.raises(DocumentError, match="block '1,2': float entries"):
+        parse_vector_document({"parts": [1, 1], "blocks": {"1,2": [[[True, 0.0]]]}})
+    with pytest.raises(DocumentError, match="block '1,2': exact entries"):
+        parse_vector_document({"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[False]]}})
+    with pytest.raises(DocumentError, match=re.escape("lambda['1,2'] must be a positive number")):
+        parse_metric_document({"parts": [1, 1], "lambda": {"1,2": True}})
+
+# ---------------------------------------------------------------------------
+# non-finite numbers (json reads NaN, Infinity and -Infinity as floats)
+# ---------------------------------------------------------------------------
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+PARTS = st.lists(st.integers(1, 3), min_size=2, max_size=4)
+
+
+def _through_json(doc):
+    return json.loads(json.dumps(doc))
+
+
+@given(PARTS, NON_FINITE, st.data())
+def test_non_finite_entry_is_rejected_naming_its_block(parts, bad, data):
+    n = len(parts)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    blocks = {
+        f"{i},{j}": [[[0.5, -1.0]] * parts[j - 1] for _ in range(parts[i - 1])] for i, j in pairs
+    }
+    blocks = _through_json(blocks)  # rows that share no list
+    key = data.draw(st.sampled_from(sorted(blocks)))
+    rows = blocks[key]
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    row[data.draw(st.integers(0, len(row) - 1))][data.draw(st.integers(0, 1))] = bad
+    doc = _through_json({"parts": parts, "mode": "float", "blocks": blocks})
+    with pytest.raises(DocumentError, match=re.escape(f"block {key!r}: value") + ".* not finite"):
+        parse_vector_document(doc)
+
+
+@given(PARTS, NON_FINITE, st.data())
+def test_non_finite_multiplier_is_rejected_naming_its_pair(parts, bad, data):
+    n = len(parts)
+    lam = {f"{i},{j}": 1.5 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    key = data.draw(st.sampled_from(sorted(lam)))
+    lam[key] = bad
+    doc = _through_json({"parts": parts, "lambda": lam})
+    with pytest.raises(DocumentError, match=re.escape(f"lambda[{key!r}]: value") + ".* not finite"):
+        parse_metric_document(doc, FlagPartition(tuple(parts)))

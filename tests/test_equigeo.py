@@ -32,7 +32,7 @@ from flagdesic import (
     skew_spectrum,
     weyl_vector,
 )
-from flagdesic.documents import fixture_vector
+from flagdesic.examples import fixture_vector
 from flagdesic.flag import build_roots
 
 GR = GaussianRational

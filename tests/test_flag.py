@@ -17,7 +17,8 @@ from flagdesic import (
     t_roots,
     weyl_vector,
 )
-from flagdesic.flag import compositions, off_block_positions
+from flagdesic.flag import off_block_positions
+from flagdesic.roots import compositions
 
 
 def test_partition_basics():

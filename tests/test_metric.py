@@ -16,7 +16,7 @@ from flagdesic import (
     random_metric,
     weyl_vector,
 )
-from flagdesic.flag import Root
+from flagdesic.roots import Root
 
 
 def test_normal_metric_acts_as_identity():

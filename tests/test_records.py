@@ -26,8 +26,8 @@ from flagdesic import (
     is_killing_closed,
     spectral_data,
 )
-from flagdesic.documents import fixture_vector
-from flagdesic.linalg import GaussianRational
+from flagdesic.examples import fixture_vector
+from flagdesic.gaussian import GaussianRational
 
 P = FlagPartition((1, 2))
 M = CMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], Mode.FLOAT)

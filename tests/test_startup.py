@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flagdesic
-from flagdesic.documents import fixture_document
+from flagdesic.examples import fixture_document
 
 # ``python -m flagdesic.cli``: the package, then cli as __main__. numpy, argparse and json
 # load first, so ``added`` holds only what flagdesic itself imports, whatever they import.
@@ -52,20 +52,24 @@ def files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv, extra", [
-    ("examples --list", []),
-    ("roots 3 3 3", []),
+    ("examples --list", ["flagdesic.examples"]),
+    ("roots 3 3 3", ["flagdesic.roots"]),
     ("check {vector}", ["flagdesic.equigeo"]),
     ("check {vector} {metric}", ["flagdesic.equigeo", "flagdesic.metric"]),
     ("canonicalize {vector} --out {out}", ["flagdesic.equigeo"]),
     ("closedness {vector}", ["flagdesic.closure"]),
-    ("closedness {exact} --mode exact", ["flagdesic.closure"]),
+    ("closedness {exact} --mode exact", ["flagdesic.closure", "flagdesic.gaussian"]),
     ("curve {vector} --t-max 1 --samples 4 --out {out}", ["csv"]),
+    ("check {exact} --mode exact", ["flagdesic.equigeo", "flagdesic.gaussian"]),
+    ("canonicalize {exact} --out {out}", ["flagdesic.equigeo", "flagdesic.gaussian"]),
 ])
 def test_command_loads_only_its_modules(files, argv, extra):
     code, loaded, added = run_fresh(PROBE, *argv.format(**files).split())
     assert code == 0
     assert loaded == sorted(BASE + extra)
     assert "dataclasses" not in added  # no record class is generated at import
+    if "flagdesic.gaussian" not in extra:  # a float request loads no exact scalar code
+        assert not {"fractions", "decimal"} & set(added)
 
 
 def test_import_flagdesic_loads_no_submodule():
