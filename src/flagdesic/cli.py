@@ -1,11 +1,20 @@
 """Command-line front door: flagdesic check|canonicalize|closedness|curve|examples|roots.
 
-Exit codes: 0 affirmative, 1 negative, 2 usage or parse error, 3 undetermined.
-``canonicalize`` exits 3 when the canonical form cannot be certified (its
-residual exceeds the bound, as near the rank cut), after printing why.
+Exit codes: 0 affirmative, 1 negative, 2 usage or parse error (or an input too
+large for memory), 3 undetermined. ``canonicalize`` exits 3 when the canonical
+form cannot be certified (its residual exceeds the bound, as near the rank cut),
+after printing why.
+
+A command runs in a process of its own, through :func:`run`. ``main`` is for
+in-process callers and leaves the garbage collector as it finds it.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":  # a one-shot process: no collector pass while modules load
+    gc.disable()
 
 import argparse
 import importlib
@@ -317,7 +326,22 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
+
+
+def run():
+    """The program entry: ``python -m flagdesic.cli`` and the console script.
+
+    Freezes every object loaded so far, which the collector then never walks again,
+    neither on a pass while the command runs nor at interpreter shutdown, and turns
+    collection back on for the command itself.
+    """
+    gc.freeze()
+    gc.enable()
+    sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

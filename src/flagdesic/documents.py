@@ -108,10 +108,12 @@ def parse_vector_document(doc: dict) -> TangentVector:
         partition = FlagPartition(tuple(doc["parts"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"invalid \"parts\": {exc}") from None
-    if "n" in doc and doc["n"] != partition.total:
-        raise DocumentError(
-            f"\"n\" = {doc['n']} does not match the partition total {partition.total}"
-        )
+    if "n" in doc:
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DocumentError(f"\"n\" must be an integer, got {n!r}")
+        if n != partition.total:
+            raise DocumentError(f"\"n\" = {n} does not match the partition total {partition.total}")
     mode_name = doc.get("mode", "float")
     try:
         mode = Mode(mode_name)

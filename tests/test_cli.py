@@ -6,6 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,30 @@ def test_check_rejects_invalid_tol(tmp_path, f9, tol, capsys):
 
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/thing.json"]) == 2
+
+
+def test_check_rejects_a_non_integer_n(tmp_path, capsys):
+    vec = write_json(tmp_path / "v.json", {"n": "2", "parts": [1, 1]})
+    assert main(["check", vec]) == 2
+    assert capsys.readouterr().err == "error: \"n\" must be an integer, got '2'\n"
+
+
+def test_input_too_large_for_memory_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    vec = write_json(tmp_path / "v.json", {"parts": [30000, 30000], "blocks": {}})  # 60000^2 entries
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "flagdesic.cli", "check", vec], env=env,
+                          preexec_fn=limit_address_space, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: not enough memory: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

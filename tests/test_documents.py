@@ -108,7 +108,7 @@ def test_document_errors():
         )
     with pytest.raises(DocumentError):
         parse_vector_document({"mode": "float", "blocks": {}})
-    with pytest.raises(DocumentError, match="n"):
+    with pytest.raises(DocumentError, match='"n" = 5 does not match the partition total 2'):
         parse_vector_document({"n": 5, "parts": [1, 1], "mode": "float", "blocks": {}})
 
 
@@ -172,6 +172,14 @@ def test_booleans_are_not_numbers():
         parse_vector_document({"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[False]]}})
     with pytest.raises(DocumentError, match=re.escape("lambda['1,2'] must be a positive number")):
         parse_metric_document({"parts": [1, 1], "lambda": {"1,2": True}})
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_n_must_be_an_integer(n):
+    parts = [1] if n is True else [1, 1]
+    with pytest.raises(DocumentError, match=re.escape(f'"n" must be an integer, got {n!r}')):
+        parse_vector_document({"n": n, "parts": parts})
+
 
 # ---------------------------------------------------------------------------
 # non-finite numbers (json reads NaN, Infinity and -Infinity as floats)

@@ -1,5 +1,7 @@
-"""Start-up guards: each command, in a fresh interpreter, loads only the modules it uses."""
+"""Start-up guards: each command, in a fresh interpreter, loads only the modules it uses,
+and the program entry freezes what it loaded while ``main`` leaves the collector alone."""
 
+import gc
 import importlib
 import json
 import os
@@ -14,8 +16,9 @@ from flagdesic.examples import fixture_document
 
 # ``python -m flagdesic.cli``: the package, then cli as __main__. numpy, argparse and json
 # load first, so ``added`` holds only what flagdesic itself imports, whatever they import.
+# The collector state is read after the command: on again, with the loaded modules frozen.
 PROBE = """
-import argparse, json, runpy, sys
+import argparse, gc, json, runpy, sys
 import numpy
 before = set(sys.modules)
 sys.argv, code = ["flagdesic", *sys.argv[1:]], None
@@ -25,7 +28,7 @@ except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.startswith("flagdesic") or m == "csv")
 added = sorted(set(sys.modules) - before)
-print(json.dumps([code, loaded, added]))
+print(json.dumps([code, loaded, added, gc.isenabled(), gc.get_freeze_count()]))
 """
 
 BASE = ["flagdesic", "flagdesic.documents", "flagdesic.flag", "flagdesic.linalg"]
@@ -64,8 +67,9 @@ def files(tmp_path_factory):
     ("canonicalize {exact} --out {out}", ["flagdesic.equigeo", "flagdesic.gaussian"]),
 ])
 def test_command_loads_only_its_modules(files, argv, extra):
-    code, loaded, added = run_fresh(PROBE, *argv.format(**files).split())
+    code, loaded, added, enabled, frozen = run_fresh(PROBE, *argv.format(**files).split())
     assert code == 0
+    assert enabled and frozen > 0
     assert loaded == sorted(BASE + extra)
     assert "dataclasses" not in added  # no record class is generated at import
     if "flagdesic.gaussian" not in extra:  # a float request loads no exact scalar code
@@ -97,3 +101,27 @@ def test_unknown_attribute_raises():
         exec("from flagdesic import no_such_name", {})
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+@pytest.mark.parametrize("argv", [["roots", "3", "3", "3"], ["check", "{vector}"]])
+def test_main_leaves_the_collector_as_it_finds_it(files, argv, capsys):
+    from flagdesic.cli import main
+
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main([a.format(**files) for a in argv]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_is_run_and_prints_what_main_prints(capsys):
+    from flagdesic.cli import main
+
+    pyproject = Path(flagdesic.__file__).parents[2] / "pyproject.toml"
+    assert 'flagdesic = "flagdesic.cli:run"' in pyproject.read_text()
+    assert main(["examples", "--list"]) == 0
+    expected = capsys.readouterr().out
+    # what the console-script wrapper does: import cli, then call run()
+    code = "import sys; from flagdesic.cli import run; sys.argv[1:] = ['examples', '--list']; run()"
+    env = dict(os.environ, PYTHONPATH=str(Path(flagdesic.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
