@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "closure": (
         "AllZeroSpectrum", "Closedness", "ClosednessVerdict", "SpectralData",
-        "commensurability", "coset_return_probe", "is_killing_closed",
+        "commensurability", "geodesic_return_distance", "is_killing_closed",
         "matrix_spectral_data", "spectral_data",
     ),
     "equigeo": (

@@ -8,6 +8,10 @@ by testing whether ratios of the rational theta^2 values are squares of
 rationals (theta_i/theta_j rational iff theta_i^2/theta_j^2 is a rational
 square), which avoids ever representing an irrational square root.
 
+For an equigeodesic A the same spectrum gives the return distance of the
+geodesic through o (the off-diagonal-block norm of exp(tA)) in closed form:
+the geodesic first returns at half the Killing period.
+
 Float ratio testing uses continued-fraction convergents with the residual
 scaled by the squared denominator: |rho - p/q| * q^2 is about 1/a_next, so a
 tiny scaled residual marks the giant-coefficient cliff that terminates the
@@ -24,8 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .flag import TangentVector, off_block_norm
-from .linalg import Mode, exact_skew_squares, killing_flow, skew_spectrum
+from .flag import TangentVector
+from .linalg import Mode, exact_skew_squares, skew_spectrum
 
 #: Default continued-fraction denominator bound.
 DEFAULT_BOUND = 10**6
@@ -157,51 +161,42 @@ def _multipliers_and_base(ratios, theta_ref: float):
     return g / ell * theta_ref, tuple(k // g for k in scaled)
 
 
-def _commensurability_exact(sd: SpectralData) -> ClosednessVerdict:
-    thetas = sd.thetas
+def _exact_ratios(sd: SpectralData):
+    """theta_k / theta_ref as signed integer pairs (p, q) from the exact squares, with
+    theta_ref the largest |theta|; None when one ratio is irrational."""
     squares = sd.exact_squares
-    ref_idx = max(range(len(thetas)), key=lambda k: abs(thetas[k]))
-    s_ref = squares[ref_idx]
+    s_ref = squares[max(range(len(sd.thetas)), key=lambda k: abs(sd.thetas[k]))]
     ratios = []
-    for theta, s_k in zip(thetas, squares):
-        if s_k == 0:
-            ratios.append((0, 1))
-            continue
+    for theta, s_k in zip(sd.thetas, squares):
         t = s_k / s_ref
         sp, sq = math.isqrt(t.numerator), math.isqrt(t.denominator)
         if sp * sp != t.numerator or sq * sq != t.denominator:
-            return ClosednessVerdict(status=Closedness.INCOMMENSURATE)
+            return None
         ratios.append((-sp if theta < 0 else sp, sq))
-    theta_ref = math.sqrt(float(s_ref))
-    lambda0, multipliers = _multipliers_and_base(ratios, theta_ref)
-    return ClosednessVerdict(
-        status=Closedness.COMMENSURATE,
-        base_frequency=lambda0,
-        period=2.0 * math.pi / lambda0,
-        multipliers=multipliers,
-    )
+    return ratios
 
 
-def _commensurability_float(thetas, theta_ref: float, bound: int) -> ClosednessVerdict:
-    ratios = []
-    saw_irrational = False
-    saw_undetermined = False
-    for theta in thetas:
-        kind, p, q = _assess_ratio(theta / theta_ref, bound)
-        if kind == "rational":
-            ratios.append((p, q))
-        elif kind == "irrational":
-            saw_irrational = True
-        else:
-            saw_undetermined = True
-    if saw_irrational:
-        return ClosednessVerdict(
-            status=Closedness.INCOMMENSURATE_WITHIN_BOUND, bound_used=bound
-        )
-    if saw_undetermined:
-        return ClosednessVerdict(
-            status=Closedness.UNDETERMINED, bound_used=bound, reason="continued-fraction"
-        )
+def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> ClosednessVerdict:
+    """Decide (Exact) or bound-test (Float) the commensurability of the spectrum."""
+    if bound < 1:
+        raise ValueError("denominator bound must be a positive integer")
+    theta_ref = max((abs(t) for t in sd.thetas), default=0.0)
+    if theta_ref == 0.0:
+        raise AllZeroSpectrum("all eigenvalues vanish; the curve is constant")
+    if sd.exact_squares is not None:
+        ratios, bound = _exact_ratios(sd), None  # a proof: no bound
+        if ratios is None:
+            return ClosednessVerdict(status=Closedness.INCOMMENSURATE)
+    else:
+        assessed = [_assess_ratio(theta / theta_ref, bound) for theta in sd.thetas]
+        kinds = {kind for kind, _, _ in assessed}
+        if "irrational" in kinds:
+            return ClosednessVerdict(Closedness.INCOMMENSURATE_WITHIN_BOUND, bound_used=bound)
+        if "undetermined" in kinds:
+            return ClosednessVerdict(
+                Closedness.UNDETERMINED, bound_used=bound, reason="continued-fraction"
+            )
+        ratios = [(p, q) for _, p, q in assessed]
     lambda0, multipliers = _multipliers_and_base(ratios, theta_ref)
     return ClosednessVerdict(
         status=Closedness.COMMENSURATE,
@@ -210,20 +205,6 @@ def _commensurability_float(thetas, theta_ref: float, bound: int) -> ClosednessV
         multipliers=multipliers,
         bound_used=bound,
     )
-
-
-def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> ClosednessVerdict:
-    """Decide (Exact) or bound-test (Float) the commensurability of the spectrum."""
-    if bound < 1:
-        raise ValueError("denominator bound must be a positive integer")
-    if not sd.thetas:
-        raise AllZeroSpectrum("empty spectrum")
-    theta_ref = max(abs(t) for t in sd.thetas)
-    if theta_ref == 0.0:
-        raise AllZeroSpectrum("all eigenvalues vanish; the curve is constant")
-    if sd.exact_squares is not None:
-        return _commensurability_exact(sd)
-    return _commensurability_float(sd.thetas, theta_ref, bound)
 
 
 def is_killing_closed(
@@ -243,7 +224,7 @@ def is_killing_closed(
     verdict = commensurability(sd, bound)
     if verdict.status is Closedness.COMMENSURATE and sd.exact_squares is None:
         defect = float(np.linalg.norm(np.exp(1j * verdict.period * np.array(sd.thetas)) - 1.0))
-        if defect > EXP_CONFIRM_TOL * x.partition.total:
+        if not defect <= EXP_CONFIRM_TOL * x.partition.total:  # a nan defect fails too
             return ClosednessVerdict(
                 Closedness.UNDETERMINED, bound_used=bound, reason="exp-confirmation", defect=defect
             )
@@ -252,81 +233,21 @@ def is_killing_closed(
 
 
 # ---------------------------------------------------------------------------
-# coset return probe (heuristic)
+# the geodesic
 # ---------------------------------------------------------------------------
 
 
-def _golden_minimize(f, a: float, b: float, iters: int = 80):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
-def coset_return_probe(
-    x: TangentVector,
-    t_max: float,
-    step: Optional[float] = None,
-    tol: float = 1e-8,
-):
-    """Times t in (0, t_max] where exp(tA) is (nearly) block-diagonal.
-
-    d(t) = || off-diagonal blocks of exp(tA) ||_F vanishes exactly when the
-    curve returns to the base point, whether or not exp(tA) is the identity.
-    Local minima of d with d <= tol are returned as (t, d) candidates.
-    This is a sampling heuristic: a reported candidate is evidence of a coset
-    return, and an empty list proves nothing about density or openness.
-    Float mode only: ``killing_flow`` rejects an Exact ``x``.
+def geodesic_return_distance(x: TangentVector, t, sd: Optional[SpectralData] = None):
+    """||off-diagonal blocks of exp(tA)||_F = sqrt(sum_k sin^2(theta_k t)) at each t of
+    the array ``t``, for an equigeodesic ``x`` (others raise NotEquigeodesic): the
+    block-diagonal U of the canonical form keeps off-block norms, and J rotates by
+    a_k t in planes holding sin(a_k t) twice. The zeros at t > 0, where the geodesic
+    through o is back at o, are exactly the multiples of ``is_killing_closed(x).period
+    / 2``, as the multipliers have gcd 1; an incommensurate spectrum has none.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if step is not None and step <= 0:
-        raise ValueError("step must be positive")
-    p = x.partition
-    w, flow = killing_flow(x.matrix)
-    top = float(np.max(np.abs(w), initial=0.0))
-    if top == 0.0:
-        return []
-    if step is None:
-        step = 1e-3 * (2.0 * math.pi / top)
+    from .equigeo import _require_equigeodesic  # here, so closedness never loads equigeo
 
-    def dist(t: float) -> float:
-        return off_block_norm(p, flow(t))
-
-    ts = np.arange(step, t_max + 0.5 * step, step)
-    if ts.size == 0:
-        ts = np.array([t_max])
-    ds = np.array([dist(float(t)) for t in ts])
-
-    candidates = []
-    # k = 0 is skipped: d always vanishes as t -> 0+, which is not a return
-    for k in range(1, ts.size):
-        left_ok = ds[k] <= ds[k - 1]
-        right_ok = k == ts.size - 1 or ds[k] <= ds[k + 1]
-        if left_ok and right_ok:
-            lo = float(ts[k - 1])
-            hi = float(ts[k + 1]) if k < ts.size - 1 else min(t_max, float(ts[k]) + step)
-            t_star, d_star = _golden_minimize(dist, lo, hi)
-            if d_star <= tol and 0.0 < t_star <= t_max + 0.5 * step:
-                candidates.append((min(t_star, t_max), d_star))
-
-    candidates.sort(key=lambda td: td[0])
-    merged = []
-    for t, d in candidates:
-        if merged and abs(t - merged[-1][0]) < 0.5 * step:
-            if d < merged[-1][1]:
-                merged[-1] = (t, d)
-            continue
-        merged.append((t, d))
-    return merged
+    _require_equigeodesic(x)
+    sd = spectral_data(x) if sd is None else sd
+    phases = np.multiply.outer(np.asarray(t, dtype=float), sd.thetas)
+    return np.sqrt(np.sum(np.sin(phases) ** 2, axis=-1))

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, block_norms_sq, block_sums
-from .linalg import CMatrix, Mode, commutator, integer_embedding, project_m
+from .linalg import CMatrix, Mode, _unit_scale, commutator, integer_embedding, project_m
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -103,6 +103,7 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
     if g.partition != x.partition:
         raise ValueError("partition mismatch")
     xf = x.to_float()
+    xf = xf.scaled(_unit_scale(xf.matrix.data))  # exact, and the residual is scale-free
     y = hadamard_action(g, xf)
     bracket = project_m(commutator(xf.matrix, y.matrix), x.partition)
     scale = xf.fro() ** 2 * g.max_lambda()
@@ -120,12 +121,14 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 def _block_arrays(x: TangentVector):
     """(partition, array, squared block norms) the block kernels run on.
 
-    Float: the matrix itself. Exact: the integer embedding of D*A over the
-    doubled partition, so block (i, j) stays block (i, j), zero tests are int
-    tests, and D cancels from every normalized residual.
+    Float: the matrix times ``_unit_scale``, so no square or product over- or
+    underflows, and every normalized residual is that of the matrix. Exact: the integer
+    embedding of D*A over the doubled partition, so block (i, j) stays block (i, j),
+    zero tests are int tests, and D cancels from every normalized residual.
     """
     if x.mode is Mode.FLOAT:
-        return x.partition, x.matrix.data, block_norms_sq(x.partition, x.matrix.data)
+        a = x.matrix.data * _unit_scale(x.matrix.data)
+        return x.partition, a, block_norms_sq(x.partition, a)
     _, e = integer_embedding(x.matrix)
     p = FlagPartition(tuple(2 * k for k in x.partition.parts))
     return p, e, _norms_sq(p, e)
@@ -203,6 +206,14 @@ def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> Equigeod
         worst_residual=worst,
         violating_triple=None if ok else first_bad,
     )
+
+
+def _require_equigeodesic(x: TangentVector) -> None:
+    """Raise NotEquigeodesic, naming the first violating triple, unless the block condition holds."""
+    v = is_equigeodesic(x)
+    if not v.is_equigeodesic:
+        raise NotEquigeodesic(f"input is not equigeodesic: blocks {v.violating_triple} have "
+                              f"residual {v.worst_residual:.3e}", violating_triple=v.violating_triple)
 
 
 def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
@@ -288,11 +299,12 @@ def is_essentially_block_diagonal(x: TangentVector, tol: float = ESSENTIAL_ENTRY
     always involve a zero factor.
     """
     _, _, norms = _block_arrays(x)
+    total = norms.sum()  # ||A||_F^2 on the same scale as the blocks
     np.fill_diagonal(norms, 0)
     if x.mode is Mode.EXACT:
         nonzero = norms != 0
     else:
-        nonzero = np.sqrt(norms) > tol * x.fro()
+        nonzero = np.sqrt(norms) > tol * math.sqrt(total)
     return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 
 
@@ -308,10 +320,10 @@ def _block_svds(x: TangentVector):
     """
     p = x.partition
     a = x.matrix.data
-    norms = block_norms_sq(p, a)
+    nonzero = block_sums(p, a != 0)  # counts, not norms: tiny squares underflow to 0
     svds = {}
     for i, j in p.positive_pairs():
-        if norms[i - 1, j - 1] > 0.0:
+        if nonzero[i - 1, j - 1]:
             blk = a[slice(*p.block_range(i)), slice(*p.block_range(j))]
             svds[(i, j)] = np.linalg.svd(blk, full_matrices=False)
     sigma_max = max((float(s[0]) for _, s, _ in svds.values()), default=0.0)
@@ -339,13 +351,7 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
     """
     if x.mode is not Mode.FLOAT:
         raise ValueError("canonicalize is Float-mode only")
-    verdict = is_equigeodesic(x)
-    if not verdict.is_equigeodesic:
-        raise NotEquigeodesic(
-            f"input is not equigeodesic: blocks {verdict.violating_triple} have "
-            f"residual {verdict.worst_residual:.3e}",
-            violating_triple=verdict.violating_triple,
-        )
+    _require_equigeodesic(x)
     p = x.partition
     n = p.total
     A = x.matrix.data

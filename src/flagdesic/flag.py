@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, require_skew_hermitian
+from .linalg import SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _unit_scale, require_skew_hermitian
 
 
 class _ByValue(Immutable):
@@ -130,7 +130,8 @@ class TangentVector(Immutable):
                 raise ValueError(f"diagonal block {i} is not zero (not in m)")
             return
         tol = SKEW_TOL_FACTOR * self.matrix.fro()
-        norms = np.sqrt(np.bincount(blocks, diag.real**2 + diag.imag**2))
+        s = _unit_scale(self.matrix.data)  # so no square over- or underflows
+        norms = np.sqrt(np.bincount(blocks, np.abs(diag * s) ** 2)) / s
         for i in np.flatnonzero(norms > tol)[:1]:
             raise ValueError(f"diagonal block {i} is not zero (norm {norms[i]:.3e} > {tol:.3e})")
 
@@ -211,9 +212,3 @@ def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
     """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j)
     of an n x n complex array."""
     return block_sums(partition, arr.real**2 + arr.imag**2)
-
-
-def off_block_norm(partition: FlagPartition, arr: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal-block part of a float array."""
-    norms = block_norms_sq(partition, arr)
-    return float(np.sqrt(norms[~np.eye(partition.s, dtype=bool)].sum()))

@@ -20,6 +20,7 @@ never mixes modes; mixed-mode binary operations raise ``ValueError``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence, Union
@@ -168,9 +169,11 @@ class CMatrix(Immutable):
         return np.trace(self.data)
 
     def fro(self) -> float:
-        """Frobenius norm (float in both modes; the exact sum of squares is rounded once)."""
+        """Frobenius norm, a float in both modes: the exact sum of squares is rounded once,
+        and a Float norm is taken on the ``_unit_scale`` copy, so no square over- or underflows."""
         if self.mode is Mode.FLOAT:
-            return float(np.linalg.norm(self.data))
+            s = _unit_scale(self.data)
+            return float(np.linalg.norm(self.data * s)) / s
         return math.sqrt(sum(v.abs2() for v in self.data.flat))
 
     def is_zero(self, tol: float = 0.0) -> bool:
@@ -186,7 +189,19 @@ class CMatrix(Immutable):
         return CMatrix(self.data[r0:r1, c0:c1].copy(), self.mode)
 
     def to_float(self) -> "CMatrix":
-        return CMatrix(self.data, Mode.FLOAT)
+        """The Float matrix of the same entries; an Exact entry that overflows, or is
+        nonzero and rounds to 0, raises ValueError naming it."""
+        if self.mode is Mode.FLOAT:
+            return self
+        out = np.zeros(self.shape, dtype=np.complex128)
+        for k, v in enumerate(self.data.flat):
+            with contextlib.suppress(OverflowError):
+                out.flat[k] = complex(v)
+            if v and not out.flat[k]:
+                r, c = divmod(k, self.n_cols)
+                raise ValueError(f"entry ({r + 1}, {c + 1}) is outside the float range: "
+                                 "nonzero magnitudes run from 4.9e-324 to 1.8e+308")
+        return CMatrix(out, Mode.FLOAT)
 
     def allclose(self, other: "CMatrix", tol: float = DEFAULT_RTOL) -> bool:
         """Relative Frobenius comparison in Float mode, exact equality in Exact."""
@@ -198,6 +213,14 @@ class CMatrix(Immutable):
 
     def __repr__(self):
         return f"CMatrix({self.n_rows}x{self.n_cols}, {self.mode.value})"
+
+
+def _unit_scale(arr: np.ndarray) -> float:
+    """2**-e with e = math.frexp(largest modulus of ``arr``)[1], capped at 2**1023: times
+    it, the largest modulus lies in [1/2, 1), so squares neither overflow nor underflow
+    where they matter, and the scaling is exact, so ratios of norms stay bit for bit."""
+    e = math.frexp(float(np.max(np.abs(arr), initial=0.0)))[1]
+    return math.ldexp(1.0, min(-e, 1023))
 
 
 # ---------------------------------------------------------------------------

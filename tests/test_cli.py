@@ -36,14 +36,17 @@ def f4(tmp_path):
     return write_json(tmp_path / "f4.json", fixture_document("f4-x2y3"))
 
 
-@pytest.fixture
-def f3_chain(tmp_path):
-    doc = {
+def chain_document(c=1.0):
+    return {
         "parts": [1, 1, 1],
         "mode": "float",
-        "blocks": {"1,2": [[[1.0, 0.0]]], "2,3": [[[1.0, 0.0]]]},
+        "blocks": {"1,2": [[[c, 0.0]]], "2,3": [[[c, 0.0]]]},
     }
-    return write_json(tmp_path / "chain.json", doc)
+
+
+@pytest.fixture
+def f3_chain(tmp_path):
+    return write_json(tmp_path / "chain.json", chain_document())
 
 
 def test_check_equigeodesic_fixture(f9, capsys):
@@ -53,11 +56,12 @@ def test_check_equigeodesic_fixture(f9, capsys):
     assert out.count("true") == 2
 
 
-def test_check_negative_with_triple(f3_chain, capsys):
-    assert main(["check", f3_chain]) == 1
-    out = capsys.readouterr().out
-    assert "false" in out
-    assert "(1, 2, 3)" in out
+def test_check_negative_with_triple(tmp_path, capsys):
+    for c in (1.0, 1e-200, 1e160):  # verdicts are scale-free
+        assert main(["check", write_json(tmp_path / "chain.json", chain_document(c))]) == 1
+        out = capsys.readouterr().out
+        assert out.count("false") == 2
+        assert out.count("(1, 2, 3)") == 2
 
 
 def test_check_diagonal_block_error(tmp_path, capsys):
@@ -67,15 +71,19 @@ def test_check_diagonal_block_error(tmp_path, capsys):
     assert "diagonal" in capsys.readouterr().err
 
 
-def test_check_with_metric(tmp_path, f3_chain, capsys):
+def test_check_with_metric(tmp_path, capsys):
     normal = write_json(tmp_path / "gn.json", {"parts": [1, 1, 1], "lambda": {}})
-    assert main(["check", f3_chain, normal]) == 0
     skewed = write_json(
         tmp_path / "gs.json", {"parts": [1, 1, 1], "lambda": {"2,3": 2.0}}
     )
-    assert main(["check", f3_chain, skewed]) == 1
-    out = capsys.readouterr().out
-    assert "geodesic" in out
+    for c in (1.0, 1e-200, 1e160):  # the residual is scale-free
+        f3_chain = write_json(tmp_path / "chain.json", chain_document(c))
+        assert main(["check", f3_chain, normal]) == 0
+        assert main(["check", f3_chain, skewed]) == 1
+        assert capsys.readouterr().out == (
+            "geodesic (fixed metric): true  residual 0.000e+00\n"
+            "geodesic (fixed metric): false  residual 1.768e-01\n"
+        )
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -113,6 +121,20 @@ def test_input_too_large_for_memory_exits_2(tmp_path):
     assert done.stdout == ""
     assert done.stderr.startswith("error: not enough memory: ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("entry", ["1" + "0" * 330, "1/1" + "0" * 330],
+                         ids=["overflows", "rounds-to-0"])
+@pytest.mark.parametrize("argv", [
+    ["check"], ["closedness"], ["canonicalize"], ["curve", "--t-max", "1"],
+    ["closedness", "--mode", "exact"],
+], ids=" ".join)
+def test_exact_entry_outside_the_float_range_exits_2(tmp_path, entry, argv, capsys):
+    # overflowed (an OverflowError traceback, exit 1) or rounded to 0 (called the zero vector)
+    doc = {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[entry]]}}
+    assert main([argv[0], write_json(tmp_path / "v.json", doc), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: entry (1, 2) is outside the float range: "
+                                       "nonzero magnitudes run from 4.9e-324 to 1.8e+308\n")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

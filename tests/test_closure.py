@@ -1,11 +1,14 @@
-"""Spectral data, commensurability, Killing-field closedness, coset probe."""
+"""Spectral data, commensurability, Killing-field closedness, and the closed-form
+return distance of the geodesic."""
 
+import csv
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagdesic import (
@@ -15,10 +18,11 @@ from flagdesic import (
     FlagPartition,
     GaussianRational,
     Mode,
+    NotEquigeodesic,
     SpectralData,
     TangentVector,
     commensurability,
-    coset_return_probe,
+    geodesic_return_distance,
     is_killing_closed,
     matrix_spectral_data,
     random_equigeodesic,
@@ -26,7 +30,9 @@ from flagdesic import (
     unitary_exp,
     weyl_vector,
 )
+from flagdesic.cli import main
 from flagdesic.closure import _multipliers_and_base
+from flagdesic.documents import serialize_vector
 from flagdesic.examples import fixture_vector
 from flagdesic.roots import Root
 
@@ -256,6 +262,19 @@ def test_exp_confirmation_downgrade_carries_reason_and_defect():
     assert v.defect > 8e-8  # EXP_CONFIRM_TOL * n
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * theta in exp
+def test_nan_confirmation_defect_is_undetermined(tmp_path, capsys):
+    # theta = 1e-320 makes the period inf and the defect nan, which must not pass the check
+    x = TangentVector.from_blocks(FlagPartition((1, 1)), {(1, 2): [[1e-320]]})
+    v = is_killing_closed(x)
+    assert v.status is Closedness.UNDETERMINED
+    assert v.reason == "exp-confirmation" and math.isnan(v.defect)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"parts": [1, 1], "blocks": {"1,2": [[[1e-320, 0]]]}}))
+    assert main(["closedness", str(path)]) == 3
+    assert "reason: exp-confirmation, exp(T A) defect nan\n" in capsys.readouterr().out
+
+
 def _downgrade_vector():
     p = FlagPartition((1,) * 8)
     values = (1.0, 1 / 997, 1 / 991, 1 / 983)
@@ -393,39 +412,66 @@ def test_exact_decides_rational_spectra_with_large_denominators(values, base):
 
 
 # ---------------------------------------------------------------------------
-# coset return probe
+# return of the geodesic, in closed form
 # ---------------------------------------------------------------------------
 
 
-def test_probe_finds_period_of_closed_curve():
+def test_return_distance_f4_vanishes_first_at_half_the_period():
     x = fixture_vector("f4-x2y3")
-    v = is_killing_closed(x)
-    hits = coset_return_probe(x, t_max=v.period * 1.05, tol=1e-8)
-    assert any(abs(t - v.period) < 1e-6 for t, d in hits)
-    assert all(d <= 1e-8 for _, d in hits)
+    half = is_killing_closed(x).period / 2
+    assert half == pytest.approx(math.pi)
+    assert geodesic_return_distance(x, half) <= 1e-12
+    assert geodesic_return_distance(x, np.linspace(0.0, half, 401)[1:-1]).min() > 1e-3
 
 
-def test_probe_antipodal_return():
-    # single pair {a, -a}: the curve closes at pi/a, before the group period
+def test_return_distance_antipodal_pair_closes_at_pi_over_a():
+    # single pair {a, -a}: the curve closes at pi/a, half the group period
     a = 1.5
     p = FlagPartition((1, 1))
     x = TangentVector.from_blocks(p, {(1, 2): [[a]]})
-    hits = coset_return_probe(x, t_max=5.0)
-    assert hits
-    assert hits[0][0] == pytest.approx(math.pi / a, abs=1e-6)
+    assert is_killing_closed(x).period / 2 == pytest.approx(math.pi / a)
+    assert geodesic_return_distance(x, math.pi / a) <= 1e-12
+    ts = np.linspace(0.0, 5.0, 51)
+    assert geodesic_return_distance(x, ts) == pytest.approx(
+        math.sqrt(2) * np.abs(np.sin(a * ts)), abs=1e-15
+    )
 
 
-def test_probe_generic_incommensurate_finds_nothing():
-    hits = coset_return_probe(sqrt2_vector(), t_max=100.0, step=0.02, tol=1e-8)
-    assert hits == []
+def test_return_distance_sqrt2_never_vanishes():
+    # exact mode proves incommensurability, so the geodesic never closes: where
+    # sin(t) vanishes, sin(sqrt(2) t) does not
+    x = sqrt2_vector(Mode.EXACT)
+    sd = spectral_data(x)
+    assert is_killing_closed(x, sd=sd).status is Closedness.INCOMMENSURATE
+    ts = math.pi * np.arange(1, 33)
+    assert geodesic_return_distance(x, ts, sd).min() > 1e-2
+    assert geodesic_return_distance(x, np.linspace(0.0, 100.0, 5001)[1:]).min() > 1e-3
 
 
-def test_probe_zero_vector_and_validation():
+def test_return_distance_zero_vector_and_validation():
     p = FlagPartition((1, 1))
     zero = TangentVector(p, CMatrix.zeros(2, 2))
-    assert coset_return_probe(zero, t_max=1.0) == []
-    x = TangentVector.from_blocks(p, {(1, 2): [[1.0]]})
-    with pytest.raises(ValueError):
-        coset_return_probe(x, t_max=-1.0)
-    with pytest.raises(ValueError):
-        coset_return_probe(x, t_max=1.0, step=0.0)
+    assert np.all(geodesic_return_distance(zero, np.linspace(0.0, 10.0, 11)) == 0.0)
+    chain = TangentVector.from_blocks(FlagPartition((1, 1, 1)), {(1, 2): [[1.0]], (2, 3): [[1.0]]})
+    with pytest.raises(NotEquigeodesic) as info:
+        geodesic_return_distance(chain, 1.0)
+    assert info.value.violating_triple == (1, 2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=2, max_size=5).map(lambda parts: FlagPartition(tuple(parts))),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 20.0),
+    st.integers(1, 24),
+)
+def test_curve_dist_k_is_the_closed_form(tmp_path_factory, p, seed, t_max, samples):
+    x = random_equigeodesic(p, seed)
+    work = tmp_path_factory.getbasetemp()
+    (work / "equi.json").write_text(json.dumps(serialize_vector(x)))
+    out = work / "equi.csv"
+    argv = ["curve", str(work / "equi.json"), "--t-max", repr(t_max), "--samples", str(samples)]
+    assert main([*argv, "--out", str(out)]) == 0
+    dist = [float(row[-1]) for row in csv.reader(out.read_text().splitlines()[1:])]
+    ts = [t_max * k / samples for k in range(samples + 1)]  # the t column holds 12 digits
+    assert np.abs(np.array(dist) - geodesic_return_distance(x, ts)).max() <= 1e-12

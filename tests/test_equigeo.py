@@ -55,14 +55,15 @@ def test_weyl_vectors_are_geodesic_for_any_metric():
 
 def test_f3_chain_geodesic_only_for_balanced_metric():
     p = FlagPartition((1, 1, 1))
-    x = TangentVector.from_blocks(p, {(1, 2): [[1.0]], (2, 3): [[1.0]]})
-    ok, _ = is_geodesic_vector(x, InvariantMetric.normal(p))
-    assert ok
     g = InvariantMetric.from_pairs(p, {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 2.0})
-    ok, residual = is_geodesic_vector(x, g)
-    assert not ok
-    # the bracket entry lands at position (1,3): hand value sqrt(2)/(4*2)
-    assert residual == pytest.approx(np.sqrt(2) / 8.0)
+    for c in (1.0, 1e-200, 1e160):  # the residual is scale-free
+        x = TangentVector.from_blocks(p, {(1, 2): [[c]], (2, 3): [[c]]})
+        ok, _ = is_geodesic_vector(x, InvariantMetric.normal(p))
+        assert ok
+        ok, residual = is_geodesic_vector(x, g)
+        assert not ok
+        # the bracket entry lands at position (1,3): hand value sqrt(2)/(4*2)
+        assert residual == pytest.approx(np.sqrt(2) / 8.0)
 
 
 def test_normal_metric_geodesic_for_everything():
@@ -359,11 +360,12 @@ def test_canonicalize_orthogonal_columns_example():
 
 def test_canonicalize_already_diagonal_input():
     p = FlagPartition((2, 2))
-    x = TangentVector.from_blocks(p, {(1, 2): [[3.0, 0.0], [0.0, 1.0]]})
-    form = canonicalize(x)
-    assert form.J.allclose(x.matrix, tol=1e-12)
-    assert np.allclose(np.abs(form.U.data), np.eye(4), atol=1e-12)
-    assert form.pairs == ((1, 3, 3.0), (2, 4, 1.0))
+    for c in (1.0, 1e-200, 1e160):  # a block whose squares underflow is still nonzero
+        x = TangentVector.from_blocks(p, {(1, 2): [[3.0 * c, 0.0], [0.0, c]]})
+        form = canonicalize(x)
+        assert form.J.allclose(x.matrix, tol=1e-12)
+        assert np.allclose(np.abs(form.U.data), np.eye(4), atol=1e-12)
+        assert form.pairs == ((1, 3, 3.0 * c), (2, 4, c))
 
 
 def test_canonicalize_recovers_sigmas_after_conjugation():

@@ -209,6 +209,11 @@ def test_tangent_vector_validation():
     diag_block[0, 1], diag_block[1, 0] = 1.0, -1.0
     with pytest.raises(ValueError, match="diagonal block"):
         TangentVector(p, CMatrix(diag_block, Mode.FLOAT))
+    # at any scale: the norms behind both tolerances neither overflow nor underflow
+    with pytest.raises(ValueError, match="skew"):
+        TangentVector(FlagPartition((1, 1)), CMatrix.from_complex([[1e160, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="diagonal block"):
+        TangentVector(p, CMatrix(1e-200 * diag_block, Mode.FLOAT))
 
     with pytest.raises(ValueError, match="shape"):
         TangentVector(p, CMatrix.zeros(4, 4))
