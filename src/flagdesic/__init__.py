@@ -35,7 +35,7 @@ _EXPORTS = {
     "gaussian": ("GaussianRational",),
     "linalg": (
         "CMatrix", "ExactSpectrumUnavailable", "Mode", "NotSkewHermitian", "Scalar",
-        "commutator", "killing_inner", "project_m", "skew_spectrum", "unitary_exp",
+        "commutator", "project_m", "skew_spectrum", "unitary_exp",
     ),
     "metric": ("InvariantMetric", "basis_metric", "hadamard_action", "metric_inner"),
     "roots": ("Root", "TRoot", "basis_unit", "weyl_vector"),

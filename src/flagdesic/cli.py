@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .documents import DocumentError, parse_metric_document, parse_vector_document, serialize_vector
+from .documents import parse_metric_document, parse_vector_document, serialize_vector
 from .flag import (
     FlagPartition,
     TangentVector,
@@ -320,9 +320,6 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

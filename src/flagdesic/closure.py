@@ -214,16 +214,18 @@ def is_killing_closed(
 
     ``sd`` is the spectral data of ``x`` when the caller already has it;
     otherwise it is computed here. The confirmation guards the float path
-    against accepting spuriously large denominators; on failure the verdict
-    downgrades to Undetermined with reason "exp-confirmation". It reads the
-    spectrum, as A = V diag(i theta) V^* with V unitary: ||exp(T A) - I||_F =
-    ||e^{i T theta} - 1||_2. An exact verdict is a proof: it runs no float
-    confirmation and carries no bound and no defect.
+    against accepting spuriously large denominators; on failure, or on an infinite
+    period (with a NaN defect), the verdict downgrades to Undetermined with reason
+    "exp-confirmation". It reads the spectrum, as A = V diag(i theta) V^* with V
+    unitary: ||exp(T A) - I||_F = ||e^{i T theta} - 1||_2. An exact verdict is a
+    proof: it runs no float confirmation and carries no bound and no defect.
     """
     sd = spectral_data(x) if sd is None else sd
     verdict = commensurability(sd, bound)
     if verdict.status is Closedness.COMMENSURATE and sd.exact_squares is None:
-        defect = float(np.linalg.norm(np.exp(1j * verdict.period * np.array(sd.thetas)) - 1.0))
+        defect = math.nan  # an infinite period has no exp(T A) to evaluate
+        if math.isfinite(verdict.period):
+            defect = float(np.linalg.norm(np.exp(1j * verdict.period * np.array(sd.thetas)) - 1.0))
         if not defect <= EXP_CONFIRM_TOL * x.partition.total:  # a nan defect fails too
             return ClosednessVerdict(
                 Closedness.UNDETERMINED, bound_used=bound, reason="exp-confirmation", defect=defect

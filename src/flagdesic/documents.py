@@ -98,16 +98,21 @@ def _parse_block(raw, rows: int, cols: int, mode: Mode, where: str):
     return CMatrix([[parse(v, where) for v in row] for row in raw], mode)
 
 
-def parse_vector_document(doc: dict) -> TangentVector:
-    """Validate and assemble a tangent vector from its JSON form."""
+def _partition(doc, kind: str) -> FlagPartition:
+    """The partition a ``kind`` ("vector" or "metric") document names in "parts"."""
     if not isinstance(doc, dict):
-        raise DocumentError("vector document must be a JSON object")
+        raise DocumentError(f"{kind} document must be a JSON object")
     if "parts" not in doc:
-        raise DocumentError("vector document is missing \"parts\"")
+        raise DocumentError(f"{kind} document is missing \"parts\"")
     try:
-        partition = FlagPartition(tuple(doc["parts"]))
+        return FlagPartition(tuple(doc["parts"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"invalid \"parts\": {exc}") from None
+
+
+def parse_vector_document(doc: dict) -> TangentVector:
+    """Validate and assemble a tangent vector from its JSON form."""
+    partition = _partition(doc, "vector")
     if "n" in doc:
         n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int):
@@ -182,14 +187,7 @@ def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) 
     """Metric from {"parts": [...], "lambda": {"i,j": value}}; absent pairs get 1."""
     from .metric import InvariantMetric  # here, so only commands given a metric load it
 
-    if not isinstance(doc, dict):
-        raise DocumentError("metric document must be a JSON object")
-    if "parts" not in doc:
-        raise DocumentError("metric document is missing \"parts\"")
-    try:
-        own = FlagPartition(tuple(doc["parts"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"invalid \"parts\": {exc}") from None
+    own = _partition(doc, "metric")
     if partition is not None and own != partition:
         raise DocumentError(
             f"metric partition {own.parts} does not match the vector partition {partition.parts}"

@@ -276,27 +276,25 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
 # ---------------------------------------------------------------------------
 
 
-def is_essentially_diagonal(m: CMatrix, entry_tol: Optional[float] = None) -> bool:
+def is_essentially_diagonal(m: CMatrix) -> bool:
     """At most one nonzero entry in each row and each column.
 
-    Float entries count as nonzero above ``entry_tol`` (default: 1e-9 times
-    the largest modulus); Exact entries are tested exactly.
+    Float entries count as nonzero above ESSENTIAL_ENTRY_TOL times the largest
+    modulus; Exact entries are tested exactly.
     """
     if m.mode is Mode.EXACT:
         nonzero = np.array([[bool(v) for v in row] for row in m.data])
     else:
         mags = np.abs(m.data)
-        top = float(mags.max(initial=0.0))
-        thr = entry_tol if entry_tol is not None else ESSENTIAL_ENTRY_TOL * top
-        nonzero = mags > thr
+        nonzero = mags > ESSENTIAL_ENTRY_TOL * float(mags.max(initial=0.0))
     return bool(nonzero.sum(axis=0).max(initial=0) <= 1 and nonzero.sum(axis=1).max(initial=0) <= 1)
 
 
-def is_essentially_block_diagonal(x: TangentVector, tol: float = ESSENTIAL_ENTRY_TOL) -> bool:
+def is_essentially_block_diagonal(x: TangentVector) -> bool:
     """At most one nonzero block a_ij in each block-row and each block-column.
 
-    A sufficient condition for being equigeodesic: the products a_ij a_jm then
-    always involve a zero factor.
+    A sufficient condition for being equigeodesic: the products a_ij a_jm then always
+    involve a zero factor. Float blocks count above ESSENTIAL_ENTRY_TOL * ||A||_F.
     """
     _, _, norms = _block_arrays(x)
     total = norms.sum()  # ||A||_F^2 on the same scale as the blocks
@@ -304,7 +302,7 @@ def is_essentially_block_diagonal(x: TangentVector, tol: float = ESSENTIAL_ENTRY
     if x.mode is Mode.EXACT:
         nonzero = norms != 0
     else:
-        nonzero = np.sqrt(norms) > tol * math.sqrt(total)
+        nonzero = np.sqrt(norms) > ESSENTIAL_ENTRY_TOL * math.sqrt(total)
     return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 
 
@@ -338,14 +336,14 @@ def _complete_unitary(cols: np.ndarray, n: int) -> np.ndarray:
     return np.hstack([cols, u[:, cols.shape[1]:]])
 
 
-def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
+def canonicalize(x: TangentVector) -> CanonicalForm:
     """Reduce an equigeodesic vector to its essentially diagonal form.
 
     Per block index, the image spaces of the incoming blocks are mutually
     orthogonal (this is what the equigeodesic condition buys), so one
     block-diagonal unitary U aligns every block with its singular vectors at
     once. Raises NotEquigeodesic on inputs that fail the block condition.
-    Singular values at or below the rank_tol cut are left out of J, so the
+    Singular values at or below RANK_TOL * sigma_max are left out of J, so the
     residual may exceed the CANON_RESIDUAL_TOL contract by their norm; a
     larger residual raises RuntimeError.
     """
@@ -357,17 +355,19 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
     A = x.matrix.data
 
     svds, sigma_max = _block_svds(x)
-    threshold = rank_tol * sigma_max
+    threshold = RANK_TOL * sigma_max
     # each singular value the cut drops stays in J_raw twice, at a_ij and a_ji
     dropped = math.sqrt(2.0 * sum(np.sum(s[s <= threshold] ** 2) for _, s, _ in svds.values()))
+    # the kept singular triples (block pair, index), in the order of ``svds``
+    kept = [(pair, k) for pair, (_, s, _) in svds.items() for k in range(np.sum(s > threshold))]
 
     # gather singular-vector columns per block: left vectors of a_ij live in
     # block i, right vectors in block j, matched index by index
     collected = {bi: [] for bi in range(1, p.s + 1)}
-    for (i, j), (u, s, vh) in svds.items():
-        for k in range(int(np.sum(s > threshold))):
-            collected[i].append((u[:, k], ("u", (i, j), k)))
-            collected[j].append((vh[k, :].conj(), ("v", (i, j), k)))
+    for (i, j), k in kept:
+        u, _, vh = svds[(i, j)]
+        collected[i].append((u[:, k], ("u", (i, j), k)))
+        collected[j].append((vh[k, :].conj(), ("v", (i, j), k)))
 
     positions = {}
     u_full = np.zeros((n, n), dtype=np.complex128)
@@ -395,27 +395,22 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
         cols = np.column_stack(basis) if basis else np.zeros((nb, 0), dtype=np.complex128)
         u_full[lo:hi, lo:hi] = _complete_unitary(cols, nb)
 
+    slots = [(positions[("u", pair, k)], positions[("v", pair, k)]) for pair, k in kept]
     # rotate each right-side column by a unit phase so the listed entry is real > 0
-    for (i, j), (u, s, vh) in svds.items():
-        for k in range(int(np.sum(s > threshold))):
-            up = positions[("u", (i, j), k)]
-            vp = positions[("v", (i, j), k)]
-            alpha = u_full[:, up].conj() @ (A @ u_full[:, vp])
-            if abs(alpha) > 0:
-                u_full[:, vp] *= alpha.conjugate() / abs(alpha)
+    for up, vp in slots:
+        alpha = u_full[:, up].conj() @ (A @ u_full[:, vp])
+        if abs(alpha) > 0:
+            u_full[:, vp] *= alpha.conjugate() / abs(alpha)
 
     j_raw = u_full.conj().T @ A @ u_full
 
     pairs = []
     j_clean = np.zeros((n, n), dtype=np.complex128)
-    for (i, j), (u, s, vh) in svds.items():
-        for k in range(int(np.sum(s > threshold))):
-            row = positions[("u", (i, j), k)]
-            col = positions[("v", (i, j), k)]
-            a_k = float(j_raw[row, col].real)
-            pairs.append((row + 1, col + 1, a_k))
-            j_clean[row, col] = a_k
-            j_clean[col, row] = -a_k
+    for row, col in slots:
+        a_k = float(j_raw[row, col].real)
+        pairs.append((row + 1, col + 1, a_k))
+        j_clean[row, col] = a_k
+        j_clean[col, row] = -a_k
 
     residual = float(np.linalg.norm(j_raw - j_clean))
     bound = CANON_RESIDUAL_TOL * max(x.fro(), 1e-300) + dropped
@@ -436,16 +431,16 @@ def canonicalize(x: TangentVector, rank_tol: float = RANK_TOL) -> CanonicalForm:
     )
 
 
-def conjugation_invariants(x: TangentVector, rank_tol: float = RANK_TOL) -> ConjugationInvariants:
+def conjugation_invariants(x: TangentVector) -> ConjugationInvariants:
     """Block ranks and singular values, invariant under block-unitary conjugation.
 
-    Ranks use the global cut sigma > rank_tol * sigma_max so that a zero block
+    Ranks use the global cut sigma > RANK_TOL * sigma_max so that a zero block
     perturbed by conjugation noise stays rank zero.
     """
     if x.mode is not Mode.FLOAT:
         raise ValueError("conjugation_invariants is Float-mode only")
     svds, sigma_max = _block_svds(x)
-    threshold = rank_tol * sigma_max
+    threshold = RANK_TOL * sigma_max
     ranks = {}
     values = {}
     for pair in x.partition.positive_pairs():

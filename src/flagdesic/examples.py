@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .documents import parse_vector_document
+from .documents import serialize_vector
 from .flag import FlagPartition, TangentVector
 from .linalg import CMatrix, Mode
 
@@ -20,20 +20,20 @@ if TYPE_CHECKING:
 RANDOM_LAMBDA_RANGE = (1e-2, 1e2)
 
 
-#: The built-in examples: name -> (parts, {upper block key: rows of real integer entries}).
+#: The built-in examples: name -> (parts, {upper block (i, j): rows of real integer entries}).
 _FIXTURES = {
-    "f3-u12": ((1, 1, 1), {"1,2": [[1]]}),
+    "f3-u12": ((1, 1, 1), {(1, 2): [[1]]}),
     # two orthogonal column blocks, not block-diagonal, already essentially
     # diagonal with values a=1, b=2
-    "fn-211": ((3, 1, 1), {"1,2": [[1], [0], [0]], "1,3": [[0], [2], [0]]}),
+    "fn-211": ((3, 1, 1), {(1, 2): [[1], [0], [0]], (1, 3): [[0], [2], [0]]}),
     # sigma = (1,2,3,4): sigma1, sigma2 on the (1,2) block diagonal, sigma3 at
     # the bottom-left of (1,3), sigma4 at the bottom-right of (2,3)
     "f9-333": ((3, 3, 3), {
-        "1,2": [[1, 0, 0], [0, 2, 0], [0, 0, 0]],
-        "1,3": [[0, 0, 0], [0, 0, 0], [3, 0, 0]],
-        "2,3": [[0, 0, 0], [0, 0, 0], [0, 0, 4]],
+        (1, 2): [[1, 0, 0], [0, 2, 0], [0, 0, 0]],
+        (1, 3): [[0, 0, 0], [0, 0, 0], [3, 0, 0]],
+        (2, 3): [[0, 0, 0], [0, 0, 0], [0, 0, 4]],
     }),
-    "f4-x2y3": ((1, 1, 1, 1), {"1,2": [[2]], "3,4": [[3]]}),
+    "f4-x2y3": ((1, 1, 1, 1), {(1, 2): [[2]], (3, 4): [[3]]}),
 }
 
 
@@ -41,24 +41,19 @@ def fixture_names() -> list:
     return sorted(_FIXTURES)
 
 
-def fixture_document(name: str, mode: str = "float") -> dict:
-    """One of the built-in example documents, in float or exact form."""
+def fixture_vector(name: str, mode: str = "float") -> TangentVector:
+    """One of the built-in examples, in float or exact mode."""
     if name not in _FIXTURES:
         raise KeyError(name)
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     parts, blocks = _FIXTURES[name]
-    entry = str if mode == "exact" else (lambda v: [float(v), 0.0])
-    return {
-        "n": sum(parts),
-        "parts": list(parts),
-        "mode": mode,
-        "blocks": {key: [[entry(v) for v in row] for row in rows] for key, rows in blocks.items()},
-    }
+    return TangentVector.from_blocks(FlagPartition(parts), blocks, Mode(mode))
 
 
-def fixture_vector(name: str, mode: str = "float") -> TangentVector:
-    return parse_vector_document(fixture_document(name, mode))
+def fixture_document(name: str, mode: str = "float") -> dict:
+    """The document of one of the built-in examples, in float or exact form."""
+    return serialize_vector(fixture_vector(name, mode))
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -176,10 +177,8 @@ class CMatrix(Immutable):
             return float(np.linalg.norm(self.data * s)) / s
         return math.sqrt(sum(v.abs2() for v in self.data.flat))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if self.mode is Mode.FLOAT:
-            return bool(np.max(np.abs(self.data), initial=0.0) <= tol)
-        return all(not v for v in self.data.flat)
+    def is_zero(self) -> bool:
+        return not any(self.data.flat)
 
     def entry(self, r: int, c: int) -> Scalar:
         v = self.data[r, c]
@@ -269,18 +268,6 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
         )
     idx = partition.block_index
     return CMatrix(np.where(idx[:, None] != idx[None, :], a.data, 0), a.mode)
-
-
-def killing_inner(a: CMatrix, b: CMatrix) -> Scalar:
-    """Trace pairing tr(ab).
-
-    The ambient Lie-algebra pairing is a positive multiple of this; the factor
-    is dropped because every criterion in the library is a zero or sign test.
-    """
-    if not a.is_square:
-        raise ValueError("killing_inner requires square matrices")
-    a._check_binary(b, "killing_inner")
-    return (a @ b).trace()
 
 
 def _hermitian_from_skew(a: CMatrix) -> np.ndarray:
@@ -376,13 +363,14 @@ def exact_skew_squares(a: CMatrix):
 
     For H = -i a, D*H has Gaussian-integer entries and D^2 (-a^2) = (D H)^2 a
     monic integer characteristic polynomial, so a rational theta^2 has a
-    denominator dividing D^2. The float spectrum names candidates (nearest
-    fractions with denominators up to min(D^2, Q), Q the largest the float
-    error bound resolves), and exact nullities on the integer embedding accept
-    them with their multiplicities. A rational theta is signed by the nullities
-    of D H -/+ D theta; an irrational one has +theta and -theta equally often,
-    as the characteristic polynomial of H has rational coefficients. Raises
-    ExactSpectrumUnavailable when the accepted multiplicities fall short of n.
+    denominator dividing D^2. The float spectrum names candidates (its exact
+    squares, rounded to the nearest fractions with denominators up to min(D^2, Q),
+    Q the largest the float error estimate resolves), and exact nullities on the
+    integer embedding accept them with their multiplicities. A rational theta is
+    signed by the nullities of D H -/+ D theta; an irrational one has +theta and
+    -theta equally often, as the characteristic polynomial of H has rational
+    coefficients. Raises ExactSpectrumUnavailable when the accepted
+    multiplicities fall short of n.
     """
     from fractions import Fraction
 
@@ -396,15 +384,17 @@ def exact_skew_squares(a: CMatrix):
     h[0::2], h[1::2] = e[1::2], -e[0::2]
     eye = np.diag(np.ones(2 * n, dtype=object))
     approx = np.linalg.eigvalsh(_hermitian_from_skew(a.to_float()))
-    # estimate (not a proven bound) of the float error of each theta^2: 2 n eps ||H||_2^2
-    delta = 2 * n * np.finfo(float).eps * float(np.max(np.abs(approx), initial=0.0)) ** 2
+    # estimate (not a proven bound) of each theta^2's float error, 2 n eps ||H||_2^2; inf past range
+    top = float(np.max(np.abs(approx), initial=0.0))
+    delta = 2 * n * sys.float_info.epsilon * (top * top)
     resolved = math.inf if delta == 0 else max(1, math.floor((2 * delta) ** -0.5))
     d2 = d * d
     spectrum, h_sq = [], None
-    for c in {Fraction(float(t) ** 2).limit_denominator(min(d2, resolved)) for t in approx}:
+    for c in {(Fraction(float(t)) ** 2).limit_denominator(min(d2, resolved)) for t in approx}:
         if (c * d2).denominator != 1:
             continue  # D^2 c is not an integer, so c is no eigenvalue
-        mag = math.sqrt(float(c))
+        big = c > sys.float_info.max  # theta^2 beyond the float range: an integer square root
+        mag = math.isqrt(c.numerator * c.denominator) / c.denominator if big else math.sqrt(c)
         num, den = math.isqrt(c.numerator), math.isqrt(c.denominator)
         if num * num == c.numerator and den * den == c.denominator:
             plus = _nullity(den * h - num * d * eye) // 2
@@ -415,12 +405,9 @@ def exact_skew_squares(a: CMatrix):
         spectrum += [(mag, c)] * plus + [(-mag, c)] * minus
     if len(spectrum) != n:
         raise ExactSpectrumUnavailable(
-            f"-a^2 has an irrational eigenvalue within the float error estimate: a rational one "
-            f"would have a denominator dividing D^2 = {d2}, and the estimate resolves "
-            f"denominators up to {resolved}"
-            if d2 <= resolved
-            else f"exact spectrum undecided: float precision resolves eigenvalue denominators "
-            f"up to {resolved}, but those of -a^2 may reach D^2 = {d2}"
+            f"exact spectrum undecided: the float spectrum names a rational theta^2 for "
+            f"{len(spectrum)} of {n} eigenvalues; a rational theta^2 has a denominator dividing "
+            f"D^2 = {d2}; denominators resolved up to {resolved}"
         )
     spectrum.sort(key=lambda tc: tc[0], reverse=True)
     return [t for t, _ in spectrum], [c for _, c in spectrum]

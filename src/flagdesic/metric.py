@@ -45,9 +45,9 @@ class InvariantMetric(Immutable):
                 raise ValueError(f"metric multiplier {pair} must be positive, got {v}")
 
     @classmethod
-    def from_pairs(cls, partition: FlagPartition, values, default: float = 1.0):
-        """Build from a partial {(i,j): lambda} mapping; missing pairs get ``default``."""
-        lam = {pair: default for pair in partition.positive_pairs()}
+    def from_pairs(cls, partition: FlagPartition, values):
+        """Build from a partial {(i,j): lambda} mapping; missing pairs get 1."""
+        lam = {pair: 1.0 for pair in partition.positive_pairs()}
         for (i, j), v in dict(values).items():
             key = (i, j) if i < j else (j, i)
             if key not in lam:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from flagdesic import cli
 from flagdesic.cli import main
+from flagdesic.documents import parse_vector_document
 from flagdesic.examples import fixture_document, fixture_names
 
 
@@ -302,8 +303,97 @@ def test_closedness_exact_unavailable_advises_float(tmp_path, capsys):
     path = write_json(tmp_path / "irr.json", doc)
     assert main(["closedness", path, "--mode", "exact"]) == 2
     err = capsys.readouterr().err
-    assert "irrational eigenvalue" in err
+    assert "exact spectrum undecided" in err
     assert err.count("--mode float") == 1 and "Float mode" not in err
+
+
+def _exact_pair(entry):
+    return {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[entry]]}}
+
+
+EXACT_CHAIN = {"parts": [1, 1, 1, 1], "mode": "exact",
+               "blocks": {"1,2": [["1"]], "2,3": [["1"]], "3,4": [["1"]]}}
+
+
+@pytest.mark.parametrize("doc, code, expected", [
+    # theta^2 = 9e22 lies past 2^53, where the float square misses the integer
+    (_exact_pair("300000000000"), 0,
+     ("spectrum (i * theta): 300000000000  -300000000000\nstatus: commensurate\n"
+      "base frequency: 300000000000\nperiod: 2.09439510239e-11\nmultipliers: 1 -1\n", "")),
+    # theta^2 = 2^1200 lies past the float range; theta = 2^600 is a float
+    (_exact_pair(str(2**600)), 0,
+     ("spectrum (i * theta): 4.14951556888e+180  -4.14951556888e+180\nstatus: commensurate\n"
+      "base frequency: 4.14951556888e+180\nperiod: 1.51419730879e-180\nmultipliers: 1 -1\n", "")),
+    # theta^2 = 10^320 lies past the float range, and the float theta is not 10^160
+    (_exact_pair("1" + "0" * 160), 2, ("", "error: exact spectrum undecided: the float spectrum "
+                                          "names a rational theta^2 for 0 of 2 eigenvalues")),
+    # theta^2 = (3 +- sqrt 5) / 2
+    (EXACT_CHAIN, 2, ("", "error: exact spectrum undecided: the float spectrum names a "
+                          "rational theta^2 for 0 of 4 eigenvalues")),
+], ids=["3e11", "2^600", "1e160", "chain"])
+def test_exact_closedness_beyond_float_squares(tmp_path, capsys, doc, code, expected):
+    assert main(["closedness", write_json(tmp_path / "v.json", doc), "--mode", "exact"]) == code
+    out, err = capsys.readouterr()
+    assert out == expected[0] and err.startswith(expected[1])
+    assert err.endswith("; rerun with --mode float\n") if code else err == ""
+
+
+def test_infinite_period_is_undetermined_without_a_warning(tmp_path):
+    vec = write_json(tmp_path / "v.json", {"parts": [1, 1], "blocks": {"1,2": [[[1e-320, 0]]]}})
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "flagdesic.cli", "closedness", vec], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert done.stdout == ("spectrum (i * theta): 9.99988867183e-321  -9.99988867183e-321\n"
+                           "status: undetermined\ndenominator bound: 1000000\n"
+                           "reason: exp-confirmation, exp(T A) defect nan\n")
+
+
+ONE_BLOCK = {"parts": [1, 1], "blocks": {"1,2": [[[1.0, 0.0]]]}}
+
+
+@pytest.mark.parametrize("argv, docs, message", [
+    (["closedness", "{0}"], [{"parts": [1, 1]}], "the zero vector has no period (constant curve)"),
+    (["curve", "{0}", "--t-max", "1", "--samples", "0"], [ONE_BLOCK], "--samples must be at least 1"),
+    (["examples"], [], "give a fixture name or --list"),
+    (["closedness", "{0}", "--bound", "0"], [ONE_BLOCK], "denominator bound must be a positive integer"),
+    (["check", "{0}"], [{"parts": [1, 1], "blocks": {"1,2": [[[10**400, 0]]]}}],
+     f"block '1,2': value {10**400} is beyond the float range"),
+    (["check", "{0}"], [{"parts": [1, 1], "blocks": {"1,2": [[[1, 0]]], "1, 2": [[[1, 0]]]}}],
+     "block (1,2) supplied twice"),
+    (["check", "{0}"], [{"parts": [1, 1], "blocks": {"2,1": [[[1, 0]]], "2, 1": [[[1, 0]]]}}],
+     "block (2,1) supplied twice"),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, [1]], "metric document must be a JSON object"),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {}], 'metric document is missing "parts"'),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lambda": [2]}],
+     '"lambda" must be an object keyed by "i,j"'),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lambda": {"1,2": 2, "2,1": 3}}],
+     "lambda for pair (1, 2) supplied twice with different values"),
+    (["check", "{0}"], [{"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [["1+2i"]], "2,1": [["1"]]}}],
+     "blocks (1, 2) and (2, 1) disagree by 2.828e+00; supply one half or make them consistent"),
+], ids=["zero-vector", "samples-0", "examples-no-name", "bound-0", "int-beyond-float",
+        "upper-twice", "lower-twice", "metric-not-object", "metric-no-parts", "lambda-not-object",
+        "lambda-disagrees", "exact-halves-disagree"])
+def test_usage_and_document_errors_exit_2_with_their_message(tmp_path, capsys, argv, docs, message):
+    paths = [write_json(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    assert main([a.format(*paths) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_exact_lower_half_gives_the_upper_half_vector(tmp_path, capsys):
+    upper = {"1,2": [["1+2i"], ["1/2"]]}
+    lower = {"2,1": [["-1+2i", "-1/2"]]}  # a_21 = -a_12^*
+    outputs = []
+    for blocks in (upper, lower, {**upper, **lower}):
+        doc = {"parts": [2, 1], "mode": "exact", "blocks": blocks}
+        x = parse_vector_document(doc)
+        assert np.array_equal(x.matrix.data, parse_vector_document({**doc, "blocks": upper}).matrix.data)
+        path = write_json(tmp_path / "v.json", doc)
+        codes = [main(["check", path, "--mode", "exact"]), main(["closedness", path, "--mode", "exact"])]
+        outputs.append((codes, capsys.readouterr()))
+    assert outputs[0][0] == [0, 0] and outputs[0][1].err == ""
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_curve_csv_shape_and_periodicity(tmp_path, f4):

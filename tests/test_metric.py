@@ -24,7 +24,7 @@ def test_normal_metric_acts_as_identity():
     p = FlagPartition((2, 1, 1))
     x = random_tangent(p, rng)
     y = hadamard_action(InvariantMetric.normal(p), x)
-    assert y.matrix.allclose(x.matrix, tol=0.0) or (y.matrix - x.matrix).is_zero(0.0)
+    assert y.matrix.allclose(x.matrix, tol=0.0) or (y.matrix - x.matrix).is_zero()
 
 
 def test_single_block_eigenvector_property():
