@@ -2,8 +2,8 @@
 
 Exit codes: 0 affirmative, 1 negative, 2 usage or parse error (or an input too
 large for memory), 3 undetermined. ``canonicalize`` exits 3 when the canonical
-form cannot be certified (its residual exceeds the bound, as near the rank cut),
-after printing why.
+form cannot be certified (its residual exceeds the bound, as near the rank cut,
+or is not finite), after printing why.
 
 A command runs in a process of its own, through :func:`run`. ``main`` is for
 in-process callers and leaves the garbage collector as it finds it.
@@ -200,7 +200,9 @@ def _cmd_curve(args) -> int:
         header.extend([f"re_{r + 1}_{c + 1}", f"im_{r + 1}_{c + 1}"])
     header.append("dist_k")
 
-    _, flow = killing_flow(x.matrix)
+    w, flow = killing_flow(x.matrix)
+    if not math.isfinite(ts[-1] * float(np.max(np.abs(w)))):
+        raise _CliError("the phase t * theta at --t-max lies outside the float range")
     rows = []
     for t in ts:
         off = flow(t)[mask]

@@ -239,7 +239,7 @@ def is_killing_closed(
 # ---------------------------------------------------------------------------
 
 
-def geodesic_return_distance(x: TangentVector, t, sd: Optional[SpectralData] = None):
+def geodesic_return_distance(x: TangentVector, t):
     """||off-diagonal blocks of exp(tA)||_F = sqrt(sum_k sin^2(theta_k t)) at each t of
     the array ``t``, for an equigeodesic ``x`` (others raise NotEquigeodesic): the
     block-diagonal U of the canonical form keeps off-block norms, and J rotates by
@@ -250,6 +250,5 @@ def geodesic_return_distance(x: TangentVector, t, sd: Optional[SpectralData] = N
     from .equigeo import _require_equigeodesic  # here, so closedness never loads equigeo
 
     _require_equigeodesic(x)
-    sd = spectral_data(x) if sd is None else sd
-    phases = np.multiply.outer(np.asarray(t, dtype=float), sd.thetas)
+    phases = np.multiply.outer(np.asarray(t, dtype=float), spectral_data(x).thetas)
     return np.sqrt(np.sum(np.sin(phases) ** 2, axis=-1))

@@ -163,8 +163,8 @@ def parse_vector_document(doc: dict) -> TangentVector:
 
 def serialize_vector(x: TangentVector) -> dict:
     """Upper-triangle document for a tangent vector; zero blocks are omitted."""
-    p, a = x.partition, x.matrix.data
-    nonzero = block_sums(p, a != 0)  # counts, not norms: tiny squares underflow to 0
+    p, a = x.partition, x.matrix.entries()
+    nonzero = block_sums(p, x.matrix.nonzero())  # counts, not norms: tiny squares underflow to 0
     blocks = {}
     for i, j in p.positive_pairs():
         if not nonzero[i - 1, j - 1]:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, block_norms_sq, block_sums
-from .linalg import CMatrix, Mode, _unit_scale, commutator, integer_embedding, project_m
+from .linalg import CMatrix, Mode, _unit_scale, commutator, project_m
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -122,16 +122,15 @@ def _block_arrays(x: TangentVector):
     """(partition, array, squared block norms) the block kernels run on.
 
     Float: the matrix times ``_unit_scale``, so no square or product over- or
-    underflows, and every normalized residual is that of the matrix. Exact: the integer
-    embedding of D*A over the doubled partition, so block (i, j) stays block (i, j),
-    zero tests are int tests, and D cancels from every normalized residual.
+    underflows, and every normalized residual is that of the matrix. Exact: ``data``, the
+    integer embedding of D*A, over the doubled partition, so block (i, j) stays block
+    (i, j), zero tests are int tests, and D cancels from every normalized residual.
     """
     if x.mode is Mode.FLOAT:
         a = x.matrix.data * _unit_scale(x.matrix.data)
         return x.partition, a, block_norms_sq(x.partition, a)
-    _, e = integer_embedding(x.matrix)
     p = FlagPartition(tuple(2 * k for k in x.partition.parts))
-    return p, e, _norms_sq(p, e)
+    return p, x.matrix.data, _norms_sq(p, x.matrix.data)
 
 
 def _norms_sq(p: FlagPartition, a: np.ndarray) -> np.ndarray:
@@ -283,7 +282,7 @@ def is_essentially_diagonal(m: CMatrix) -> bool:
     modulus; Exact entries are tested exactly.
     """
     if m.mode is Mode.EXACT:
-        nonzero = np.array([[bool(v) for v in row] for row in m.data])
+        nonzero = m.nonzero()
     else:
         mags = np.abs(m.data)
         nonzero = mags > ESSENTIAL_ENTRY_TOL * float(mags.max(initial=0.0))
@@ -318,7 +317,7 @@ def _block_svds(x: TangentVector):
     """
     p = x.partition
     a = x.matrix.data
-    nonzero = block_sums(p, a != 0)  # counts, not norms: tiny squares underflow to 0
+    nonzero = block_sums(p, x.matrix.nonzero())  # counts, not norms: tiny squares underflow to 0
     svds = {}
     for i, j in p.positive_pairs():
         if nonzero[i - 1, j - 1]:
@@ -412,8 +411,10 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
         j_clean[row, col] = a_k
         j_clean[col, row] = -a_k
 
-    residual = float(np.linalg.norm(j_raw - j_clean))
+    residual = CMatrix(j_raw - j_clean, Mode.FLOAT).fro()  # no square overflows
     bound = CANON_RESIDUAL_TOL * max(x.fro(), 1e-300) + dropped
+    if not math.isfinite(residual):
+        raise RuntimeError(f"canonical form residual {residual} is not finite")
     if residual > bound:
         raise RuntimeError(
             f"canonical form residual {residual:.3e} exceeds {bound:.3e}; "

@@ -117,7 +117,7 @@ def random_essentially_diagonal(
     """
     rng = _as_rng(seed)
     pairs = _sample_cross_pairs(partition, rng, keep_prob=0.8)
-    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
+    arr = np.zeros((partition.total, partition.total), dtype=object)
     for r, c in pairs:
         if values is not None:
             z = values[rng.integers(len(values))]

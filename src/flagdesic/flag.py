@@ -123,12 +123,13 @@ class TangentVector(Immutable):
             )
         require_skew_hermitian(self.matrix)
         p = self.partition
-        diag = self.matrix.data[~off_block_mask(p)]  # row-major, so grouped block by block
+        in_diag = ~off_block_mask(p)  # row-major, so grouped block by block
         blocks = np.repeat(np.arange(1, p.s + 1), np.square(p.parts))
         if self.mode is Mode.EXACT:
-            for i in blocks[[bool(v) for v in diag]][:1]:  # the first nonzero block, if any
+            for i in blocks[self.matrix.nonzero()[in_diag]][:1]:  # the first nonzero block, if any
                 raise ValueError(f"diagonal block {i} is not zero (not in m)")
             return
+        diag = self.matrix.data[in_diag]
         tol = SKEW_TOL_FACTOR * self.matrix.fro()
         s = _unit_scale(self.matrix.data)  # so no square over- or underflows
         norms = np.sqrt(np.bincount(blocks, np.abs(diag * s) ** 2)) / s
@@ -174,7 +175,8 @@ class TangentVector(Immutable):
 
         The lower half is completed as a_ji = -a_ij^*; missing blocks are zero.
         """
-        arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
+        dtype = np.complex128 if mode is Mode.FLOAT else object
+        arr = np.zeros((partition.total, partition.total), dtype=dtype)
         for (i, j), blk in blocks.items():
             if not (1 <= i <= partition.s and 1 <= j <= partition.s):
                 raise ValueError(f"block key ({i},{j}) out of range 1..{partition.s}")
@@ -182,7 +184,7 @@ class TangentVector(Immutable):
                 raise ValueError(f"from_blocks accepts upper block keys only, got ({i},{j})")
             r0, r1 = partition.block_range(i)
             c0, c1 = partition.block_range(j)
-            sub = CMatrix(blk.data if isinstance(blk, CMatrix) else blk, mode).data
+            sub = (blk if isinstance(blk, CMatrix) else CMatrix(blk, mode)).entries()
             if sub.shape != (r1 - r0, c1 - c0):
                 raise ValueError(
                     f"block ({i},{j}) has shape {sub.shape}, expected {(r1 - r0, c1 - c0)}"

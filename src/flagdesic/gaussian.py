@@ -1,16 +1,15 @@
-"""Gaussian rationals, the scalar of Exact-mode matrices.
+"""Gaussian rationals, the entries of Exact-mode matrices.
 
-The only module that imports ``fractions`` at module level. The rest of the
-library imports this one where an exact value is built, so float commands
-never load ``fractions`` or the ``decimal`` module it imports.
+An Exact ``CMatrix`` computes on the integer embedding of its entries (see
+``linalg``) and stores no GaussianRational: these are its entries going in and
+coming out, so they have no arithmetic beyond negation and conjugation. The only
+module that imports ``fractions`` at module level, so float commands never load
+``fractions`` or the ``decimal`` module it imports.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-import numpy as np
 
 from .linalg import Immutable
 
@@ -18,9 +17,7 @@ from .linalg import Immutable
 class GaussianRational(Immutable):
     """Exact complex scalar p/q + (r/s)i with arbitrary-precision rational parts.
 
-    Instances are immutable and hashable. Arithmetic accepts ``int`` and
-    ``Fraction`` operands so that numpy object-dtype reductions (which may seed
-    sums with integer zero) work transparently.
+    Instances are immutable and hashable, and equal only to GaussianRationals.
     """
 
     __slots__ = ("re", "im")
@@ -31,10 +28,14 @@ class GaussianRational(Immutable):
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse strings like ``"3"``, ``"-1/2"``, ``"i"``, ``"2i"``, ``"1/2-3/4i"``."""
+        """Parse strings like ``"3"``, ``"-1/2"``, ``"0.25"``, ``"i"``, ``"2i"``, ``"1/2-3/4i"``:
+        each part an integer, p/q or a decimal, without an exponent."""
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty Gaussian rational literal")
+        if "e" in s.lower():  # "1e10000000" alone would build a ten-million-digit integer
+            raise ValueError(f"cannot parse Gaussian rational {text!r}: each part must be an "
+                             "integer, p/q or a decimal, without an exponent")
         # split into at most two signed tokens
         split = None
         for k in range(1, len(s)):
@@ -65,82 +66,25 @@ class GaussianRational(Immutable):
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse Gaussian rational {text!r}: {exc}") from None
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def __abs__(self):
-        return math.sqrt(float(self.abs2()))
 
     def __str__(self):
         if self.im == 0:
@@ -155,15 +99,13 @@ class GaussianRational(Immutable):
         return f"GaussianRational('{self}')"
 
 
-def _as_exact(value) -> GaussianRational:
+def _parts(value) -> tuple:
+    """(re, im) of an Exact entry, each an int or Fraction."""
     if isinstance(value, GaussianRational):
-        return value
+        return value.re, value.im
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(value, 0)
+        return value, 0
     raise ValueError(
         f"Exact matrices hold int, Fraction or GaussianRational entries only; "
         f"got {type(value).__name__} {value!r} (mode mixing is rejected)"
     )
-
-
-_to_exact = np.vectorize(_as_exact, otypes=[object])

@@ -3,19 +3,17 @@
 Two computation modes run through the whole library:
 
 * ``Mode.FLOAT``  -- numpy complex128 matrices, tolerance-based predicates.
-* ``Mode.EXACT``  -- object arrays of ``gaussian.GaussianRational`` (pairs of
-  ``fractions.Fraction``), exact ring arithmetic and exact zero tests. The
-  block and spectral kernels run on ``integer_embedding``: the matrix times the
-  lcm of its entry denominators, as a real array of Python ints, so no Fraction
-  is normalised inside their loops.
+* ``Mode.EXACT``  -- the least common denominator ``den`` of the entries and the
+  real embedding of den * A as Python ints, each entry x + iy a 2 x 2 block
+  [[x, -y], [y, x]], in lowest terms: exact arithmetic and zero tests on ints.
 
-The ``CMatrix`` constructor coerces entries once: to complex128 in Float mode,
-and through ``gaussian._as_exact`` in Exact mode, which accepts ``int``,
-``Fraction`` and ``GaussianRational`` and rejects floats. Every matrix
-operation is then one numpy expression that serves both modes, since numpy's
-object loops call the GaussianRational operators. Only zero tests differ:
-exact ones test each entry with ``bool``, never through a float. A matrix
-never mixes modes; mixed-mode binary operations raise ``ValueError``.
+The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
+``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats.
+Sums, products, negation, the conjugate transpose (the transpose of an embedding),
+zero tests and ``project_m`` are one numpy expression for both modes; only shapes,
+blocks, entries, the trace, the norm, ``scale`` and ``to_float`` read the 2 x 2
+layout, and the exact block and spectral kernels run on the embedding itself. A
+matrix never mixes modes; mixed-mode binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -69,10 +67,11 @@ Scalar = Union[complex, "GaussianRational"]
 
 
 class CMatrix(Immutable):
-    """Dense complex matrix in one of the two scalar modes.
+    """Dense complex matrix in one of the two scalar modes, built from its entries.
 
-    ``data`` is complex128 for Float and an object array of GaussianRational
-    for Exact; it is frozen after construction. Equality is identity.
+    Float: ``data`` is the complex128 array of the entries and ``den`` is 1. Exact:
+    ``data`` is the embedding of den * A, an object array of ints with gcd(den, *data)
+    = 1. Both are frozen after construction. Equality is identity.
     """
 
     def __init__(self, data: np.ndarray, mode: Mode):
@@ -81,13 +80,44 @@ class CMatrix(Immutable):
         arr = np.array(data, dtype=np.complex128 if mode is Mode.FLOAT else object)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
+        den = 1
         if mode is Mode.EXACT:
-            from .gaussian import _to_exact
+            from .gaussian import _parts
 
-            arr = _to_exact(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+            parts = [_parts(v) for v in arr.flat]
+            den = math.lcm(*(f.denominator for pair in parts for f in pair))
+            ints = [[f.numerator * (den // f.denominator) for f in pair] for pair in parts]
+            re, im = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
+            arr = np.empty((2 * arr.shape[0], 2 * arr.shape[1]), dtype=object)
+            arr[0::2, 0::2] = arr[1::2, 1::2] = re
+            arr[1::2, 0::2], arr[0::2, 1::2] = im, -im
+        self._store(arr, den, mode)
+
+    def _store(self, data: np.ndarray, den: int, mode: Mode) -> None:
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "mode", mode)
+
+    def _like(self, data: np.ndarray, den: int = 1) -> "CMatrix":
+        """The matrix of this mode with ``data`` over ``den``, Exact ones in lowest terms."""
+        if self.mode is Mode.FLOAT:
+            return CMatrix(data, Mode.FLOAT)
+        g = math.gcd(den, *data.flat)
+        out = object.__new__(CMatrix)
+        out._store(data // g if g > 1 else data, den // g, Mode.EXACT)
+        return out
+
+    def _gaussian(self, re, im):
+        """The GaussianRational (re + i im) / den of ints re and im, elementwise on arrays."""
+        from fractions import Fraction
+
+        from .gaussian import GaussianRational
+
+        def entry(x, y):
+            return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
+
+        return np.frompyfunc(entry, 2, 1)(re, im)
 
     # -- constructors ------------------------------------------------------
 
@@ -113,15 +143,16 @@ class CMatrix(Immutable):
 
     @property
     def n_rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple:
-        return self.data.shape
+        r, c = self.data.shape
+        return (r, c) if self.mode is Mode.FLOAT else (r // 2, c // 2)
 
     @property
     def is_square(self) -> bool:
@@ -142,32 +173,39 @@ class CMatrix(Immutable):
 
     def __add__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "add")
-        return CMatrix(self.data + other.data, self.mode)
+        den = math.lcm(self.den, other.den)  # a Float data array is never multiplied
+        a, b = (m.data if m.den == den else m.data * (den // m.den) for m in (self, other))
+        return self._like(a + b, den)
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "subtract")
-        return CMatrix(self.data - other.data, self.mode)
+        return self + -other
 
     def __neg__(self) -> "CMatrix":
-        return CMatrix(-self.data, self.mode)
+        return self._like(-self.data, self.den)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "matmul", matmul=True)
-        return CMatrix(np.dot(self.data, other.data), self.mode)
+        return self._like(np.dot(self.data, other.data), self.den * other.den)
 
     def scale(self, s: Scalar) -> "CMatrix":
-        s = CMatrix([[s]], self.mode).data[0, 0]  # coerced like an entry of this mode
-        return CMatrix(self.data * s, self.mode)
+        s = CMatrix([[s]], self.mode)  # coerced like an entry of this mode
+        if self.mode is Mode.FLOAT:
+            return CMatrix(self.data * s.data[0, 0], Mode.FLOAT)
+        blocks = np.kron(np.identity(self.n_cols, dtype=object), s.data)  # s on each 2 x 2 block
+        return self._like(np.dot(self.data, blocks), self.den * s.den)
 
     @property
     def H(self) -> "CMatrix":
-        """Conjugate transpose."""
-        return CMatrix(self.data.conj().T, self.mode)
+        """Conjugate transpose; transposing an embedding conjugates its entries."""
+        return self._like(self.data.conj().T, self.den)
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return np.trace(self.data)
+        if self.mode is Mode.FLOAT:
+            return np.trace(self.data)
+        return self._gaussian(np.trace(self.data[0::2, 0::2]), np.trace(self.data[1::2, 0::2]))
 
     def fro(self) -> float:
         """Frobenius norm, a float in both modes: the exact sum of squares is rounded once,
@@ -175,17 +213,41 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             s = _unit_scale(self.data)
             return float(np.linalg.norm(self.data * s)) / s
-        return math.sqrt(sum(v.abs2() for v in self.data.flat))
+        return math.sqrt((self.data * self.data).sum() // 2 / self.den**2)  # each entry twice
 
     def is_zero(self) -> bool:
         return not any(self.data.flat)
 
+    def nonzero(self) -> np.ndarray:
+        """Boolean array of the entries that are not exactly zero."""
+        if self.mode is Mode.FLOAT:
+            return self.data != 0
+        return (self.data[0::2, 0::2] != 0) | (self.data[1::2, 0::2] != 0)
+
+    def entries(self) -> np.ndarray:
+        """The entries: the complex128 ``data`` in Float mode, an object array of
+        GaussianRational in Exact mode."""
+        if self.mode is Mode.FLOAT:
+            return self.data
+        return self._gaussian(self.data[0::2, 0::2], self.data[1::2, 0::2])
+
     def entry(self, r: int, c: int) -> Scalar:
-        v = self.data[r, c]
-        return complex(v) if self.mode is Mode.FLOAT else v
+        if self.mode is Mode.FLOAT:
+            return complex(self.data[r, c])
+        return self._gaussian(self.data[2 * r, 2 * c], self.data[2 * r + 1, 2 * c])
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "CMatrix":
-        return CMatrix(self.data[r0:r1, c0:c1].copy(), self.mode)
+        k = 1 if self.mode is Mode.FLOAT else 2
+        return self._like(self.data[k * r0:k * r1, k * c0:k * c1].copy(), self.den)
+
+    def hadamard(self, grid: np.ndarray) -> "CMatrix":
+        """Entrywise product with a real array of this shape: floats in Float mode,
+        ints or Fractions in Exact mode."""
+        if self.mode is Mode.FLOAT:
+            return CMatrix(self.data * grid, Mode.FLOAT)
+        g = CMatrix(grid, Mode.EXACT)  # real: den * grid is the diagonal of each 2 x 2 block
+        ints = np.repeat(np.repeat(g.data[0::2, 0::2], 2, axis=0), 2, axis=1)
+        return self._like(self.data * ints, self.den * g.den)
 
     def to_float(self) -> "CMatrix":
         """The Float matrix of the same entries; an Exact entry that overflows, or is
@@ -193,10 +255,11 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             return self
         out = np.zeros(self.shape, dtype=np.complex128)
-        for k, v in enumerate(self.data.flat):
-            with contextlib.suppress(OverflowError):
-                out.flat[k] = complex(v)
-            if v and not out.flat[k]:
+        re, im = self.data[0::2, 0::2], self.data[1::2, 0::2]
+        for k, (x, y) in enumerate(zip(re.flat, im.flat)):
+            with contextlib.suppress(OverflowError):  # int / int rounds correctly at any size
+                out.flat[k] = complex(x / self.den, y / self.den)
+            if (x or y) and not out.flat[k]:
                 r, c = divmod(k, self.n_cols)
                 raise ValueError(f"entry ({r + 1}, {c + 1}) is outside the float range: "
                                  "nonzero magnitudes run from 4.9e-324 to 1.8e+308")
@@ -215,10 +278,12 @@ class CMatrix(Immutable):
 
 
 def _unit_scale(arr: np.ndarray) -> float:
-    """2**-e with e = math.frexp(largest modulus of ``arr``)[1], capped at 2**1023: times
-    it, the largest modulus lies in [1/2, 1), so squares neither overflow nor underflow
-    where they matter, and the scaling is exact, so ratios of norms stay bit for bit."""
-    e = math.frexp(float(np.max(np.abs(arr), initial=0.0)))[1]
+    """2**-e with e = math.frexp(largest |re| or |im| in ``arr``)[1], capped at 2**1023: times
+    it, every part lies in (-1, 1) and every modulus below sqrt(2), so neither a modulus nor
+    a square over- or underflows where it matters, and the scaling is exact, so ratios of
+    norms stay bit for bit."""
+    top = max(np.max(np.abs(arr.real), initial=0.0), np.max(np.abs(arr.imag), initial=0.0))
+    e = math.frexp(float(top))[1]
     return math.ldexp(1.0, min(-e, 1023))
 
 
@@ -233,8 +298,8 @@ def require_skew_hermitian(a: CMatrix):
     if not a.is_square:
         raise ValueError("skew-Hermitian test requires a square matrix")
     if a.mode is Mode.EXACT:
-        e = integer_embedding(a)[1]
-        ok, tol = not (e + e.T).any(), "exact test"  # E antisymmetric <=> a skew-Hermitian
+        # the embedding is antisymmetric <=> a is skew-Hermitian
+        ok, tol = not (a.data + a.data.T).any(), "exact test"
     else:
         bound = SKEW_TOL_FACTOR * a.fro()
         ok, tol = (a + a.H).fro() <= bound, f"tolerance {bound:.3e}"
@@ -266,14 +331,22 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
         raise ValueError(
             f"matrix shape {a.shape} does not match partition of total {partition.total}"
         )
-    idx = partition.block_index
-    return CMatrix(np.where(idx[:, None] != idx[None, :], a.data, 0), a.mode)
+    idx = np.repeat(partition.block_index, a.data.shape[0] // partition.total)
+    return a._like(np.where(idx[:, None] != idx[None, :], a.data, 0), a.den)
 
 
-def _hermitian_from_skew(a: CMatrix) -> np.ndarray:
-    # a skew-Hermitian => -i a is Hermitian with eigenvalues theta (a v = i theta v)
-    h = -1j * a.to_float().data
-    return (h + h.conj().T) / 2.0
+def _skew_eigh(a: CMatrix, vectors: bool):
+    """(w, v) for a skew-Hermitian a: w ascending with eig(a) = {i * w_k}, and v the eigenvectors
+    or None. Solved on the ``_unit_scale`` copy, so no sum overflows; a |w_k| past the float
+    range raises ValueError."""
+    data = a.to_float().data
+    s = _unit_scale(data)
+    h = -1j * (data * s)
+    h = (h + h.conj().T) / 2.0
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    if np.max(np.abs(w), initial=0.0) > sys.float_info.max * s:  # so w / s would overflow
+        raise ValueError("the spectrum lies outside the float range: some |theta| exceeds 1.8e+308")
+    return w / s, v
 
 
 def skew_spectrum(a: CMatrix) -> list:
@@ -286,7 +359,7 @@ def skew_spectrum(a: CMatrix) -> list:
     if a.mode is Mode.EXACT:
         return exact_skew_squares(a)[0]
     require_skew_hermitian(a)
-    w = np.linalg.eigvalsh(_hermitian_from_skew(a))
+    w, _ = _skew_eigh(a, vectors=False)
     return [float(t) for t in w[::-1]]
 
 
@@ -297,7 +370,7 @@ def killing_flow(a: CMatrix):
     if a.mode is not Mode.FLOAT:
         raise ValueError("killing_flow is Float-mode only")
     require_skew_hermitian(a)
-    w, v = np.linalg.eigh(_hermitian_from_skew(a))
+    w, v = _skew_eigh(a, vectors=True)
     return w, lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
 
 
@@ -309,30 +382,6 @@ def unitary_exp(a: CMatrix, t: float) -> CMatrix:
 # ---------------------------------------------------------------------------
 # exact kernels on the integer embedding
 # ---------------------------------------------------------------------------
-
-
-def integer_embedding(a: CMatrix):
-    """(D, E): D is the lcm of the entry denominators of an Exact matrix, and E
-    the real embedding of the Gaussian-integer matrix D*a (each entry z becomes
-    [[Re z, -Im z], [Im z, Re z]]) as Python ints in an object array.
-
-    Embedding preserves sums and products and doubles every rank; block (i, j)
-    of D*a is block (i, j) of E over the partition with every part doubled.
-    """
-    if a.mode is not Mode.EXACT:
-        raise ValueError("integer_embedding requires Exact mode")
-    vals = a.data.ravel()
-    d = math.lcm(*(f.denominator for v in vals for f in (v.re, v.im)))
-
-    def scaled(fracs):
-        ints = [f.numerator * (d // f.denominator) for f in fracs]
-        return np.array(ints, dtype=object).reshape(a.shape)
-
-    re, im = scaled(v.re for v in vals), scaled(v.im for v in vals)
-    e = np.empty((2 * a.n_rows, 2 * a.n_cols), dtype=object)
-    e[0::2, 0::2] = e[1::2, 1::2] = re
-    e[1::2, 0::2], e[0::2, 1::2] = im, -im
-    return d, e
 
 
 def _nullity(m: np.ndarray) -> int:
@@ -377,13 +426,13 @@ def exact_skew_squares(a: CMatrix):
     if a.mode is not Mode.EXACT:
         raise ValueError("exact_skew_squares requires Exact mode")
     n = a.n_rows
-    d, e = integer_embedding(a)
+    d, e = a.den, a.data
     if not a.is_square or (e + e.T).any():  # E antisymmetric <=> a skew-Hermitian
         require_skew_hermitian(a)  # raises, naming the defect
     h = np.empty_like(e)  # embedding of D*H: symmetric, as H is Hermitian
     h[0::2], h[1::2] = e[1::2], -e[0::2]
     eye = np.diag(np.ones(2 * n, dtype=object))
-    approx = np.linalg.eigvalsh(_hermitian_from_skew(a.to_float()))
+    approx, _ = _skew_eigh(a, vectors=False)
     # estimate (not a proven bound) of each theta^2's float error, 2 n eps ||H||_2^2; inf past range
     top = float(np.max(np.abs(approx), initial=0.0))
     delta = 2 * n * sys.float_info.epsilon * (top * top)

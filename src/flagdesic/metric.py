@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .flag import FlagPartition, TangentVector
-from .linalg import CMatrix, Immutable, Mode
+from .linalg import Immutable, Mode
 
 
 class InvariantMetric(Immutable):
@@ -101,8 +101,7 @@ def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:
         from fractions import Fraction
 
         table = np.vectorize(Fraction, otypes=[object])(table)
-    data = x.matrix.data * _block_grid(x.partition, CMatrix(table, x.mode).data)
-    return TangentVector(x.partition, CMatrix(data, x.mode))
+    return TangentVector(x.partition, x.matrix.hadamard(_block_grid(x.partition, table)))
 
 
 def basis_metric(partition: FlagPartition, i: int, j: int) -> InvariantMetric:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .flag import FlagPartition, TangentVector, _ByValue
 from .linalg import CMatrix, Mode
 
@@ -76,7 +78,7 @@ def basis_unit(partition: FlagPartition, root: Root, mode: Mode = Mode.FLOAT) ->
     """Matrix unit with 1 at the root's global (row, col) position."""
     if root.kind != "M":
         raise ValueError("K-roots are isotropy directions, not tangent directions")
-    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
+    arr = np.zeros((partition.total, partition.total), dtype=int)
     arr[root.global_row - 1, root.global_col - 1] = 1
     return CMatrix(arr, mode)
 
@@ -95,7 +97,7 @@ def weyl_vector(
         raise ValueError(f"kind must be 'A' or 'S', got {kind!r}")
     r, c = root.global_row - 1, root.global_col - 1
     unit = GaussianRational(1) if kind == "A" else GaussianRational(0, 1)
-    arr = CMatrix.zeros(partition.total, partition.total, mode).data.copy()
+    arr = np.zeros((partition.total, partition.total), dtype=object)
     arr[r, c] = unit
     arr[c, r] = -unit.conjugate()
     return TangentVector(partition, CMatrix(arr, mode))

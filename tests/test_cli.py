@@ -338,16 +338,70 @@ def test_exact_closedness_beyond_float_squares(tmp_path, capsys, doc, code, expe
     assert err.endswith("; rerun with --mode float\n") if code else err == ""
 
 
-def test_infinite_period_is_undetermined_without_a_warning(tmp_path):
-    vec = write_json(tmp_path / "v.json", {"parts": [1, 1], "blocks": {"1,2": [[[1e-320, 0]]]}})
+def _run_warning_free(args, timeout=60):
+    """The CLI in a process of its own, with every RuntimeWarning an error."""
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
                PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "flagdesic.cli", "closedness", vec], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "flagdesic.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_infinite_period_is_undetermined_without_a_warning(tmp_path):
+    vec = write_json(tmp_path / "v.json", {"parts": [1, 1], "blocks": {"1,2": [[[1e-320, 0]]]}})
+    done = _run_warning_free(["closedness", vec])
     assert (done.returncode, done.stderr) == (3, "")
     assert done.stdout == ("spectrum (i * theta): 9.99988867183e-321  -9.99988867183e-321\n"
                            "status: undetermined\ndenominator bound: 1000000\n"
                            "reason: exp-confirmation, exp(T A) defect nan\n")
+
+
+#: theta = 1e+308: h + h^* overflows unless the spectrum is solved on a scaled copy
+NEAR_MAX = {"parts": [1, 1], "blocks": {"1,2": [[[1e308, 0]]]}}
+#: theta = sqrt(2) * 1.5e+308, past the float range
+PAST_MAX = {"parts": [1, 2], "blocks": {"1,2": [[[1.5e308, 0], [1.5e308, 0]]]}}
+PAST_RANGE = "error: the spectrum lies outside the float range: some |theta| exceeds 1.8e+308\n"
+EQUIGEODESIC = ("equigeodesic (block-condition): true  worst residual 0.000e+00\n"
+                "equigeodesic (bracket-certificate): true  worst residual 0.000e+00\n")
+
+
+@pytest.mark.parametrize("doc, args, code, out, err", [
+    (NEAR_MAX, ["closedness"], 0, "spectrum (i * theta): 1e+308  -1e+308\nstatus: commensurate\n"
+     "base frequency: 1e+308\nperiod: 6.28318530718e-308\nmultipliers: 1 -1\n", ""),
+    (NEAR_MAX, ["curve", "--t-max", "6.283185307179586", "--samples", "8"], 2, "",
+     "error: the phase t * theta at --t-max lies outside the float range\n"),
+    # the modulus of 1.5e+308 + 1.5e+308i overflows; its parts do not
+    ({"parts": [1, 1], "blocks": {"1,2": [[[1.5e308, 1.5e308]]]}}, ["check"], 0, EQUIGEODESIC, ""),
+    (PAST_MAX, ["closedness"], 2, "", PAST_RANGE),
+    (PAST_MAX, ["curve", "--t-max", "1", "--samples", "2"], 2, "", PAST_RANGE),
+    (PAST_MAX, ["canonicalize"], 3, "",
+     "error: canonical form undetermined: canonical form residual inf is not finite\n"),
+    (_exact_pair("1" + "0" * 308), ["closedness", "--mode", "exact"], 2, "",
+     "error: exact spectrum undecided: the float spectrum names a rational theta^2 for 0 of 2 "
+     "eigenvalues; a rational theta^2 has a denominator dividing D^2 = 1; denominators resolved "
+     "up to 1; rerun with --mode float\n"),
+], ids=["closedness", "curve-phase", "check-modulus", "closedness-past",
+        "curve-past", "canonicalize-past", "exact-closedness"])
+def test_spectra_near_the_float_maximum(tmp_path, doc, args, code, out, err):
+    vec = write_json(tmp_path / "v.json", doc)
+    done = _run_warning_free([args[0], vec, *args[1:]])
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_curve_near_the_float_maximum_is_finite(tmp_path):
+    done = _run_warning_free(["curve", write_json(tmp_path / "v.json", NEAR_MAX),
+                              "--t-max", "1", "--samples", "4"])
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = list(csv.reader(io.StringIO(done.stdout)))[1:]
+    assert len(rows) == 5 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "1e-5", "1e5", "2E3i"])
+def test_exact_entries_with_an_exponent_are_refused(tmp_path, entry):
+    vec = write_json(tmp_path / "v.json", _exact_pair(entry))
+    done = _run_warning_free(["check", vec, "--mode", "exact"], timeout=20)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: block '1,2': cannot parse Gaussian rational {entry!r}: each "
+                           "part must be an integer, p/q or a decimal, without an exponent\n")
 
 
 ONE_BLOCK = {"parts": [1, 1], "blocks": {"1,2": [[[1.0, 0.0]]]}}

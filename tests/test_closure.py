@@ -444,7 +444,7 @@ def test_return_distance_sqrt2_never_vanishes():
     sd = spectral_data(x)
     assert is_killing_closed(x, sd=sd).status is Closedness.INCOMMENSURATE
     ts = math.pi * np.arange(1, 33)
-    assert geodesic_return_distance(x, ts, sd).min() > 1e-2
+    assert geodesic_return_distance(x, ts).min() > 1e-2
     assert geodesic_return_distance(x, np.linspace(0.0, 100.0, 5001)[1:]).min() > 1e-3
 
 
