@@ -2,8 +2,8 @@
 
 Exit codes: 0 affirmative, 1 negative, 2 usage or parse error (or an input too
 large for memory), 3 undetermined. ``canonicalize`` exits 3 when the canonical
-form cannot be certified (its residual exceeds the bound, as near the rank cut,
-or is not finite), after printing why.
+form cannot be certified (its residual exceeds the bound, as near the rank cut),
+after printing why.
 
 A command runs in a process of its own, through :func:`run`. ``main`` is for
 in-process callers and leaves the garbage collector as it finds it.
@@ -76,6 +76,8 @@ def _load_json(path: str) -> dict:
         raise _CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise _CliError(f"{path}: JSON nested too deeply to read")
 
 
 def _load_vector(path: str, requested_mode: str):

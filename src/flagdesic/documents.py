@@ -95,7 +95,7 @@ def _parse_block(raw, rows: int, cols: int, mode: Mode, where: str):
     ):
         raise DocumentError(f"{where}: expected a {rows}x{cols} matrix of entries")
     parse = _parse_float_entry if mode is Mode.FLOAT else _parse_exact_entry
-    return CMatrix([[parse(v, where) for v in row] for row in raw], mode)
+    return [[parse(v, where) for v in row] for row in raw]
 
 
 def _partition(doc, kind: str) -> FlagPartition:
@@ -146,13 +146,15 @@ def parse_vector_document(doc: dict) -> TangentVector:
             lower[(j, i)] = block
 
     for pair, low in lower.items():
-        implied = -low.H
+        implied = -CMatrix(low, mode).H
         if pair not in upper:
             upper[pair] = implied
-        elif not upper[pair].allclose(implied, HALF_CONSISTENCY_TOL):
+            continue
+        given = CMatrix(upper[pair], mode)
+        if not given.allclose(implied, HALF_CONSISTENCY_TOL):
             raise DocumentError(
                 f"blocks {pair} and {pair[::-1]} disagree by "
-                f"{(upper[pair] - implied).fro():.3e}; supply one half or make them consistent"
+                f"{(given - implied).fro():.3e}; supply one half or make them consistent"
             )
 
     try:

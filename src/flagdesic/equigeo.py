@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, block_norms_sq, block_sums
-from .linalg import CMatrix, Mode, _unit_scale, commutator, project_m
+from .linalg import PAST_FLOAT_RANGE, CMatrix, Mode, _unit_scale, commutator, project_m
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -104,9 +104,10 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
         raise ValueError("partition mismatch")
     xf = x.to_float()
     xf = xf.scaled(_unit_scale(xf.matrix.data))  # exact, and the residual is scale-free
-    y = hadamard_action(g, xf)
-    bracket = project_m(commutator(xf.matrix, y.matrix), x.partition)
-    scale = xf.fro() ** 2 * g.max_lambda()
+    y = hadamard_action(g, xf).matrix.data
+    s = _unit_scale(y)  # exact, so [X, lambda.X] cannot overflow, whatever the multipliers
+    bracket = project_m(commutator(xf.matrix, CMatrix(y * s, Mode.FLOAT)), x.partition)
+    scale = xf.fro() ** 2 * (g.max_lambda() * s)
     if scale == 0.0:
         return True, 0.0
     residual = bracket.fro() / scale
@@ -310,14 +311,13 @@ def is_essentially_block_diagonal(x: TangentVector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _block_svds(x: TangentVector):
-    """Compact SVD of every nonzero upper block; returns ({pair: (u, s, vh)}, sigma_max).
+def _block_svds(p: FlagPartition, a: np.ndarray):
+    """Compact SVD of every nonzero upper block of the n x n array ``a``; returns
+    ({pair: (u, s, vh)}, sigma_max).
 
     Exactly-zero blocks have rank zero and are left out.
     """
-    p = x.partition
-    a = x.matrix.data
-    nonzero = block_sums(p, x.matrix.nonzero())  # counts, not norms: tiny squares underflow to 0
+    nonzero = block_sums(p, a != 0)  # counts, not norms: tiny squares underflow to 0
     svds = {}
     for i, j in p.positive_pairs():
         if nonzero[i - 1, j - 1]:
@@ -344,16 +344,20 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     once. Raises NotEquigeodesic on inputs that fail the block condition.
     Singular values at or below RANK_TOL * sigma_max are left out of J, so the
     residual may exceed the CANON_RESIDUAL_TOL contract by their norm; a
-    larger residual raises RuntimeError.
+    larger residual raises RuntimeError. U and J are computed on the matrix times
+    ``_unit_scale``, so no product over- or underflows and U is that of the matrix;
+    the pair values and the residual are divided back, and a pair value past the
+    float range raises ValueError.
     """
     if x.mode is not Mode.FLOAT:
         raise ValueError("canonicalize is Float-mode only")
     _require_equigeodesic(x)
     p = x.partition
     n = p.total
-    A = x.matrix.data
+    scale = _unit_scale(x.matrix.data)
+    A = x.matrix.data * scale
 
-    svds, sigma_max = _block_svds(x)
+    svds, sigma_max = _block_svds(p, A)
     threshold = RANK_TOL * sigma_max
     # each singular value the cut drops stays in J_raw twice, at a_ij and a_ji
     dropped = math.sqrt(2.0 * sum(np.sum(s[s <= threshold] ** 2) for _, s, _ in svds.values()))
@@ -399,28 +403,29 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     for up, vp in slots:
         alpha = u_full[:, up].conj() @ (A @ u_full[:, vp])
         if abs(alpha) > 0:
-            u_full[:, vp] *= alpha.conjugate() / abs(alpha)
+            u_full[:, vp] *= np.conj(alpha) / abs(alpha)
 
     j_raw = u_full.conj().T @ A @ u_full
 
     pairs = []
-    j_clean = np.zeros((n, n), dtype=np.complex128)
+    j_clean = np.zeros((n, n))  # real, so dividing it by the scale is exact
     for row, col in slots:
         a_k = float(j_raw[row, col].real)
-        pairs.append((row + 1, col + 1, a_k))
+        pairs.append((row + 1, col + 1, a_k / scale))
         j_clean[row, col] = a_k
         j_clean[col, row] = -a_k
+    if any(math.isinf(a) for *_, a in pairs):
+        raise ValueError(PAST_FLOAT_RANGE)
 
-    residual = CMatrix(j_raw - j_clean, Mode.FLOAT).fro()  # no square overflows
-    bound = CANON_RESIDUAL_TOL * max(x.fro(), 1e-300) + dropped
-    if not math.isfinite(residual):
-        raise RuntimeError(f"canonical form residual {residual} is not finite")
+    residual = CMatrix(j_raw - j_clean, Mode.FLOAT).fro()
+    bound = CANON_RESIDUAL_TOL * float(np.linalg.norm(A)) + dropped
     if residual > bound:
         raise RuntimeError(
-            f"canonical form residual {residual:.3e} exceeds {bound:.3e}; "
+            f"canonical form residual {residual / scale:.3e} exceeds {bound / scale:.3e}; "
             "input is too close to the rank boundary"
         )
-    j_mat = CMatrix(j_clean, Mode.FLOAT)
+    residual /= scale
+    j_mat = CMatrix(j_clean / scale, Mode.FLOAT)
     if not is_essentially_diagonal(j_mat):
         raise RuntimeError("canonical form is not essentially diagonal")
     pairs.sort(key=lambda rc: (-rc[2], rc[0], rc[1]))
@@ -440,7 +445,7 @@ def conjugation_invariants(x: TangentVector) -> ConjugationInvariants:
     """
     if x.mode is not Mode.FLOAT:
         raise ValueError("conjugation_invariants is Float-mode only")
-    svds, sigma_max = _block_svds(x)
+    svds, sigma_max = _block_svds(x.partition, x.matrix.data)
     threshold = RANK_TOL * sigma_max
     ranks = {}
     values = {}

@@ -124,8 +124,8 @@ def random_essentially_diagonal(
         else:
             z = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
         arr[r - 1, c - 1] = z
-        arr[c - 1, r - 1] = -z.conjugate()
-    return TangentVector(partition, CMatrix(arr, mode))
+    u = CMatrix(arr, mode)
+    return TangentVector(partition, u - u.H)
 
 
 def random_equigeodesic(partition: FlagPartition, seed) -> TangentVector:

@@ -171,9 +171,10 @@ class TangentVector(Immutable):
         blocks: Mapping,
         mode: Mode = Mode.FLOAT,
     ) -> "TangentVector":
-        """Build from upper blocks {(i, j): array}, i < j.
+        """Build from upper blocks {(i, j): rows or CMatrix}, i < j.
 
-        The lower half is completed as a_ji = -a_ij^*; missing blocks are zero.
+        The blocks fill the strictly block-upper matrix U, and the vector is
+        U - U^*: the lower half is a_ji = -a_ij^*. Missing blocks are zero.
         """
         dtype = np.complex128 if mode is Mode.FLOAT else object
         arr = np.zeros((partition.total, partition.total), dtype=dtype)
@@ -184,14 +185,14 @@ class TangentVector(Immutable):
                 raise ValueError(f"from_blocks accepts upper block keys only, got ({i},{j})")
             r0, r1 = partition.block_range(i)
             c0, c1 = partition.block_range(j)
-            sub = (blk if isinstance(blk, CMatrix) else CMatrix(blk, mode)).entries()
+            sub = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, dtype=dtype)
             if sub.shape != (r1 - r0, c1 - c0):
                 raise ValueError(
                     f"block ({i},{j}) has shape {sub.shape}, expected {(r1 - r0, c1 - c0)}"
                 )
             arr[r0:r1, c0:c1] = sub
-            arr[c0:c1, r0:r1] = -sub.conj().T
-        return cls(partition, CMatrix(arr, mode))
+        u = CMatrix(arr, mode)
+        return cls(partition, u - u.H)
 
 
 def off_block_mask(partition: FlagPartition) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 An Exact ``CMatrix`` computes on the integer embedding of its entries (see
 ``linalg``) and stores no GaussianRational: these are its entries going in and
-coming out, so they have no arithmetic beyond negation and conjugation. The only
-module that imports ``fractions`` at module level, so float commands never load
-``fractions`` or the ``decimal`` module it imports.
+coming out, so they have no arithmetic. The only module that imports ``fractions``
+at module level, so float commands never load ``fractions`` or the ``decimal``
+module it imports.
 """
 
 from __future__ import annotations
@@ -64,13 +64,8 @@ class GaussianRational(Immutable):
                 raise ValueError("second term must be imaginary")
             return cls(Fraction(re_tok), _imag_value(im_tok))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse Gaussian rational {text!r}: {exc}") from None
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+            why = "a denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
+            raise ValueError(f"cannot parse Gaussian rational {text!r}: {why}") from None
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

@@ -22,7 +22,7 @@ import contextlib
 import math
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -35,6 +35,9 @@ DEFAULT_RTOL = 1e-9
 
 #: Skew-Hermitian validation is relative to the Frobenius norm: tau = factor * ||a||_F.
 SKEW_TOL_FACTOR = 1e-9
+
+#: The ValueError message of a spectrum, or canonical pair value, past the float range.
+PAST_FLOAT_RANGE = "the spectrum lies outside the float range: some |theta| exceeds 1.8e+308"
 
 
 class Mode(Enum):
@@ -120,15 +123,6 @@ class CMatrix(Immutable):
         return np.frompyfunc(entry, 2, 1)(re, im)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_complex(cls, rows) -> "CMatrix":
-        return cls(rows, Mode.FLOAT)
-
-    @classmethod
-    def from_exact(cls, rows: Sequence[Sequence]) -> "CMatrix":
-        """Build an Exact matrix; entries may be int, Fraction or GaussianRational."""
-        return cls(rows, Mode.EXACT)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, mode: Mode = Mode.FLOAT) -> "CMatrix":
@@ -345,7 +339,7 @@ def _skew_eigh(a: CMatrix, vectors: bool):
     h = (h + h.conj().T) / 2.0
     w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     if np.max(np.abs(w), initial=0.0) > sys.float_info.max * s:  # so w / s would overflow
-        raise ValueError("the spectrum lies outside the float range: some |theta| exceeds 1.8e+308")
+        raise ValueError(PAST_FLOAT_RANGE)
     return w / s, v
 
 

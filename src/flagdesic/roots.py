@@ -95,12 +95,10 @@ def weyl_vector(
         raise ValueError("pass the positive root of the pair")
     if kind not in ("A", "S"):
         raise ValueError(f"kind must be 'A' or 'S', got {kind!r}")
-    r, c = root.global_row - 1, root.global_col - 1
-    unit = GaussianRational(1) if kind == "A" else GaussianRational(0, 1)
-    arr = np.zeros((partition.total, partition.total), dtype=object)
-    arr[r, c] = unit
-    arr[c, r] = -unit.conjugate()
-    return TangentVector(partition, CMatrix(arr, mode))
+    u = basis_unit(partition, root, mode)
+    if kind == "S":
+        u = u.scale(GaussianRational(0, 1))
+    return TangentVector(partition, u - u.H)
 
 
 def compositions(n: int) -> Iterable:

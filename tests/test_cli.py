@@ -364,6 +364,15 @@ EQUIGEODESIC = ("equigeodesic (block-condition): true  worst residual 0.000e+00\
                 "equigeodesic (bracket-certificate): true  worst residual 0.000e+00\n")
 
 
+def _canonical_stdout(a):
+    """What canonicalize prints for parts (1, 1) and a_12 = a > 0: U = 1 and J = A."""
+    doc = {"J": {"n": 2, "parts": [1, 1], "mode": "float", "blocks": {"1,2": [[[a, 0.0]]]}},
+           "U": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, -0.0]]],
+           "pairs": [[1, 2, a]], "residual": 0.0}
+    return (f"pairs (row, col, value):\n  (1, 2)  {a:.12g}\nresidual 0.000e+00\n"
+            + json.dumps(doc, indent=2) + "\n")
+
+
 @pytest.mark.parametrize("doc, args, code, out, err", [
     (NEAR_MAX, ["closedness"], 0, "spectrum (i * theta): 1e+308  -1e+308\nstatus: commensurate\n"
      "base frequency: 1e+308\nperiod: 6.28318530718e-308\nmultipliers: 1 -1\n", ""),
@@ -373,18 +382,49 @@ EQUIGEODESIC = ("equigeodesic (block-condition): true  worst residual 0.000e+00\
     ({"parts": [1, 1], "blocks": {"1,2": [[[1.5e308, 1.5e308]]]}}, ["check"], 0, EQUIGEODESIC, ""),
     (PAST_MAX, ["closedness"], 2, "", PAST_RANGE),
     (PAST_MAX, ["curve", "--t-max", "1", "--samples", "2"], 2, "", PAST_RANGE),
-    (PAST_MAX, ["canonicalize"], 3, "",
-     "error: canonical form undetermined: canonical form residual inf is not finite\n"),
+    ({"parts": [1, 1], "blocks": {"1,2": [[[1, 0]]]}}, ["canonicalize"], 0, _canonical_stdout(1.0),
+     ""),
+    # U and J are computed on a scaled copy, so U is that of a_12 = 1 and J holds 1e+308 itself
+    (NEAR_MAX, ["canonicalize"], 0, _canonical_stdout(1e308), ""),
+    (PAST_MAX, ["canonicalize"], 2, "", PAST_RANGE),
     (_exact_pair("1" + "0" * 308), ["closedness", "--mode", "exact"], 2, "",
      "error: exact spectrum undecided: the float spectrum names a rational theta^2 for 0 of 2 "
      "eigenvalues; a rational theta^2 has a denominator dividing D^2 = 1; denominators resolved "
      "up to 1; rerun with --mode float\n"),
-], ids=["closedness", "curve-phase", "check-modulus", "closedness-past",
-        "curve-past", "canonicalize-past", "exact-closedness"])
+], ids=["closedness", "curve-phase", "check-modulus", "closedness-past", "curve-past",
+        "canonicalize-one", "canonicalize", "canonicalize-past", "exact-closedness"])
 def test_spectra_near_the_float_maximum(tmp_path, doc, args, code, out, err):
     vec = write_json(tmp_path / "v.json", doc)
     done = _run_warning_free([args[0], vec, *args[1:]])
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+#: every entry of the three blocks of parts (2, 2, 2) is 1
+ALL_ONES = {"parts": [2, 2, 2], "blocks": {key: [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]
+                                           for key in ("1,2", "1,3", "2,3")}}
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0**-1000], ids=["near-max", "scaled-down"])
+def test_fixed_metric_residual_near_the_float_maximum(tmp_path, factor):
+    # lambda.X is scaled like X, so [X, lambda.X] cannot overflow and the residual is scale-free
+    lam = {"1,2": 1.7e308 * factor, "1,3": 1e308 * factor, "2,3": 1e300 * factor}
+    vec = write_json(tmp_path / "v.json", ALL_ONES)
+    metric = write_json(tmp_path / "g.json", {"parts": [2, 2, 2], "lambda": lam})
+    done = _run_warning_free(["check", vec, metric])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "geodesic (fixed metric): false  residual 2.902e-01\n", "")
+
+
+@pytest.mark.parametrize("deep_file", ["vector", "metric"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, deep_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)  # json.dumps cannot nest this deep
+    if deep_file == "vector":
+        argv = ["check", str(deep)]
+    else:
+        argv = ["check", write_json(tmp_path / "v.json", ONE_BLOCK), str(deep)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too deeply to read\n")
 
 
 def test_curve_near_the_float_maximum_is_finite(tmp_path):

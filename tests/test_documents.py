@@ -117,6 +117,10 @@ def test_exact_entry_parsing_errors():
         parse_vector_document(
             {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[1.5]]}}
         )
+    with pytest.raises(DocumentError, match="Gaussian rational '1/0': a denominator is zero$"):
+        parse_vector_document(
+            {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [["1/0"]]}}
+        )
     doc = {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [["1/2-i"]]}}
     x = parse_vector_document(doc)
     assert x.matrix.entry(0, 1) == GR(0.5, -1)

@@ -299,16 +299,16 @@ def test_first_violating_triple_is_lexicographic(mode):
 
 
 def test_essentially_diagonal_basic():
-    assert is_essentially_diagonal(CMatrix.from_complex(np.diag([1.0, 2.0, 0.0])))
-    assert is_essentially_diagonal(CMatrix.from_complex([[0, 2.5], [-2.5, 0]]))
-    assert not is_essentially_diagonal(CMatrix.from_complex(np.ones((2, 2))))
+    assert is_essentially_diagonal(CMatrix(np.diag([1.0, 2.0, 0.0]), Mode.FLOAT))
+    assert is_essentially_diagonal(CMatrix([[0, 2.5], [-2.5, 0]], Mode.FLOAT))
+    assert not is_essentially_diagonal(CMatrix(np.ones((2, 2)), Mode.FLOAT))
     assert is_essentially_diagonal(CMatrix.zeros(3, 3))
 
 
 def test_essentially_diagonal_exact():
-    m = CMatrix.from_exact([[0, 1], [1, 0]])
+    m = CMatrix([[0, 1], [1, 0]], Mode.EXACT)
     assert is_essentially_diagonal(m)
-    assert not is_essentially_diagonal(CMatrix.from_exact([[1, 1], [0, 1]]))
+    assert not is_essentially_diagonal(CMatrix([[1, 1], [0, 1]], Mode.EXACT))
 
 
 def test_essentially_block_diagonal():

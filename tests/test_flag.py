@@ -159,10 +159,10 @@ def test_weyl_vectors_f3():
     a = weyl_vector(p, r, "A")
     s = weyl_vector(p, r, "S")
     assert a.matrix.allclose(
-        CMatrix.from_complex([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        CMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], Mode.FLOAT)
     )
     assert s.matrix.allclose(
-        CMatrix.from_complex([[0, 1j, 0], [1j, 0, 0], [0, 0, 0]])
+        CMatrix([[0, 1j, 0], [1j, 0, 0], [0, 0, 0]], Mode.FLOAT)
     )
 
 
@@ -211,7 +211,7 @@ def test_tangent_vector_validation():
         TangentVector(p, CMatrix(diag_block, Mode.FLOAT))
     # at any scale: the norms behind both tolerances neither overflow nor underflow
     with pytest.raises(ValueError, match="skew"):
-        TangentVector(FlagPartition((1, 1)), CMatrix.from_complex([[1e160, 0], [0, 0]]))
+        TangentVector(FlagPartition((1, 1)), CMatrix([[1e160, 0], [0, 0]], Mode.FLOAT))
     with pytest.raises(ValueError, match="diagonal block"):
         TangentVector(p, CMatrix(1e-200 * diag_block, Mode.FLOAT))
 
