@@ -69,9 +69,17 @@ class _CliError(Exception):
 
 
 def _load_json(path: str) -> dict:
+    def unique_names(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise _CliError(f"{path}: key {json.dumps(name)} appears twice")
+            seen.add(name)
+        return dict(pairs)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_names)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -139,12 +147,10 @@ def _cmd_canonicalize(args) -> int:
 
 def serialize_vector_with_canonical(x, form) -> dict:
     j_doc = serialize_vector(TangentVector(x.partition, form.J))
-    u_data = [
-        [[float(v.real), float(v.imag)] for v in row] for row in form.U.data
-    ]
+    u = form.U.data
     return {
         "J": j_doc,
-        "U": u_data,
+        "U": np.stack((u.real, u.imag), axis=-1).tolist(),
         "pairs": [[r, c, a] for r, c, a in form.pairs],
         "residual": form.residual,
     }
@@ -169,23 +175,18 @@ def _cmd_closedness(args) -> int:
         print(f"period: {verdict.period:.12g}")
         print("multipliers: " + " ".join(str(m) for m in verdict.multipliers))
         return 0
+    if verdict.bound_used is not None:
+        print(f"denominator bound: {verdict.bound_used}")
     if verdict.status is Closedness.UNDETERMINED:
-        if verdict.bound_used is not None:
-            print(f"denominator bound: {verdict.bound_used}")
         reason = verdict.reason
         if verdict.defect is not None:
             reason += f", exp(T A) defect {verdict.defect:.3e}"
         print(f"reason: {reason}")
         return 3
-    if verdict.bound_used is not None:
-        print(f"denominator bound: {verdict.bound_used}")
     return 1
 
 
 def _cmd_curve(args) -> int:
-    import csv
-    import io
-
     x = _load_vector(args.vector, "float")
     p = x.partition
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
@@ -205,19 +206,13 @@ def _cmd_curve(args) -> int:
     w, flow = killing_flow(x.matrix)
     if not math.isfinite(ts[-1] * float(np.max(np.abs(w)))):
         raise _CliError("the phase t * theta at --t-max lies outside the float range")
-    rows = []
-    for t in ts:
-        off = flow(t)[mask]
-        re_im = np.column_stack([off.real, off.imag]).ravel().tolist()  # Python floats format faster
-        # hypot is Python's abs(complex); summing the list keeps the row-major order
-        dist = math.sqrt(sum((np.hypot(off.real, off.imag) ** 2).tolist()))
-        rows.append([f"{t:.12g}", *(f"{v:.15g}" for v in re_im), f"{dist:.15g}"])
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_out(buf.getvalue(), args.out)
+    off = np.array([flow(t)[mask] for t in ts])  # one row of off-block entries per t
+    # hypot is Python's abs(complex); the leading zero and cumsum add each row left to right
+    sq = np.hypot(off.real, off.imag) ** 2
+    dist = np.sqrt(np.cumsum(np.column_stack((np.zeros(len(ts)), sq)), axis=1)[:, -1])
+    table = np.column_stack((ts, off.view(np.float64), dist)).tolist()  # re, im interleaved
+    row = "%.12g" + ",%.15g" * (len(header) - 1) + "\n"
+    _write_out(",".join(header) + "\n" + "".join(row % tuple(r) for r in table), args.out)
     return 0
 
 

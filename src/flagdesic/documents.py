@@ -18,6 +18,8 @@ import math
 import re
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from .flag import FlagPartition, TangentVector, block_sums
 from .linalg import CMatrix, Mode
 
@@ -35,17 +37,18 @@ class DocumentError(ValueError):
     """Malformed document: carries a human-readable field context."""
 
 
-def _parse_key(key: str, s: int):
+def _parse_key(key: str, s: int, field: str):
+    """(i, j) from a key "i,j" of ``field`` ("block" or "lambda"): 1 <= i, j <= s, i != j."""
     m = _KEY_RE.match(key)
     if not m:
-        raise DocumentError(f"block key {key!r} is not of the form \"i,j\"")
+        raise DocumentError(f"{field} key {key!r} is not of the form \"i,j\"")
     i, j = int(m.group(1)), int(m.group(2))
     if i == j:
         raise DocumentError(
-            f"block key {key!r} addresses a diagonal block; diagonal blocks are zero in m"
+            f"{field} key {key!r} addresses a diagonal block; diagonal blocks are zero in m"
         )
     if not (1 <= i <= s and 1 <= j <= s):
-        raise DocumentError(f"block key {key!r} out of range 1..{s}")
+        raise DocumentError(f"{field} key {key!r} out of range 1..{s}")
     return i, j
 
 
@@ -132,18 +135,14 @@ def parse_vector_document(doc: dict) -> TangentVector:
     upper = {}
     lower = {}
     for key, raw in raw_blocks.items():
-        i, j = _parse_key(key, partition.s)
+        i, j = _parse_key(key, partition.s, "block")
         rows = partition.parts[i - 1]
         cols = partition.parts[j - 1]
         block = _parse_block(raw, rows, cols, mode, f"block {key!r}")
-        if i < j:
-            if (i, j) in upper:
-                raise DocumentError(f"block ({i},{j}) supplied twice")
-            upper[(i, j)] = block
-        else:
-            if (j, i) in lower:
-                raise DocumentError(f"block ({i},{j}) supplied twice")
-            lower[(j, i)] = block
+        half, pair = (upper, (i, j)) if i < j else (lower, (j, i))
+        if pair in half:
+            raise DocumentError(f"block ({i},{j}) supplied twice")
+        half[pair] = block
 
     for pair, low in lower.items():
         implied = -CMatrix(low, mode).H
@@ -172,11 +171,11 @@ def serialize_vector(x: TangentVector) -> dict:
         if not nonzero[i - 1, j - 1]:
             continue
         (r0, r1), (c0, c1) = p.block_range(i), p.block_range(j)
+        b = a[r0:r1, c0:c1]
         if x.mode is Mode.FLOAT:
-            data = [[[v.real, v.imag] for v in row] for row in a[r0:r1, c0:c1].tolist()]
+            blocks[f"{i},{j}"] = np.stack((b.real, b.imag), axis=-1).tolist()
         else:
-            data = [[str(v) for v in row] for row in a[r0:r1, c0:c1]]
-        blocks[f"{i},{j}"] = data
+            blocks[f"{i},{j}"] = [[str(v) for v in row] for row in b]
     return {
         "n": x.partition.total,
         "parts": list(x.partition.parts),
@@ -199,7 +198,7 @@ def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) 
         raise DocumentError("\"lambda\" must be an object keyed by \"i,j\"")
     values = {}
     for key, v in raw.items():
-        i, j = _parse_key(key, own.s)
+        i, j = _parse_key(key, own.s, "lambda")
         pair = (i, j) if i < j else (j, i)
         if not _is_number(v) or _finite(v, f"lambda[{key!r}]") <= 0:
             raise DocumentError(f"lambda[{key!r}] must be a positive number, got {v!r}")

@@ -102,11 +102,12 @@ class CMatrix(Immutable):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mode", mode)
 
-    def _like(self, data: np.ndarray, den: int = 1) -> "CMatrix":
-        """The matrix of this mode with ``data`` over ``den``, Exact ones in lowest terms."""
+    def _like(self, data: np.ndarray, den: int = 1, reduce: bool = True) -> "CMatrix":
+        """The matrix of this mode with ``data`` over ``den``, Exact ones in lowest terms;
+        ``reduce=False`` skips the gcd where the caller keeps this matrix's own terms."""
         if self.mode is Mode.FLOAT:
             return CMatrix(data, Mode.FLOAT)
-        g = math.gcd(den, *data.flat)
+        g = math.gcd(den, *data.flat) if reduce else 1
         out = object.__new__(CMatrix)
         out._store(data // g if g > 1 else data, den // g, Mode.EXACT)
         return out
@@ -176,7 +177,7 @@ class CMatrix(Immutable):
         return self + -other
 
     def __neg__(self) -> "CMatrix":
-        return self._like(-self.data, self.den)
+        return self._like(-self.data, self.den, reduce=False)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "matmul", matmul=True)
@@ -192,7 +193,8 @@ class CMatrix(Immutable):
     @property
     def H(self) -> "CMatrix":
         """Conjugate transpose; transposing an embedding conjugates its entries."""
-        return self._like(self.data.conj().T, self.den)
+        flipped = self.data.conj() if self.mode is Mode.FLOAT else self.data
+        return self._like(flipped.T, self.den, reduce=False)
 
     def trace(self) -> Scalar:
         if not self.is_square:

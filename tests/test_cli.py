@@ -466,13 +466,34 @@ ONE_BLOCK = {"parts": [1, 1], "blocks": {"1,2": [[[1.0, 0.0]]]}}
      "lambda for pair (1, 2) supplied twice with different values"),
     (["check", "{0}"], [{"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [["1+2i"]], "2,1": [["1"]]}}],
      "blocks (1, 2) and (2, 1) disagree by 2.828e+00; supply one half or make them consistent"),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lambda": {"1;2": 2}}],
+     'lambda key \'1;2\' is not of the form "i,j"'),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lambda": {"1,1": 2}}],
+     "lambda key '1,1' addresses a diagonal block; diagonal blocks are zero in m"),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lambda": {"1,3": 2}}],
+     "lambda key '1,3' out of range 1..2"),
 ], ids=["zero-vector", "samples-0", "examples-no-name", "bound-0", "int-beyond-float",
         "upper-twice", "lower-twice", "metric-not-object", "metric-no-parts", "lambda-not-object",
-        "lambda-disagrees", "exact-halves-disagree"])
+        "lambda-disagrees", "exact-halves-disagree", "lambda-key-malformed", "lambda-key-diagonal",
+        "lambda-key-out-of-range"])
 def test_usage_and_document_errors_exit_2_with_their_message(tmp_path, capsys, argv, docs, message):
     paths = [write_json(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
     assert main([a.format(*paths) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("texts, name", [
+    (['{"parts":[1,1],"blocks":{"1,2":[[[1,0]]],"1,2":[[[5,0]]]}}'], "1,2"),
+    (['{"parts":[1,1],"parts":[1,1],"blocks":{"1,2":[[[1,0]]]}}'], "parts"),
+    ([json.dumps(ONE_BLOCK), '{"parts":[1,1],"lambda":{"1,2":2,"1,2":3}}'], "1,2"),
+], ids=["block", "top-level", "metric"])
+def test_a_repeated_json_name_exits_2(tmp_path, capsys, texts, name):
+    """json would keep the last of two equal names; the document is refused instead."""
+    paths = [tmp_path / f"doc{k}.json" for k in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    assert main(["check", *map(str, paths)]) == 2
+    assert capsys.readouterr() == ("", f'error: {paths[-1]}: key "{name}" appears twice\n')
 
 
 def test_exact_lower_half_gives_the_upper_half_vector(tmp_path, capsys):
@@ -551,6 +572,18 @@ def test_curve_t_max_zero_single_identity_row(tmp_path, f4, capsys):
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2
     assert float(rows[1][-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("options, rows", [
+    (["--t-max", "1", "--samples", "4"], 5),
+    (["--t-max", "0"], 1),
+], ids=["samples", "t-max-0"])
+def test_curve_on_one_block_has_no_off_block_columns(tmp_path, capsys, options, rows):
+    vec = write_json(tmp_path / "v.json", {"parts": [2], "blocks": {}})
+    assert main(["curve", vec, *options]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,dist_k" and len(lines) == rows + 1
+    assert [line.split(",")[1] for line in lines[1:]] == ["0"] * rows
 
 
 def test_examples_list_and_emit(tmp_path, capsys):

@@ -62,7 +62,7 @@ def files(tmp_path_factory):
     ("canonicalize {vector} --out {out}", ["flagdesic.equigeo"]),
     ("closedness {vector}", ["flagdesic.closure"]),
     ("closedness {exact} --mode exact", ["flagdesic.closure", "flagdesic.gaussian"]),
-    ("curve {vector} --t-max 1 --samples 4 --out {out}", ["csv"]),
+    ("curve {vector} --t-max 1 --samples 4 --out {out}", []),
     ("check {exact} --mode exact", ["flagdesic.equigeo", "flagdesic.gaussian"]),
     ("canonicalize {exact} --out {out}", ["flagdesic.equigeo", "flagdesic.gaussian"]),
 ])
