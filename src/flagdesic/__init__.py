@@ -34,10 +34,10 @@ _EXPORTS = {
     "flag": ("FlagPartition", "TangentVector", "build_roots", "t_roots"),
     "gaussian": ("GaussianRational",),
     "linalg": (
-        "CMatrix", "ExactSpectrumUnavailable", "Mode", "NotSkewHermitian", "Scalar",
-        "commutator", "project_m", "skew_spectrum", "unitary_exp",
+        "CMatrix", "ExactSpectrumUnavailable", "Mode", "NotSkewHermitian", "commutator",
+        "project_m", "skew_spectrum",
     ),
-    "metric": ("InvariantMetric", "basis_metric", "hadamard_action", "metric_inner"),
+    "metric": ("InvariantMetric", "hadamard_action", "metric_inner"),
     "roots": ("Root", "TRoot", "basis_unit", "weyl_vector"),
 }
 

@@ -191,11 +191,11 @@ def _cmd_curve(args) -> int:
     p = x.partition
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
         raise _CliError("--t-max must be finite and nonnegative")
+    if args.samples < 1:
+        raise _CliError("--samples must be at least 1")
     if args.t_max == 0:
         ts = [0.0]
     else:
-        if args.samples < 1:
-            raise _CliError("--samples must be at least 1")
         ts = [args.t_max * k / args.samples for k in range(args.samples + 1)]
     mask = off_block_mask(p)
     header = ["t"]

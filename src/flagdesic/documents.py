@@ -9,7 +9,8 @@ holding only the upper block triangle; the lower half is forced to
 a_ji = -a_ij^*, which removes a whole class of inconsistent inputs. Float
 entries are [re, im] pairs; exact entries are strings like "1/2-3/4i".
 Missing blocks are zero. Metric documents carry {"parts": [...],
-"lambda": {"i,j": value}} with absent pairs defaulting to 1.
+"lambda": {"i,j": value}} with absent pairs defaulting to 1. Any other
+top-level key is an error, so a misspelt key cannot read as a default.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ if TYPE_CHECKING:
 HALF_CONSISTENCY_TOL = 1e-12
 
 _KEY_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*$")
+
+#: The top-level keys a document of each kind may hold.
+_FIELDS = {"vector": ("n", "parts", "mode", "blocks"), "metric": ("parts", "lambda")}
 
 
 class DocumentError(ValueError):
@@ -105,6 +109,10 @@ def _partition(doc, kind: str) -> FlagPartition:
     """The partition a ``kind`` ("vector" or "metric") document names in "parts"."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{kind} document must be a JSON object")
+    for key in doc:
+        if key not in _FIELDS[kind]:
+            raise DocumentError(f"unknown key {key!r} in {kind} document; "
+                                f"allowed keys: {', '.join(_FIELDS[kind])}")
     if "parts" not in doc:
         raise DocumentError(f"{kind} document is missing \"parts\"")
     try:
@@ -209,10 +217,3 @@ def parse_metric_document(doc: dict, partition: Optional[FlagPartition] = None) 
         return InvariantMetric.from_pairs(own, values)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-
-
-def serialize_metric(g: InvariantMetric) -> dict:
-    return {
-        "parts": list(g.partition.parts),
-        "lambda": {f"{i},{j}": g.value(i, j) for i, j in g.partition.positive_pairs()},
-    }

@@ -98,8 +98,6 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
     from .metric import hadamard_action  # here, so only commands given a metric load it
 
     _require_tol(tol)
-    if g.degenerate:
-        raise ValueError("degenerate probe multipliers are not metrics")
     if g.partition != x.partition:
         raise ValueError("partition mismatch")
     xf = x.to_float()
@@ -293,8 +291,9 @@ def is_essentially_diagonal(m: CMatrix) -> bool:
 def is_essentially_block_diagonal(x: TangentVector) -> bool:
     """At most one nonzero block a_ij in each block-row and each block-column.
 
-    A sufficient condition for being equigeodesic: the products a_ij a_jm then always
-    involve a zero factor. Float blocks count above ESSENTIAL_ENTRY_TOL * ||A||_F.
+    A sufficient condition for the equigeodesic characterization a_ij a_jm = 0:
+    each such product then has a zero factor. Float blocks count above
+    ESSENTIAL_ENTRY_TOL * ||A||_F.
     """
     _, _, norms = _block_arrays(x)
     total = norms.sum()  # ||A||_F^2 on the same scale as the blocks

@@ -63,7 +63,8 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def random_block_unitary(partition: FlagPartition, seed) -> CMatrix:
-    """Haar-distributed element of U(n_1) + ... + U(n_s) (block-diagonal)."""
+    """Haar-distributed element of U(n_1) + ... + U(n_s) (block-diagonal): the group
+    whose conjugation takes an equigeodesic vector to its canonical form and back."""
     rng = _as_rng(seed)
     n = partition.total
     out = np.zeros((n, n), dtype=np.complex128)
@@ -102,29 +103,18 @@ def _sample_cross_pairs(partition: FlagPartition, rng: np.random.Generator, keep
     return chosen
 
 
-def random_essentially_diagonal(
-    partition: FlagPartition,
-    seed,
-    mode: Mode = Mode.FLOAT,
-    values=None,
-) -> TangentVector:
+def random_essentially_diagonal(partition: FlagPartition, seed) -> TangentVector:
     """Essentially diagonal skew-Hermitian sample with zero diagonal blocks.
 
     One nonzero entry per row and column at most, all of them crossing block
-    boundaries. ``values``, when given, is the draw set for entries (required
-    for Exact mode); otherwise magnitudes are uniform in [0.3, 3] with random
-    phase.
+    boundaries; magnitudes are uniform in [0.3, 3] with random phase.
     """
     rng = _as_rng(seed)
     pairs = _sample_cross_pairs(partition, rng, keep_prob=0.8)
-    arr = np.zeros((partition.total, partition.total), dtype=object)
+    arr = np.zeros((partition.total, partition.total), dtype=complex)
     for r, c in pairs:
-        if values is not None:
-            z = values[rng.integers(len(values))]
-        else:
-            z = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
-        arr[r - 1, c - 1] = z
-    u = CMatrix(arr, mode)
+        arr[r - 1, c - 1] = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
+    u = CMatrix(arr, Mode.FLOAT)
     return TangentVector(partition, u - u.H)
 
 

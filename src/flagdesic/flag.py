@@ -59,10 +59,6 @@ class FlagPartition(_ByValue):
     def s(self) -> int:
         return len(self.parts)
 
-    @property
-    def is_full_flag(self) -> bool:
-        return all(p == 1 for p in self.parts)
-
     def block_range(self, i: int) -> tuple:
         """Half-open 0-based row range of block i (1-based)."""
         if not 1 <= i <= self.s:
@@ -140,14 +136,6 @@ class TangentVector(Immutable):
     def mode(self) -> Mode:
         return self.matrix.mode
 
-    def block(self, i: int, j: int) -> CMatrix:
-        """Off-diagonal block a_ij (1-based block indices, i != j)."""
-        if i == j:
-            raise ValueError("diagonal blocks of a tangent vector are zero by definition")
-        r0, r1 = self.partition.block_range(i)
-        c0, c1 = self.partition.block_range(j)
-        return self.matrix.submatrix(r0, r1, c0, c1)
-
     def fro(self) -> float:
         return self.matrix.fro()
 
@@ -157,7 +145,7 @@ class TangentVector(Immutable):
         return TangentVector(self.partition, self.matrix.to_float())
 
     def scaled(self, c: float) -> "TangentVector":
-        """Positive real rescaling (same geodesic direction)."""
+        """Positive real rescaling (same geodesic direction), Float mode."""
         return TangentVector(self.partition, self.matrix.scale(c))
 
     def conjugated_by(self, u: CMatrix) -> "TangentVector":

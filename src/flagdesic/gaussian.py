@@ -9,9 +9,21 @@ module it imports.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .linalg import Immutable
+
+#: An integer, p/q or a decimal, in ASCII digits.
+_PART = r"(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+
+#: An exact entry: a signed real part with an optional "+ bi" or "- bi" term, or bi alone,
+#: where b may be left out for 1.
+_LITERAL = re.compile(
+    rf"\s*(?:(?P<re>[+-]?{_PART})(?:\s*(?P<sign>[+-])\s*(?P<im>{_PART})?i)?"
+    rf"|(?P<sign_only>[+-]?)(?P<im_only>{_PART})?i)\s*",
+    re.ASCII,
+)
 
 
 class GaussianRational(Immutable):
@@ -29,40 +41,18 @@ class GaussianRational(Immutable):
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Parse strings like ``"3"``, ``"-1/2"``, ``"0.25"``, ``"i"``, ``"2i"``, ``"1/2-3/4i"``:
-        each part an integer, p/q or a decimal, without an exponent."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty Gaussian rational literal")
-        if "e" in s.lower():  # "1e10000000" alone would build a ten-million-digit integer
+        a real part, an imaginary part or both, each an integer, p/q or a decimal of ASCII
+        digits, without an exponent; spaces only at the ends and around the joining sign."""
+        m = _LITERAL.fullmatch(text)
+        if m is None:
             raise ValueError(f"cannot parse Gaussian rational {text!r}: each part must be an "
                              "integer, p/q or a decimal, without an exponent")
-        # split into at most two signed tokens
-        split = None
-        for k in range(1, len(s)):
-            if s[k] in "+-":
-                if split is not None:
-                    raise ValueError(f"cannot parse Gaussian rational {text!r}")
-                split = k
-        tokens = [s] if split is None else [s[:split], s[split:]]
-
-        def _imag_value(tok: str) -> Fraction:
-            body = tok[:-1]
-            if body in ("", "+"):
-                return Fraction(1)
-            if body == "-":
-                return Fraction(-1)
-            return Fraction(body)
-
-        try:
-            if len(tokens) == 1:
-                tok = tokens[0]
-                if tok.endswith("i"):
-                    return cls(0, _imag_value(tok))
-                return cls(Fraction(tok), 0)
-            re_tok, im_tok = tokens
-            if not im_tok.endswith("i"):
-                raise ValueError("second term must be imaginary")
-            return cls(Fraction(re_tok), _imag_value(im_tok))
+        if m["re"] is None:
+            re_part, sign, im = "0", m["sign_only"], m["im_only"]
+        else:
+            re_part, sign, im = m["re"], m["sign"], m["im"]
+        try:  # int's digit limit, or a zero denominator
+            return cls(Fraction(re_part), 0 if sign is None else Fraction(sign + (im or "1")))
         except (ValueError, ZeroDivisionError) as exc:
             why = "a denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
             raise ValueError(f"cannot parse Gaussian rational {text!r}: {why}") from None

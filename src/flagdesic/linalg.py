@@ -11,9 +11,10 @@ The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
 ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats.
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
 zero tests and ``project_m`` are one numpy expression for both modes; only shapes,
-blocks, entries, the trace, the norm, ``scale`` and ``to_float`` read the 2 x 2
-layout, and the exact block and spectral kernels run on the embedding itself. A
-matrix never mixes modes; mixed-mode binary operations raise ``ValueError``.
+entries, the norm and ``to_float`` read the 2 x 2 layout, and the exact block and
+spectral kernels run on the embedding itself. ``scale``, ``hadamard``,
+``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never mixes
+modes; mixed-mode binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import contextlib
 import math
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .flag import FlagPartition
-    from .gaussian import GaussianRational
 
 #: Relative tolerance used by residual checks unless a caller overrides it.
 DEFAULT_RTOL = 1e-9
@@ -63,10 +63,6 @@ class Immutable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-#: A matrix entry: builtin complex in Float mode, GaussianRational in Exact mode.
-Scalar = Union[complex, "GaussianRational"]
 
 
 class CMatrix(Immutable):
@@ -111,28 +107,6 @@ class CMatrix(Immutable):
         out = object.__new__(CMatrix)
         out._store(data // g if g > 1 else data, den // g, Mode.EXACT)
         return out
-
-    def _gaussian(self, re, im):
-        """The GaussianRational (re + i im) / den of ints re and im, elementwise on arrays."""
-        from fractions import Fraction
-
-        from .gaussian import GaussianRational
-
-        def entry(x, y):
-            return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
-
-        return np.frompyfunc(entry, 2, 1)(re, im)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, mode: Mode = Mode.FLOAT) -> "CMatrix":
-        return cls(np.zeros((rows, cols), dtype=int), mode)
-
-    @classmethod
-    def identity(cls, n: int) -> "CMatrix":
-        """The n x n Float identity."""
-        return cls(np.eye(n, dtype=np.complex128), Mode.FLOAT)
 
     # -- shape -------------------------------------------------------------
 
@@ -183,25 +157,19 @@ class CMatrix(Immutable):
         self._check_binary(other, "matmul", matmul=True)
         return self._like(np.dot(self.data, other.data), self.den * other.den)
 
-    def scale(self, s: Scalar) -> "CMatrix":
-        s = CMatrix([[s]], self.mode)  # coerced like an entry of this mode
-        if self.mode is Mode.FLOAT:
-            return CMatrix(self.data * s.data[0, 0], Mode.FLOAT)
-        blocks = np.kron(np.identity(self.n_cols, dtype=object), s.data)  # s on each 2 x 2 block
-        return self._like(np.dot(self.data, blocks), self.den * s.den)
+    def _require_float(self, op: str) -> None:
+        if self.mode is not Mode.FLOAT:
+            raise ValueError(f"{op} is Float-mode only")
+
+    def scale(self, s: complex) -> "CMatrix":
+        self._require_float("scale")
+        return CMatrix(self.data * complex(s), Mode.FLOAT)
 
     @property
     def H(self) -> "CMatrix":
         """Conjugate transpose; transposing an embedding conjugates its entries."""
         flipped = self.data.conj() if self.mode is Mode.FLOAT else self.data
         return self._like(flipped.T, self.den, reduce=False)
-
-    def trace(self) -> Scalar:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        if self.mode is Mode.FLOAT:
-            return np.trace(self.data)
-        return self._gaussian(np.trace(self.data[0::2, 0::2]), np.trace(self.data[1::2, 0::2]))
 
     def fro(self) -> float:
         """Frobenius norm, a float in both modes: the exact sum of squares is rounded once,
@@ -225,25 +193,19 @@ class CMatrix(Immutable):
         GaussianRational in Exact mode."""
         if self.mode is Mode.FLOAT:
             return self.data
-        return self._gaussian(self.data[0::2, 0::2], self.data[1::2, 0::2])
+        from fractions import Fraction
 
-    def entry(self, r: int, c: int) -> Scalar:
-        if self.mode is Mode.FLOAT:
-            return complex(self.data[r, c])
-        return self._gaussian(self.data[2 * r, 2 * c], self.data[2 * r + 1, 2 * c])
+        from .gaussian import GaussianRational
 
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "CMatrix":
-        k = 1 if self.mode is Mode.FLOAT else 2
-        return self._like(self.data[k * r0:k * r1, k * c0:k * c1].copy(), self.den)
+        def entry(x, y):
+            return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
+
+        return np.frompyfunc(entry, 2, 1)(self.data[0::2, 0::2], self.data[1::2, 0::2])
 
     def hadamard(self, grid: np.ndarray) -> "CMatrix":
-        """Entrywise product with a real array of this shape: floats in Float mode,
-        ints or Fractions in Exact mode."""
-        if self.mode is Mode.FLOAT:
-            return CMatrix(self.data * grid, Mode.FLOAT)
-        g = CMatrix(grid, Mode.EXACT)  # real: den * grid is the diagonal of each 2 x 2 block
-        ints = np.repeat(np.repeat(g.data[0::2, 0::2], 2, axis=0), 2, axis=1)
-        return self._like(self.data * ints, self.den * g.den)
+        """Entrywise product with a real float array of this shape."""
+        self._require_float("hadamard")
+        return CMatrix(self.data * grid, Mode.FLOAT)
 
     def to_float(self) -> "CMatrix":
         """The Float matrix of the same entries; an Exact entry that overflows, or is
@@ -346,14 +308,10 @@ def _skew_eigh(a: CMatrix, vectors: bool):
 
 
 def skew_spectrum(a: CMatrix) -> list:
-    """Sorted real list theta_1 >= ... >= theta_n with eig(a) = {i * theta_k}.
-
-    Float mode solves the Hermitian eigenproblem for -i a. Exact mode returns
-    the float values of the exact spectrum from exact_skew_squares, which
-    raises ExactSpectrumUnavailable unless every theta^2 is rational.
-    """
-    if a.mode is Mode.EXACT:
-        return exact_skew_squares(a)[0]
+    """Sorted real list theta_1 >= ... >= theta_n with eig(a) = {i * theta_k}, for a Float
+    skew-Hermitian a, from the Hermitian eigenproblem for -i a. The exact spectrum of an
+    Exact matrix is ``exact_skew_squares``."""
+    a._require_float("skew_spectrum")
     require_skew_hermitian(a)
     w, _ = _skew_eigh(a, vectors=False)
     return [float(t) for t in w[::-1]]
@@ -363,16 +321,10 @@ def killing_flow(a: CMatrix):
     """(w, flow) for a Float skew-Hermitian a, from one eigendecomposition -i a = V diag(w) V^*:
     ``w`` ascending, eig(a) = {i * w_k}, and ``flow(t)`` the array exp(t a) = V diag(e^{i t w}) V^*.
     Callers sampling the Killing field exp(t a) at many t call this once."""
-    if a.mode is not Mode.FLOAT:
-        raise ValueError("killing_flow is Float-mode only")
+    a._require_float("killing_flow")
     require_skew_hermitian(a)
     w, v = _skew_eigh(a, vectors=True)
     return w, lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
-
-
-def unitary_exp(a: CMatrix, t: float) -> CMatrix:
-    """exp(t a) for a Float skew-Hermitian a: one sample of ``killing_flow(a)``."""
-    return CMatrix(killing_flow(a)[1](t), Mode.FLOAT)
 
 
 # ---------------------------------------------------------------------------

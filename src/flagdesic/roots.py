@@ -2,13 +2,12 @@
 
 Roots split into isotropy (K) and complementary (M) roots; T-roots are block
 pairs; each positive M-root plane is spanned by two standard real tangent
-vectors. ``flag.build_roots`` and ``flag.t_roots`` import this module when
-first called, so of the commands only ``flagdesic roots`` loads it.
+vectors, which are equigeodesic. ``flag.build_roots`` and ``flag.t_roots``
+import this module when first called, so of the commands only
+``flagdesic roots`` loads it.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -74,38 +73,30 @@ class TRoot(_ByValue):
         return self.i < self.j
 
 
-def basis_unit(partition: FlagPartition, root: Root, mode: Mode = Mode.FLOAT) -> CMatrix:
-    """Matrix unit with 1 at the root's global (row, col) position."""
+def basis_unit(partition: FlagPartition, root: Root) -> CMatrix:
+    """Float matrix unit E_pq with 1 at the M-root's global (row, col) position: the
+    root space of the root."""
     if root.kind != "M":
         raise ValueError("K-roots are isotropy directions, not tangent directions")
-    arr = np.zeros((partition.total, partition.total), dtype=int)
+    arr = np.zeros((partition.total, partition.total))
     arr[root.global_row - 1, root.global_col - 1] = 1
-    return CMatrix(arr, mode)
+    return CMatrix(arr, Mode.FLOAT)
 
 
-def weyl_vector(
-    partition: FlagPartition, root: Root, kind: str, mode: Mode = Mode.FLOAT
-) -> TangentVector:
-    """Real root-plane vector: kind "A" gives E_pq - E_qp, "S" gives i(E_pq + E_qp)."""
-    from .gaussian import GaussianRational
+def weyl_vector(partition: FlagPartition, root: Root, kind: str) -> TangentVector:
+    """Real root-plane vector: kind "A" gives E_pq - E_qp, "S" gives i(E_pq + E_qp).
 
+    These Float vectors span the root planes, and each is equigeodesic: its only
+    nonzero blocks are a_ij and a_ji, so every product a_ij a_jm with i != m has a
+    zero factor.
+    """
     if root.kind != "M":
         raise ValueError("Weyl tangent vectors exist for M-roots only")
     if not root.positive:
         raise ValueError("pass the positive root of the pair")
     if kind not in ("A", "S"):
         raise ValueError(f"kind must be 'A' or 'S', got {kind!r}")
-    u = basis_unit(partition, root, mode)
+    u = basis_unit(partition, root)
     if kind == "S":
-        u = u.scale(GaussianRational(0, 1))
+        u = u.scale(1j)
     return TangentVector(partition, u - u.H)
-
-
-def compositions(n: int) -> Iterable:
-    """All ordered partitions of n (2^(n-1) of them), as tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest

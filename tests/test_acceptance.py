@@ -9,10 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tangent
+from conftest import compositions, essentially_diagonal, exp_defect, random_tangent
 from flagdesic import (
     Closedness,
-    CMatrix,
     FlagPartition,
     GaussianRational,
     InvariantMetric,
@@ -29,15 +28,12 @@ from flagdesic import (
     is_killing_closed,
     random_block_unitary,
     random_equigeodesic,
-    random_essentially_diagonal,
     skew_spectrum,
     spectral_data,
-    unitary_exp,
     weyl_vector,
 )
 from flagdesic.examples import fixture_vector
 from flagdesic.flag import build_roots
-from flagdesic.roots import compositions
 
 GR = GaussianRational
 
@@ -79,8 +75,7 @@ def test_criterion_02_f4_example_closed_period():
         v = is_killing_closed(x)
         assert v.status is Closedness.COMMENSURATE
         assert v.period == pytest.approx(2 * math.pi, rel=1e-12)
-        defect = (unitary_exp(x.matrix, 2 * math.pi) - CMatrix.identity(4)).fro()
-        assert defect <= 1e-8
+        assert exp_defect(x.matrix, 2 * math.pi) <= 1e-8
 
 
 def test_criterion_03_column_block_example():
@@ -174,7 +169,7 @@ def test_criterion_09_exact_float_agreement():
         while checked < 50:
             parts = SAMPLE_PARTITIONS[seed % len(SAMPLE_PARTITIONS)]
             p = FlagPartition(parts)
-            xe = random_essentially_diagonal(p, 40_000 + seed, mode=Mode.EXACT, values=values)
+            xe = essentially_diagonal(p, 40_000 + seed, values)
             seed += 1
             xf = xe.to_float()
             ve = is_equigeodesic(xe).is_equigeodesic

@@ -450,6 +450,7 @@ ONE_BLOCK = {"parts": [1, 1], "blocks": {"1,2": [[[1.0, 0.0]]]}}
 @pytest.mark.parametrize("argv, docs, message", [
     (["closedness", "{0}"], [{"parts": [1, 1]}], "the zero vector has no period (constant curve)"),
     (["curve", "{0}", "--t-max", "1", "--samples", "0"], [ONE_BLOCK], "--samples must be at least 1"),
+    (["curve", "{0}", "--t-max", "0", "--samples", "-5"], [ONE_BLOCK], "--samples must be at least 1"),
     (["examples"], [], "give a fixture name or --list"),
     (["closedness", "{0}", "--bound", "0"], [ONE_BLOCK], "denominator bound must be a positive integer"),
     (["check", "{0}"], [{"parts": [1, 1], "blocks": {"1,2": [[[10**400, 0]]]}}],
@@ -472,10 +473,15 @@ ONE_BLOCK = {"parts": [1, 1], "blocks": {"1,2": [[[1.0, 0.0]]]}}
      "lambda key '1,1' addresses a diagonal block; diagonal blocks are zero in m"),
     (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lambda": {"1,3": 2}}],
      "lambda key '1,3' out of range 1..2"),
-], ids=["zero-vector", "samples-0", "examples-no-name", "bound-0", "int-beyond-float",
-        "upper-twice", "lower-twice", "metric-not-object", "metric-no-parts", "lambda-not-object",
-        "lambda-disagrees", "exact-halves-disagree", "lambda-key-malformed", "lambda-key-diagonal",
-        "lambda-key-out-of-range"])
+    (["check", "{0}"], [{"parts": [1, 1, 1], "block": {"1,2": [[[1, 0]]], "2,3": [[[1, 0]]]}}],
+     "unknown key 'block' in vector document; allowed keys: n, parts, mode, blocks"),
+    (["check", "{0}", "{1}"], [ONE_BLOCK, {"parts": [1, 1], "lamda": {"1,2": 2}}],
+     "unknown key 'lamda' in metric document; allowed keys: parts, lambda"),
+], ids=["zero-vector", "samples-0", "samples-negative-at-t-max-0", "examples-no-name", "bound-0",
+        "int-beyond-float", "upper-twice", "lower-twice", "metric-not-object", "metric-no-parts",
+        "lambda-not-object", "lambda-disagrees", "exact-halves-disagree", "lambda-key-malformed",
+        "lambda-key-diagonal", "lambda-key-out-of-range", "vector-unknown-key",
+        "metric-unknown-key"])
 def test_usage_and_document_errors_exit_2_with_their_message(tmp_path, capsys, argv, docs, message):
     paths = [write_json(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
     assert main([a.format(*paths) for a in argv]) == 2
@@ -557,6 +563,16 @@ def test_curve_decomposes_once_and_closedness_never(tmp_path, f9, monkeypatch, c
     assert len(calls) == 1
     assert main(["closedness", f9]) == 0
     assert len(calls) == 1
+
+
+def test_option_defaults_are_the_library_defaults():
+    # cli builds its parser without importing equigeo or closure, so the defaults are literals
+    from flagdesic.closure import DEFAULT_BOUND
+    from flagdesic.equigeo import DEFAULT_EQUI_TOL
+
+    parser = cli._build_parser()
+    assert parser.parse_args(["check", "v.json"]).tol == DEFAULT_EQUI_TOL
+    assert parser.parse_args(["closedness", "v.json"]).bound == DEFAULT_BOUND
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "-1"])

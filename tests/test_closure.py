@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import essentially_diagonal, exp_defect
 from flagdesic import (
     AllZeroSpectrum,
     Closedness,
@@ -27,7 +28,6 @@ from flagdesic import (
     matrix_spectral_data,
     random_equigeodesic,
     spectral_data,
-    unitary_exp,
     weyl_vector,
 )
 from flagdesic.cli import main
@@ -67,7 +67,7 @@ def test_spectral_data_column_example():
 
 def test_spectral_data_zero_vector():
     p = FlagPartition((2, 1))
-    sd = spectral_data(TangentVector(p, CMatrix.zeros(3, 3)))
+    sd = spectral_data(TangentVector(p, CMatrix(np.zeros((3, 3)), Mode.FLOAT)))
     assert sd.thetas == pytest.approx([0.0, 0.0, 0.0])
 
 
@@ -171,7 +171,7 @@ def test_all_zero_spectrum_raises():
         commensurability(SpectralData((0.0, 0.0), Mode.FLOAT))
     p = FlagPartition((1, 1))
     with pytest.raises(AllZeroSpectrum):
-        is_killing_closed(TangentVector(p, CMatrix.zeros(2, 2)))
+        is_killing_closed(TangentVector(p, CMatrix(np.zeros((2, 2)), Mode.FLOAT)))
 
 
 def _fraction_gcd(values):
@@ -246,8 +246,7 @@ def test_f4_fixture_killing_closed():
     v = is_killing_closed(x)
     assert v.status is Closedness.COMMENSURATE
     assert v.period == pytest.approx(2 * math.pi)
-    ident = CMatrix.identity(4)
-    assert (unitary_exp(x.matrix, v.period) - ident).fro() <= 1e-9
+    assert exp_defect(x.matrix, v.period) <= 1e-9
     assert v.reason is None and 0.0 <= v.defect <= 1e-9
 
 
@@ -285,8 +284,7 @@ def _downgrade_vector():
 def test_confirmation_defect_read_from_spectrum_matches_exp(x):
     # ||exp(T A) - I||_F = ||e^{i T theta} - 1||_2, whether the check passes or downgrades
     period = commensurability(spectral_data(x)).period
-    n = x.partition.total
-    expected = (unitary_exp(x.matrix, period) - CMatrix.identity(n)).fro()
+    expected = exp_defect(x.matrix, period)
     assert is_killing_closed(x).defect == pytest.approx(expected, abs=1e-12)
 
 
@@ -342,9 +340,8 @@ def test_period_is_minimal():
     x = fixture_vector("f4-x2y3")
     v = is_killing_closed(x)
     assert math.gcd(*[m for m in v.multipliers if m]) == 1
-    ident = CMatrix.identity(4)
     for q in range(2, 6):
-        assert (unitary_exp(x.matrix, v.period / q) - ident).fro() > 1e-3
+        assert exp_defect(x.matrix, v.period / q) > 1e-3
 
 
 def test_conjugation_invariance_full_unitary():
@@ -368,9 +365,7 @@ def test_exact_float_agreement_small_integers():
     for seed in range(12):
         for parts in [(1, 1, 1), (2, 2), (2, 1, 1)]:
             p = FlagPartition(parts)
-            from flagdesic import random_essentially_diagonal
-
-            xe = random_essentially_diagonal(p, seed, mode=Mode.EXACT, values=values)
+            xe = essentially_diagonal(p, seed, values)
             if xe.fro() == 0.0:
                 continue
             ve = is_killing_closed(xe)
@@ -450,7 +445,7 @@ def test_return_distance_sqrt2_never_vanishes():
 
 def test_return_distance_zero_vector_and_validation():
     p = FlagPartition((1, 1))
-    zero = TangentVector(p, CMatrix.zeros(2, 2))
+    zero = TangentVector(p, CMatrix(np.zeros((2, 2)), Mode.FLOAT))
     assert np.all(geodesic_return_distance(zero, np.linspace(0.0, 10.0, 11)) == 0.0)
     chain = TangentVector.from_blocks(FlagPartition((1, 1, 1)), {(1, 2): [[1.0]], (2, 3): [[1.0]]})
     with pytest.raises(NotEquigeodesic) as info:

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_tangent
+from conftest import random_tangent, serialize_metric
 from flagdesic import FlagPartition, GaussianRational, Mode, TangentVector
 from flagdesic.documents import (
     DocumentError,
     parse_metric_document,
     parse_vector_document,
-    serialize_metric,
     serialize_vector,
 )
 from flagdesic.examples import fixture_document, fixture_names, fixture_vector, random_metric
@@ -57,15 +56,15 @@ def test_zero_blocks_omitted():
 def test_missing_blocks_are_zero_and_completion_applies():
     doc = {"parts": [2, 1], "mode": "float", "blocks": {"1,2": [[[1.0, 2.0]], [[0.0, 0.0]]]}}
     x = parse_vector_document(doc)
-    assert x.matrix.entry(0, 2) == 1 + 2j
-    assert x.matrix.entry(2, 0) == -1 + 2j  # -conj(1+2j)
-    assert x.matrix.entry(1, 2) == 0
+    assert x.matrix.entries()[0, 2] == 1 + 2j
+    assert x.matrix.entries()[2, 0] == -1 + 2j  # -conj(1+2j)
+    assert x.matrix.entries()[1, 2] == 0
 
 
 def test_lower_half_accepted_and_checked():
     lower = {"parts": [1, 1], "mode": "float", "blocks": {"2,1": [[[1.0, 0.0]]]}}
     x = parse_vector_document(lower)
-    assert x.matrix.entry(0, 1) == -1.0
+    assert x.matrix.entries()[0, 1] == -1.0
 
     consistent = {
         "parts": [1, 1],
@@ -123,15 +122,13 @@ def test_exact_entry_parsing_errors():
         )
     doc = {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [["1/2-i"]]}}
     x = parse_vector_document(doc)
-    assert x.matrix.entry(0, 1) == GR(0.5, -1)
+    assert x.matrix.entries()[0, 1] == GR(0.5, -1)
 
 
 def test_metric_document_defaults_and_errors():
     p = FlagPartition((1, 1, 1))
     g = parse_metric_document({"parts": [1, 1, 1], "lambda": {"1,2": 2.0}}, p)
-    assert g.value(1, 2) == 2.0
-    assert g.value(1, 3) == 1.0
-    assert g.value(2, 3) == 1.0
+    assert g.lam == {(1, 2): 2.0, (1, 3): 1.0, (2, 3): 1.0}
 
     with pytest.raises(DocumentError, match="positive"):
         parse_metric_document({"parts": [1, 1, 1], "lambda": {"1,2": -2.0}})
@@ -176,6 +173,22 @@ def test_booleans_are_not_numbers():
         parse_vector_document({"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[False]]}})
     with pytest.raises(DocumentError, match=re.escape("lambda['1,2'] must be a positive number")):
         parse_metric_document({"parts": [1, 1], "lambda": {"1,2": True}})
+
+
+@pytest.mark.parametrize("doc, parse, message", [
+    ({"parts": [1, 1, 1], "block": {"1,2": [[[1, 0]]]}}, parse_vector_document,
+     "unknown key 'block' in vector document; allowed keys: n, parts, mode, blocks"),
+    ({"parts": [1, 1], "lambda": {}}, parse_vector_document,
+     "unknown key 'lambda' in vector document; allowed keys: n, parts, mode, blocks"),
+    ({"parts": [1, 1], "lamda": {"1,2": 2.0}}, parse_metric_document,
+     "unknown key 'lamda' in metric document; allowed keys: parts, lambda"),
+    ({"parts": [1, 1], "mode": "float"}, parse_metric_document,
+     "unknown key 'mode' in metric document; allowed keys: parts, lambda"),
+], ids=["block", "lambda-in-vector", "lamda", "mode-in-metric"])
+def test_unknown_top_level_keys_are_rejected(doc, parse, message):
+    # a misspelt key would otherwise read as the zero vector or the normal metric
+    with pytest.raises(DocumentError, match=re.escape(message) + "$"):
+        parse(doc)
 
 
 @pytest.mark.parametrize("n", [True, 2.0, "2"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_tangent
+from conftest import compositions
 from flagdesic import (
     CMatrix,
     FlagPartition,
@@ -18,7 +18,6 @@ from flagdesic import (
     weyl_vector,
 )
 from flagdesic.flag import off_block_positions
-from flagdesic.roots import compositions
 
 
 def test_partition_basics():
@@ -26,8 +25,6 @@ def test_partition_basics():
     assert p.total == 6
     assert p.s == 3
     assert p.offsets == (0, 2, 5, 6)
-    assert not p.is_full_flag
-    assert FlagPartition((1, 1, 1)).is_full_flag
     assert p.block_of(1) == 1
     assert p.block_of(2) == 1
     assert p.block_of(3) == 2
@@ -137,12 +134,12 @@ def test_basis_unit_positions():
     p21 = FlagPartition((2, 1))
     r = Root(p21, 1, 2, 2, 1)
     assert r.global_row == 2 and r.global_col == 3
-    assert basis_unit(p21, r).entry(1, 2) == 1.0
+    assert basis_unit(p21, r).data[1, 2] == 1.0
 
     p333 = FlagPartition((3, 3, 3))
     r = Root(p333, 2, 3, 3, 3)
     assert r.global_row == 6 and r.global_col == 9
-    assert basis_unit(p333, r).entry(5, 8) == 1.0
+    assert basis_unit(p333, r).data[5, 8] == 1.0
 
 
 def test_basis_unit_rejects_k_root():
@@ -187,11 +184,12 @@ def test_weyl_vectors_are_valid_and_fixed_by_projection():
 
 
 def test_weyl_vector_exact_mode():
+    # root vectors are Float; the exact S vector of a root is the upper block [["i"]]
     p = FlagPartition((1, 1))
-    r = Root(p, 1, 2, 1, 1)
-    s = weyl_vector(p, r, "S", mode=Mode.EXACT)
-    assert s.mode is Mode.EXACT
-    assert s.matrix.entry(0, 1) == GaussianRational(0, 1)
+    s = weyl_vector(p, Root(p, 1, 2, 1, 1), "S")
+    assert s.mode is Mode.FLOAT
+    exact = TangentVector.from_blocks(p, {(1, 2): [[GaussianRational(0, 1)]]}, Mode.EXACT)
+    assert np.array_equal(exact.to_float().matrix.data, s.matrix.data)
 
 
 def test_tangent_vector_validation():
@@ -216,7 +214,7 @@ def test_tangent_vector_validation():
         TangentVector(p, CMatrix(1e-200 * diag_block, Mode.FLOAT))
 
     with pytest.raises(ValueError, match="shape"):
-        TangentVector(p, CMatrix.zeros(4, 4))
+        TangentVector(p, CMatrix(np.zeros((4, 4)), Mode.FLOAT))
 
 
 def test_tangent_vector_names_the_nonzero_diagonal_block():
@@ -239,22 +237,12 @@ def test_tangent_vector_names_the_nonzero_diagonal_block():
 def test_from_blocks_shapes_and_completion():
     p = FlagPartition((2, 1))
     x = TangentVector.from_blocks(p, {(1, 2): [[1 + 1j], [2.0]]})
-    assert x.block(2, 1).allclose(-x.block(1, 2).H)
+    a = x.matrix.data
+    assert np.array_equal(a[2:, :2], -a[:2, 2:].conj().T)
     with pytest.raises(ValueError):
         TangentVector.from_blocks(p, {(2, 1): [[1.0, 0.0]]})
     with pytest.raises(ValueError, match="shape"):
         TangentVector.from_blocks(p, {(1, 2): [[1.0, 0.0]]})
-
-
-def test_block_view_matches_matrix():
-    rng = np.random.default_rng(41)
-    p = FlagPartition((2, 2, 1))
-    x = random_tangent(p, rng)
-    blk = x.block(3, 1)
-    assert blk.shape == (1, 2)
-    assert np.allclose(blk.data, x.matrix.data[4:5, 0:2])
-    with pytest.raises(ValueError):
-        x.block(2, 2)
 
 
 def test_off_block_positions():

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tangent
+from conftest import essentially_diagonal, random_tangent
 from flagdesic import (
     Closedness,
     FlagPartition,
+    Mode,
     canonicalize,
     equigeodesic_certificate,
     is_equigeodesic,
     is_killing_closed,
     random_block_unitary,
     random_equigeodesic,
-    random_essentially_diagonal,
 )
 
 #: s <= 5 blocks and n <= 9.
@@ -65,7 +65,7 @@ def test_canonical_values_scale_by_c(p, seed, c, u_seed):
 @given(partitions, seeds, wide_scales, seeds)
 def test_closedness_invariant_for_integer_values(p, seed, c, u_seed):
     # integer a_k, rotated into general position by a block unitary
-    base = random_essentially_diagonal(p, seed, values=[1, 2, 3, 4, 5])
+    base = essentially_diagonal(p, seed, [1, 2, 3, 4, 5], Mode.FLOAT)
     x = base.conjugated_by(random_block_unitary(p, seed))
     before, after = is_killing_closed(x), is_killing_closed(_transform(x, c, u_seed))
     assert before.status is Closedness.COMMENSURATE

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_tangent
+from conftest import probe_grid, random_tangent
 from flagdesic import (
     FlagPartition,
     GaussianRational,
     InvariantMetric,
     Mode,
     TangentVector,
-    basis_metric,
     hadamard_action,
     metric_inner,
     random_metric,
@@ -39,11 +38,8 @@ def test_hadamard_block_scaling_f3():
     p = FlagPartition((1, 1, 1))
     x = TangentVector.from_blocks(p, {(1, 2): [[1.0]], (1, 3): [[1.0]], (2, 3): [[1.0]]})
     g = InvariantMetric.from_pairs(p, {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 3.0})
-    y = hadamard_action(g, x)
-    assert y.matrix.entry(0, 1) == 1.0
-    assert y.matrix.entry(0, 2) == 2.0
-    assert y.matrix.entry(1, 2) == 3.0
-    assert y.matrix.entry(2, 1) == -3.0
+    y = hadamard_action(g, x).matrix.data
+    assert (y[0, 1], y[0, 2], y[1, 2], y[2, 1]) == (1.0, 2.0, 3.0, -3.0)
 
 
 def test_hadamard_partition_mismatch():
@@ -55,38 +51,37 @@ def test_hadamard_partition_mismatch():
 
 
 def test_hadamard_exact_mode_with_probe():
+    # the metric acts on Float vectors only: an exact one is refused, not rounded
     p = FlagPartition((1, 1, 1))
     x = TangentVector.from_blocks(
         p,
         {(1, 2): [[GaussianRational(1, 1)]], (1, 3): [[GaussianRational(2)]]},
         Mode.EXACT,
     )
-    y = hadamard_action(basis_metric(p, 1, 2), x)
-    assert y.mode is Mode.EXACT
-    assert y.matrix.entry(0, 1) == GaussianRational(1, 1)
-    assert not y.matrix.entry(0, 2)
+    with pytest.raises(ValueError, match="hadamard_action is Float-mode only"):
+        hadamard_action(InvariantMetric.from_pairs(p, {(1, 2): 0.1}), x)
 
 
 def test_basis_metric_support_and_flag():
+    # a 0/1 probe is no metric; its grid keeps block (1, 2) and zeroes the rest
     p = FlagPartition((1, 1, 1))
-    probe = basis_metric(p, 1, 2)
-    assert probe.degenerate
+    with pytest.raises(ValueError, match="must be positive"):
+        InvariantMetric(p, {(1, 2): 1.0, (1, 3): 0.0, (2, 3): 0.0})
     rng = np.random.default_rng(6)
     x = random_tangent(p, rng)
-    y = hadamard_action(probe, x)
-    assert y.matrix.entry(0, 1) == x.matrix.entry(0, 1)
-    assert y.matrix.entry(0, 2) == 0.0
-    assert y.matrix.entry(1, 2) == 0.0
-    with pytest.raises(ValueError):
-        basis_metric(p, 2, 2)
+    y = x.matrix.hadamard(probe_grid(p, 1, 2)).data
+    assert y[0, 1] == x.matrix.data[0, 1]
+    assert y[0, 2] == 0.0
+    assert y[1, 2] == 0.0
 
 
 def test_basis_metrics_sum_to_normal():
     p = FlagPartition((2, 2, 1))
     total = np.zeros((5, 5))
     for i, j in p.positive_pairs():
-        total = total + basis_metric(p, i, j).multiplier_matrix
-    assert np.array_equal(total, InvariantMetric.normal(p).multiplier_matrix)
+        total = total + probe_grid(p, i, j)
+    normal = InvariantMetric.normal(p).multiplier_table
+    assert np.array_equal(total, np.repeat(np.repeat(normal, p.parts, 0), p.parts, 1))
 
 
 def test_metric_decomposition_identity():
@@ -97,8 +92,7 @@ def test_metric_decomposition_identity():
     g = random_metric(p, 99)
     combined = np.zeros_like(x.matrix.data)
     for i, j in p.positive_pairs():
-        probe = hadamard_action(basis_metric(p, i, j), x)
-        combined = combined + g.value(i, j) * probe.matrix.data
+        combined = combined + g.lam[(i, j)] * x.matrix.hadamard(probe_grid(p, i, j)).data
     assert np.array_equal(combined, hadamard_action(g, x).matrix.data)
 
 
@@ -127,7 +121,7 @@ def test_metric_inner_symmetry_and_bilinearity():
         sxy = metric_inner(g, x, y)
         assert abs(sxy - metric_inner(g, y, x)) <= 1e-12 * max(abs(sxy), 1.0)
         c = rng.uniform(0.1, 3.0)
-        lhs = metric_inner(g, TangentVector(p, x.matrix.scale(c) + y.matrix.scale(1.0)), z)
+        lhs = metric_inner(g, TangentVector(p, x.matrix.scale(c) + y.matrix), z)
         rhs = c * metric_inner(g, x, z) + metric_inner(g, y, z)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -143,11 +137,10 @@ def test_metric_inner_positive_definite():
 
 
 def test_metric_inner_rejects_degenerate_probe():
+    # a probe table cannot be built as a metric, so metric_inner never sees one
     p = FlagPartition((1, 1, 1))
-    rng = np.random.default_rng(14)
-    x = random_tangent(p, rng)
-    with pytest.raises(ValueError, match="probe"):
-        metric_inner(basis_metric(p, 1, 2), x, x)
+    with pytest.raises(ValueError, match=r"metric multiplier \(1, 3\) must be positive, got 0.0"):
+        InvariantMetric(p, {(1, 2): 1.0, (1, 3): 0.0, (2, 3): 0.0})
 
 
 def test_random_metric_reproducible_and_bounded():
@@ -158,7 +151,6 @@ def test_random_metric_reproducible_and_bounded():
     assert random_metric(p, 124).lam != g1.lam
     for v in g1.lam.values():
         assert 1e-2 <= v <= 1e2
-    assert not g1.degenerate
 
 
 def test_metric_table_validation():

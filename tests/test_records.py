@@ -39,9 +39,7 @@ RECORDS = {
     TRoot: ({"i": 1, "j": 2}, {}, {"j": 3}),
     CMatrix: ({"data": M.data, "mode": Mode.FLOAT}, {}, {"mode": Mode.EXACT}),
     TangentVector: ({"partition": P, "matrix": M}, {}, {"matrix": M.scale(2.0)}),
-    InvariantMetric: (
-        {"partition": P, "lam": {(1, 2): 2.0}}, {"degenerate": (False, True)}, {"lam": {(1, 2): 3.0}}
-    ),
+    InvariantMetric: ({"partition": P, "lam": {(1, 2): 2.0}}, {}, {"lam": {(1, 2): 3.0}}),
     EquigeodesicVerdict: (
         {"is_equigeodesic": True, "method": "block-condition", "worst_residual": 0.0},
         {"violating_triple": (None, (1, 2, 3))},
@@ -149,7 +147,7 @@ def test_partition_coerces_parts_and_derives_offsets():
 def test_metric_caches_its_tables():
     g = _build(InvariantMetric)
     assert g.multiplier_table is g.multiplier_table
-    assert g.multiplier_matrix.tolist() == [[0, 2, 2], [2, 0, 0], [2, 0, 0]]
+    assert g.multiplier_table.tolist() == [[0, 2], [2, 0]]
 
 
 def _exact(rows):
@@ -177,7 +175,7 @@ I3, I2 = GaussianRational(0, Fraction(1, 3)), GaussianRational(0, Fraction(-1, 2
     (lambda: _exact([[Fraction(1), 0.5]]), ValueError,
      "Exact matrices hold int, Fraction or GaussianRational entries only; "
      "got float 0.5 (mode mixing is rejected)"),
-    (lambda: TangentVector(P, CMatrix.zeros(2, 2)), ValueError,
+    (lambda: TangentVector(P, CMatrix(np.zeros((2, 2)), Mode.FLOAT)), ValueError,
      "matrix shape (2, 2) does not match partition total 3"),
     (lambda: TangentVector(P, CMatrix(NOT_SKEW, Mode.FLOAT)), NotSkewHermitian,
      "matrix is not skew-Hermitian (defect 2.828e+00, tolerance 1.414e-09)"),
@@ -191,8 +189,6 @@ I3, I2 = GaussianRational(0, Fraction(1, 3)), GaussianRational(0, Fraction(-1, 2
      "diagonal block 2 is not zero (not in m)"),
     (lambda: InvariantMetric(P, {}), ValueError,
      "multiplier table must cover exactly the pairs [(1, 2)], got []"),
-    (lambda: InvariantMetric(P, {(1, 2): -1.0}, degenerate=True), ValueError,
-     "multiplier (1, 2) is negative: -1.0"),
     (lambda: InvariantMetric(P, {(1, 2): 0.0}), ValueError,
      "metric multiplier (1, 2) must be positive, got 0.0"),
 ])
