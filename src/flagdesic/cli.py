@@ -38,6 +38,7 @@ from .linalg import ExactSpectrumUnavailable, Mode, killing_flow
 #: Names bound here from the modules only some commands need, when first needed,
 #: so each command compiles and runs only the modules it uses.
 _LAZY = {
+    # spectral_data runs inside is_killing_closed; perfbench's tracer test reads it here
     "closure": ("AllZeroSpectrum", "Closedness", "is_killing_closed", "spectral_data"),
     "equigeo": (
         "NotEquigeodesic", "canonicalize", "equigeodesic_certificate", "is_equigeodesic",
@@ -160,14 +161,12 @@ def _cmd_closedness(args) -> int:
     _load("closure")
     x = _load_vector(args.vector, args.mode)
     try:
-        sd = spectral_data(x)
+        verdict = is_killing_closed(x, args.bound)
     except ExactSpectrumUnavailable as exc:
         raise _CliError(f"{exc}; rerun with --mode float")
-    try:
-        verdict = is_killing_closed(x, args.bound, sd)
     except AllZeroSpectrum:
         raise _CliError("the zero vector has no period (constant curve)")
-    thetas = "  ".join(f"{t:.12g}" for t in sd.thetas)
+    thetas = "  ".join(f"{t:.12g}" for t in verdict.thetas)
     print(f"spectrum (i * theta): {thetas}")
     print(f"status: {verdict.status.value}")
     if verdict.status is Closedness.COMMENSURATE:

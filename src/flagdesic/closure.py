@@ -6,7 +6,8 @@ rational). Floats can never prove commensurability, so the Float verdict is
 tri-state with an explicit denominator bound; Exact mode decides it outright
 by testing whether ratios of the rational theta^2 values are squares of
 rationals (theta_i/theta_j rational iff theta_i^2/theta_j^2 is a rational
-square), which avoids ever representing an irrational square root.
+square), which avoids ever representing an irrational square root. Every
+verdict carries the spectrum it was decided on.
 
 For an equigeodesic A the same spectrum gives the return distance of the
 geodesic through o (the off-diagonal-block norm of exp(tA)) in closed form:
@@ -60,11 +61,10 @@ class SpectralData(NamedTuple):
     """Eigenvalue data of a skew-Hermitian matrix: eig = {i * theta_k}.
 
     ``thetas`` is sorted descending. In Exact mode ``exact_squares`` holds the
-    rational theta_k^2 aligned index by index with ``thetas``.
+    rational theta_k^2 aligned index by index with ``thetas``; in Float mode it is None.
     """
 
     thetas: tuple
-    mode: Mode
     exact_squares: Optional[tuple] = None
 
 
@@ -72,7 +72,8 @@ class ClosednessVerdict(NamedTuple):
     """``reason`` says why a verdict is Undetermined: "continued-fraction" (a
     ratio is neither resolved nor refuted within the bound) or
     "exp-confirmation" (exp(T A) missed the identity). ``defect`` is
-    ||exp(T A) - I||_F wherever that check ran."""
+    ||exp(T A) - I||_F wherever that check ran. ``thetas`` is the spectrum the
+    verdict was decided on, ``SpectralData.thetas``."""
 
     status: Closedness
     base_frequency: Optional[float] = None
@@ -81,6 +82,7 @@ class ClosednessVerdict(NamedTuple):
     bound_used: Optional[int] = None
     reason: Optional[str] = None
     defect: Optional[float] = None
+    thetas: Optional[tuple] = None
 
     @property
     def closed(self) -> Optional[bool]:
@@ -100,9 +102,9 @@ class ClosednessVerdict(NamedTuple):
 def matrix_spectral_data(a) -> SpectralData:
     """Spectral data of any skew-Hermitian CMatrix (not only tangent vectors)."""
     if a.mode is Mode.FLOAT:
-        return SpectralData(tuple(skew_spectrum(a)), Mode.FLOAT)
+        return SpectralData(tuple(skew_spectrum(a)))
     thetas, squares = exact_skew_squares(a)
-    return SpectralData(tuple(thetas), Mode.EXACT, tuple(squares))
+    return SpectralData(tuple(thetas), tuple(squares))
 
 
 def spectral_data(x: TangentVector) -> SpectralData:
@@ -186,16 +188,16 @@ def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> Closedness
     if sd.exact_squares is not None:
         ratios, bound = _exact_ratios(sd), None  # a proof: no bound
         if ratios is None:
-            return ClosednessVerdict(status=Closedness.INCOMMENSURATE)
+            return ClosednessVerdict(Closedness.INCOMMENSURATE, thetas=sd.thetas)
     else:
         assessed = [_assess_ratio(theta / theta_ref, bound) for theta in sd.thetas]
         kinds = {kind for kind, _, _ in assessed}
         if "irrational" in kinds:
-            return ClosednessVerdict(Closedness.INCOMMENSURATE_WITHIN_BOUND, bound_used=bound)
+            return ClosednessVerdict(Closedness.INCOMMENSURATE_WITHIN_BOUND, bound_used=bound,
+                                     thetas=sd.thetas)
         if "undetermined" in kinds:
-            return ClosednessVerdict(
-                Closedness.UNDETERMINED, bound_used=bound, reason="continued-fraction"
-            )
+            return ClosednessVerdict(Closedness.UNDETERMINED, bound_used=bound,
+                                     reason="continued-fraction", thetas=sd.thetas)
         ratios = [(p, q) for _, p, q in assessed]
     lambda0, multipliers = _multipliers_and_base(ratios, theta_ref)
     return ClosednessVerdict(
@@ -204,32 +206,31 @@ def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> Closedness
         period=2.0 * math.pi / lambda0,
         multipliers=multipliers,
         bound_used=bound,
+        thetas=sd.thetas,
     )
 
 
-def is_killing_closed(
-    x: TangentVector, bound: int = DEFAULT_BOUND, sd: Optional[SpectralData] = None
-) -> ClosednessVerdict:
+def is_killing_closed(x: TangentVector, bound: int = DEFAULT_BOUND) -> ClosednessVerdict:
     """Spectral data -> commensurability, confirmed by exp(T A) ~ identity.
 
-    ``sd`` is the spectral data of ``x`` when the caller already has it;
-    otherwise it is computed here. The confirmation guards the float path
-    against accepting spuriously large denominators; on failure, or on an infinite
-    period (with a NaN defect), the verdict downgrades to Undetermined with reason
+    The spectrum is computed once, here (``spectral_data`` raises
+    ExactSpectrumUnavailable where it does), and every verdict carries it as
+    ``thetas``. The confirmation guards the float path against accepting
+    spuriously large denominators; on failure, or on an infinite period (with a
+    NaN defect), the verdict downgrades to Undetermined with reason
     "exp-confirmation". It reads the spectrum, as A = V diag(i theta) V^* with V
     unitary: ||exp(T A) - I||_F = ||e^{i T theta} - 1||_2. An exact verdict is a
     proof: it runs no float confirmation and carries no bound and no defect.
     """
-    sd = spectral_data(x) if sd is None else sd
+    sd = spectral_data(x)
     verdict = commensurability(sd, bound)
     if verdict.status is Closedness.COMMENSURATE and sd.exact_squares is None:
         defect = math.nan  # an infinite period has no exp(T A) to evaluate
         if math.isfinite(verdict.period):
             defect = float(np.linalg.norm(np.exp(1j * verdict.period * np.array(sd.thetas)) - 1.0))
         if not defect <= EXP_CONFIRM_TOL * x.partition.total:  # a nan defect fails too
-            return ClosednessVerdict(
-                Closedness.UNDETERMINED, bound_used=bound, reason="exp-confirmation", defect=defect
-            )
+            return ClosednessVerdict(Closedness.UNDETERMINED, bound_used=bound,
+                                     reason="exp-confirmation", defect=defect, thetas=sd.thetas)
         return verdict._replace(defect=defect)
     return verdict
 

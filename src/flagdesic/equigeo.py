@@ -8,7 +8,10 @@ metric) exactly when all cross products of its blocks vanish:
 
 Two independent routes decide this: the block condition above, and a finite
 bracket certificate probing [X, L_ij X] over the 0/1 multiplier basis. The
-equivalence of the two is one of the library's acceptance gates.
+equivalence of the two is one of the library's acceptance gates. Both run on
+``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one
+scale, and apply its one residual rule in both modes: a residual sqrt(num / den),
+violated where num > tol^2 * den, with tol = 0 on Exact ints.
 
 Equigeodesic matrices admit a block-unitary canonical form: conjugation by a
 suitable U = U_1 + ... + U_s (direct sum) turns A into an essentially diagonal
@@ -23,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .flag import FlagPartition, TangentVector, block_norms_sq, block_sums
+from .flag import FlagPartition, TangentVector, _block_arrays, block_norms_sq, block_sums
 from .linalg import PAST_FLOAT_RANGE, CMatrix, Mode, _unit_scale, commutator, project_m
 
 if TYPE_CHECKING:
@@ -117,29 +120,6 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 
-def _block_arrays(x: TangentVector):
-    """(partition, array, squared block norms) the block kernels run on.
-
-    Float: the matrix times ``_unit_scale``, so no square or product over- or
-    underflows, and every normalized residual is that of the matrix. Exact: ``data``, the
-    integer embedding of D*A, over the doubled partition, so block (i, j) stays block
-    (i, j), zero tests are int tests, and D cancels from every normalized residual.
-    """
-    if x.mode is Mode.FLOAT:
-        a = x.matrix.data * _unit_scale(x.matrix.data)
-        return x.partition, a, block_norms_sq(x.partition, a)
-    p = FlagPartition(tuple(2 * k for k in x.partition.parts))
-    return p, x.matrix.data, _norms_sq(p, x.matrix.data)
-
-
-def _norms_sq(p: FlagPartition, a: np.ndarray) -> np.ndarray:
-    """Squared block norms; exact ints for an integer embedding, which holds
-    every entry twice, so its table is halved."""
-    if a.dtype != object:
-        return block_norms_sq(p, a)
-    return block_sums(p, a * a) // 2
-
-
 def _scan_block_products(x: TangentVector, tol: float):
     """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
 
@@ -148,8 +128,7 @@ def _scan_block_products(x: TangentVector, tol: float):
     j at a time: A[:, J] @ A[J, :] holds every product a_ij a_jm at once, and
     only the rows and columns of blocks joined to j by a nonzero block count.
     """
-    p, a, norms = _block_arrays(x)
-    exact = x.mode is Mode.EXACT
+    p, a, norms, tol = _block_arrays(x, tol, balance=True)
     nonzero = norms != 0
     np.fill_diagonal(nonzero, False)
     parts = np.array(p.parts)
@@ -163,17 +142,13 @@ def _scan_block_products(x: TangentVector, tol: float):
             continue
         idx = np.flatnonzero(np.isin(block_of, near))
         lo, hi = p.offsets[j], p.offsets[j + 1]
-        prod = _norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        prod = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
         live = np.outer(nonzero[near, j], nonzero[j, near])
         np.fill_diagonal(live, False)
-        if exact:  # int / int rounds correctly at any size, while the tables grow like D^4
-            scale = np.outer(norms[near, j], norms[j, near])
-            res = np.sqrt((np.where(live, prod, 0) / np.where(live, scale, 1)).astype(float))
-        else:
-            scale = np.outer(np.sqrt(norms[near, j]), np.sqrt(norms[j, near]))
-            res = np.zeros(live.shape)
-            np.divide(np.sqrt(prod), scale, out=res, where=live)
-        bad = live & (prod != 0) if exact else res > tol
+        num = np.where(live, prod, 0)
+        den = np.where(live, np.outer(norms[near, j], norms[j, near]), 1)
+        res = np.sqrt((num / den).astype(float))
+        bad = num > tol**2 * den
         if bad.any():
             i, m = near[np.argwhere(bad)[0]]
             triple = (int(i) + 1, j + 1, int(m) + 1)
@@ -188,16 +163,13 @@ def _scan_block_products(x: TangentVector, tol: float):
 def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
     """Block condition: every ordered product a_ij a_jm (i, j, m distinct) vanishes.
 
-    Float mode compares ||a_ij a_jm||_F against tol * ||a_ij||_F ||a_jm||_F,
-    which makes the verdict scale-invariant; Exact mode is a strict zero test.
-    Vacuously true when the partition has fewer than three blocks.
+    Compares ||a_ij a_jm||_F^2 against tol^2 * ||a_ij||_F^2 ||a_jm||_F^2, which makes
+    the verdict scale-invariant; Exact mode is the same test at tol = 0, a strict
+    zero test. Vacuously true when the partition has fewer than three blocks.
     """
     _require_tol(tol)
     worst, first_bad, _ = _scan_block_products(x, tol)
-    if x.mode is Mode.EXACT:
-        ok = first_bad is None
-    else:
-        ok = worst <= tol
+    ok = first_bad is None
     return EquigeodesicVerdict(
         is_equigeodesic=ok,
         method="block-condition",
@@ -221,19 +193,18 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     evaluations quantify over every invariant metric at once. Y = L_ij X is
     a_ij + a_ji, so XY lives in the column slab I u J and YX in the row slab
     I u J; each probe costs O(n (n_i + n_j)^2), and a probe with a_ij = 0
-    is skipped (Y = 0).
+    is skipped (Y = 0). The residual is ||[X, Y]_m|| / (||X|| ||Y||) of mu.X, so a
+    chain of small blocks cannot hide beside one large block.
     """
     _require_tol(tol)
-    p, a, norms = _block_arrays(x)
-    exact = x.mode is Mode.EXACT
+    p, a, norms, tol = _block_arrays(x, tol, balance=True)
+    whole = FlagPartition((1,))  # block_sums reads only the starts, (0,): one block of any shape
     total = norms.sum()
-    xnorm = 0.0 if exact else math.sqrt(total)
     worst = 0.0
     failed = False
     for i, j in p.positive_pairs():
         if not norms[i - 1, j - 1]:
             continue
-        y_sq = norms[i - 1, j - 1] + norms[j - 1, i - 1]
         bi, bj = slice(*p.block_range(i)), slice(*p.block_range(j))
         ni = bi.stop - bi.start
         slab = np.r_[bi, bj]
@@ -241,22 +212,13 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
         yx = np.vstack([a[bi, bj] @ a[bj, :], a[bj, bi] @ a[bi, :]])  # rows I, J of YX
         inner = xy[slab, :] - yx[:, slab]  # the bracket on rows and columns I u J
         inner[:ni, :ni] = inner[ni:, ni:] = 0  # diagonal blocks: not in m
-        xy[slab, :] = 0
+        xy[slab, :] = inner
         yx[:, slab] = 0
-        pieces = (xy, yx, inner)  # disjoint supports; together [X, Y]_m
-        if exact:
-            if not any(v for piece in pieces for v in piece.flat):
-                continue
-            failed = True
-            bracket_sq = sum((q * q).sum() for q in pieces) // 2
-            # int / int rounds correctly at any size, while the ints grow like D^4
-            ratio = math.sqrt(bracket_sq / (total * y_sq))
-        else:
-            bracket = math.sqrt(sum(float(np.vdot(q, q).real) for q in pieces))
-            ratio = bracket / (xnorm * math.sqrt(y_sq))
-        worst = max(worst, ratio)
-    if not exact:
-        failed = worst > tol
+        # disjoint supports; together [X, Y]_m, against ||X||^2 ||Y||^2
+        num = block_norms_sq(whole, xy)[0, 0] + block_norms_sq(whole, yx)[0, 0]
+        den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
+        worst = max(worst, math.sqrt(num / den))
+        failed = failed or num > tol**2 * den
     triple = None
     if failed:
         _, first_bad, argmax = _scan_block_products(x, tol)
@@ -293,15 +255,11 @@ def is_essentially_block_diagonal(x: TangentVector) -> bool:
 
     A sufficient condition for the equigeodesic characterization a_ij a_jm = 0:
     each such product then has a zero factor. Float blocks count above
-    ESSENTIAL_ENTRY_TOL * ||A||_F.
+    ESSENTIAL_ENTRY_TOL * ||A||_F, Exact blocks when nonzero.
     """
-    _, _, norms = _block_arrays(x)
-    total = norms.sum()  # ||A||_F^2 on the same scale as the blocks
-    np.fill_diagonal(norms, 0)
-    if x.mode is Mode.EXACT:
-        nonzero = norms != 0
-    else:
-        nonzero = np.sqrt(norms) > ESSENTIAL_ENTRY_TOL * math.sqrt(total)
+    _, _, norms, tol = _block_arrays(x, ESSENTIAL_ENTRY_TOL)
+    nonzero = norms > tol**2 * norms.sum()
+    np.fill_diagonal(nonzero, False)
     return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 
 

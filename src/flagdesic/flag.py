@@ -3,11 +3,14 @@
 Partitions, block coordinates, tangent vectors, block-wise norms, and the
 positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
-everywhere in the public API.
+everywhere in the public API. Outside ``linalg``, this is the only module that
+knows each mode's block layout: ``_block_arrays`` gives every block kernel its
+numbers and its tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Mapping
@@ -118,19 +121,14 @@ class TangentVector(Immutable):
                 f"matrix shape {self.matrix.shape} does not match partition total {n}"
             )
         require_skew_hermitian(self.matrix)
-        p = self.partition
-        in_diag = ~off_block_mask(p)  # row-major, so grouped block by block
-        blocks = np.repeat(np.arange(1, p.s + 1), np.square(p.parts))
-        if self.mode is Mode.EXACT:
-            for i in blocks[self.matrix.nonzero()[in_diag]][:1]:  # the first nonzero block, if any
-                raise ValueError(f"diagonal block {i} is not zero (not in m)")
-            return
-        diag = self.matrix.data[in_diag]
-        tol = SKEW_TOL_FACTOR * self.matrix.fro()
-        s = _unit_scale(self.matrix.data)  # so no square over- or underflows
-        norms = np.sqrt(np.bincount(blocks, np.abs(diag * s) ** 2)) / s
-        for i in np.flatnonzero(norms > tol)[:1]:
-            raise ValueError(f"diagonal block {i} is not zero (norm {norms[i]:.3e} > {tol:.3e})")
+        _, _, norms, tol = _block_arrays(self, SKEW_TOL_FACTOR)
+        diag, total = np.diag(norms), norms.sum()
+        for i in np.flatnonzero(diag > tol**2 * total)[:1]:
+            if self.mode is Mode.EXACT:
+                raise ValueError(f"diagonal block {i + 1} is not zero (not in m)")
+            fro = self.matrix.fro()
+            raise ValueError(f"diagonal block {i + 1} is not zero "
+                             f"(norm {math.sqrt(diag[i] / total) * fro:.3e} > {tol * fro:.3e})")
 
     @property
     def mode(self) -> Mode:
@@ -201,5 +199,46 @@ def block_sums(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
 
 def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
     """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j)
-    of an n x n complex array."""
+    of a complex array, or the exact int of an integer embedding over the doubled
+    partition: the embedding holds every entry twice, so its table is halved."""
+    if arr.dtype == object:
+        return block_sums(partition, arr * arr) // 2
     return block_sums(partition, arr.real**2 + arr.imag**2)
+
+
+def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
+    """(partition, array, squared block norms, tolerance): the one block layout of each
+    mode, for the one residual rule of the block kernels: a residual sqrt(num / den),
+    violated where num > tol^2 * den.
+
+    Float: the matrix times ``_unit_scale``, so no square or product over- or
+    underflows, and ``tol``. Exact: ``data``, the integer embedding of D*A, over the
+    doubled partition, so block (i, j) stays block (i, j), and tol = 0: int / int rounds
+    correctly at any size, and num > 0 * den is the strict zero test. Every residual is
+    a ratio of norms, so the scale and D cancel from it.
+
+    ``balance`` gives mu.X instead, mu_ij = 2^-e_ij with e_ij = math.frexp(the largest
+    |re| or |im| of block (i, j))[1], so that every nonzero block's largest part lies in
+    [1/2, 1); Exact uses the integers 2^(E - e_ij), E the largest e_ij, so both modes give
+    the same residuals. mu acts termwise, as an invariant metric does, so every
+    a_ij a_jm = 0 stays as it is, and a block far smaller than another still counts.
+    """
+    p, a = x.partition, x.matrix.data
+    if x.mode is Mode.EXACT:
+        p, tol = FlagPartition(tuple(2 * k for k in p.parts)), 0
+    if balance:
+        mags = np.abs(a) if x.mode is Mode.EXACT else np.maximum(np.abs(a.real), np.abs(a.imag))
+        starts = p.offsets[:-1]
+        top = np.maximum.reduceat(np.maximum.reduceat(mags, starts, axis=0), starts, axis=1)
+        bi = p.block_index
+        if x.mode is Mode.FLOAT:
+            e = np.frexp(top)[1][bi][:, bi]
+            a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)  # exact, past 2**1023 too
+        else:  # e_ij + bit length of D, from ints, on the nonzero blocks
+            d, bd = x.matrix.den, x.matrix.den.bit_length()
+            live, e = top != 0, np.zeros_like(top)
+            e[live] = [m.bit_length() + (m << bd >= d << m.bit_length()) for m in top[live]]
+            a = a * (1 << (e.max() - e))[bi][:, bi]
+    elif x.mode is Mode.FLOAT:
+        a = a * _unit_scale(a)
+    return p, a, block_norms_sq(p, a), tol

@@ -224,12 +224,12 @@ class CMatrix(Immutable):
         return CMatrix(out, Mode.FLOAT)
 
     def allclose(self, other: "CMatrix", tol: float = DEFAULT_RTOL) -> bool:
-        """Relative Frobenius comparison in Float mode, exact equality in Exact."""
+        """Relative Frobenius comparison in Float mode, ||a - b|| <= tol * max(||a||, ||b||)
+        at every scale, and exact equality in Exact."""
         self._check_binary(other, "allclose")
         if self.mode is Mode.EXACT:
             return (self - other).is_zero()
-        scale = max(self.fro(), other.fro(), 1.0)
-        return (self - other).fro() <= tol * scale
+        return (self - other).fro() <= tol * max(self.fro(), other.fro())
 
     def __repr__(self):
         return f"CMatrix({self.n_rows}x{self.n_cols}, {self.mode.value})"

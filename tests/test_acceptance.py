@@ -222,7 +222,7 @@ def test_criterion_11_incommensurate_control():
         assert vf.bound_used == 10**6
 
         # the same verdict comes from the raw spectral fixture
-        sd = SpectralData((math.sqrt(2.0), 1.0), Mode.FLOAT)
+        sd = SpectralData((math.sqrt(2.0), 1.0))
         assert commensurability(sd, bound=10**6).status is (
             Closedness.INCOMMENSURATE_WITHIN_BOUND
         )

@@ -57,7 +57,7 @@ def sqrt2_vector(mode=Mode.FLOAT) -> TangentVector:
 def test_spectral_data_paper_f4():
     sd = spectral_data(fixture_vector("f4-x2y3"))
     assert sd.thetas == pytest.approx([3.0, 2.0, -2.0, -3.0])
-    assert sd.mode is Mode.FLOAT and sd.exact_squares is None
+    assert sd.exact_squares is None
 
 
 def test_spectral_data_column_example():
@@ -73,7 +73,7 @@ def test_spectral_data_zero_vector():
 
 def test_spectral_data_exact_squares_aligned():
     sd = spectral_data(sqrt2_vector(Mode.EXACT))
-    assert sd.mode is Mode.EXACT
+    assert sd.exact_squares is not None
     for theta, sq in zip(sd.thetas, sd.exact_squares):
         assert theta * theta == pytest.approx(float(sq))
 
@@ -110,7 +110,7 @@ def test_spectral_scale_covariance():
 
 
 def test_commensurate_integer_spectrum():
-    v = commensurability(SpectralData((3.0, 2.0, -2.0, -3.0), Mode.FLOAT))
+    v = commensurability(SpectralData((3.0, 2.0, -2.0, -3.0)))
     assert v.status is Closedness.COMMENSURATE
     assert v.base_frequency == pytest.approx(1.0)
     assert v.period == pytest.approx(2 * math.pi)
@@ -118,7 +118,7 @@ def test_commensurate_integer_spectrum():
 
 
 def test_commensurate_single_pair():
-    v = commensurability(SpectralData((5.0, -5.0), Mode.FLOAT))
+    v = commensurability(SpectralData((5.0, -5.0)))
     assert v.status is Closedness.COMMENSURATE
     assert v.base_frequency == pytest.approx(5.0)
     assert v.period == pytest.approx(2 * math.pi / 5.0)
@@ -127,7 +127,7 @@ def test_commensurate_single_pair():
 
 def test_commensurate_rational_ratios():
     thetas = (1.5, 1.0, 0.0, -1.0, -1.5)
-    v = commensurability(SpectralData(thetas, Mode.FLOAT))
+    v = commensurability(SpectralData(thetas))
     assert v.status is Closedness.COMMENSURATE
     assert v.base_frequency == pytest.approx(0.5)
     assert v.multipliers == (3, 2, 0, -2, -3)
@@ -136,7 +136,7 @@ def test_commensurate_rational_ratios():
 
 
 def test_incommensurate_sqrt2_float():
-    sd = SpectralData((math.sqrt(2), 1.0, -1.0, -math.sqrt(2)), Mode.FLOAT)
+    sd = SpectralData((math.sqrt(2), 1.0, -1.0, -math.sqrt(2)))
     v = commensurability(sd, bound=10**6)
     assert v.status is Closedness.INCOMMENSURATE_WITHIN_BOUND
     assert v.bound_used == 10**6
@@ -153,14 +153,14 @@ def test_incommensurate_sqrt2_exact():
 
 def test_golden_ratio_incommensurate():
     phi = (1 + math.sqrt(5)) / 2
-    v = commensurability(SpectralData((phi, 1.0, -1.0, -phi), Mode.FLOAT))
+    v = commensurability(SpectralData((phi, 1.0, -1.0, -phi)))
     assert v.status is Closedness.INCOMMENSURATE_WITHIN_BOUND
 
 
 def test_near_rational_is_undetermined():
     # a 1e-8 perturbation of 1/2 is neither resolved nor refutable at 1e-9/1e-6
     rho = 0.5 + 1e-8
-    v = commensurability(SpectralData((1.0, rho, -rho, -1.0), Mode.FLOAT))
+    v = commensurability(SpectralData((1.0, rho, -rho, -1.0)))
     assert v.status is Closedness.UNDETERMINED
     assert v.closed is None
     assert v.reason == "continued-fraction" and v.defect is None
@@ -168,7 +168,7 @@ def test_near_rational_is_undetermined():
 
 def test_all_zero_spectrum_raises():
     with pytest.raises(AllZeroSpectrum):
-        commensurability(SpectralData((0.0, 0.0), Mode.FLOAT))
+        commensurability(SpectralData((0.0, 0.0)))
     p = FlagPartition((1, 1))
     with pytest.raises(AllZeroSpectrum):
         is_killing_closed(TangentVector(p, CMatrix(np.zeros((2, 2)), Mode.FLOAT)))
@@ -197,7 +197,7 @@ def test_float_commensurability_against_fraction_oracle():
             fracs.extend([f, -f])
         expected = _fraction_gcd(fracs)
         thetas = tuple(sorted((float(f) for f in fracs), reverse=True))
-        v = commensurability(SpectralData(thetas, Mode.FLOAT))
+        v = commensurability(SpectralData(thetas))
         assert v.status is Closedness.COMMENSURATE
         assert v.base_frequency == pytest.approx(float(expected), rel=1e-9)
         for theta, m in zip(thetas, v.multipliers):
@@ -207,7 +207,7 @@ def test_float_commensurability_against_fraction_oracle():
 def test_commensurability_verdict_scale_invariant():
     base = (3.0, 2.0, -2.0, -3.0)
     for c in (1e-3, 1.0, 1e3):
-        v = commensurability(SpectralData(tuple(c * t for t in base), Mode.FLOAT))
+        v = commensurability(SpectralData(tuple(c * t for t in base)))
         assert v.status is Closedness.COMMENSURATE
         assert v.multipliers == (3, 2, -2, -3)
         assert v.base_frequency == pytest.approx(c)
@@ -397,8 +397,8 @@ def test_exact_decides_rational_spectra_with_large_denominators(values, base):
     expected = sorted(values + [-v for v in values], reverse=True)
     assert list(sd.exact_squares) == [v * v for v in expected]
     assert sd.thetas == pytest.approx([float(v) for v in expected], abs=1e-15)
-    v = is_killing_closed(x, sd=sd)
-    assert v.status is Closedness.COMMENSURATE
+    v = is_killing_closed(x)
+    assert v.status is Closedness.COMMENSURATE and v.thetas == sd.thetas
     assert v.base_frequency == pytest.approx(float(base), rel=1e-12)
     assert v.multipliers == tuple(int(t / base) for t in expected)
     vf = is_killing_closed(x.to_float())
@@ -437,7 +437,8 @@ def test_return_distance_sqrt2_never_vanishes():
     # sin(t) vanishes, sin(sqrt(2) t) does not
     x = sqrt2_vector(Mode.EXACT)
     sd = spectral_data(x)
-    assert is_killing_closed(x, sd=sd).status is Closedness.INCOMMENSURATE
+    v = is_killing_closed(x)
+    assert v.status is Closedness.INCOMMENSURATE and v.thetas == sd.thetas
     ts = math.pi * np.arange(1, 33)
     assert geodesic_return_distance(x, ts).min() > 1e-2
     assert geodesic_return_distance(x, np.linspace(0.0, 100.0, 5001)[1:]).min() > 1e-3

@@ -82,6 +82,16 @@ def test_lower_half_accepted_and_checked():
         parse_vector_document(inconsistent)
 
 
+@pytest.mark.parametrize("upper, lower", [(1.0, -3.0), (1e-300, -3e-300), (1e-300, -1e-290)])
+def test_half_consistency_is_relative_at_every_scale(upper, lower):
+    # below norm 1 an absolute check let the upper half win silently
+    doc = {"parts": [1, 1], "blocks": {"1,2": [[[upper, 0.0]]], "2,1": [[[lower, 0.0]]]}}
+    with pytest.raises(DocumentError, match=r"^blocks \(1, 2\) and \(2, 1\) disagree by"):
+        parse_vector_document(doc)
+    doc["blocks"]["2,1"] = [[[-upper * (1 + 1e-13), 0.0]]]
+    assert parse_vector_document(doc).matrix.data[0, 1] == upper
+
+
 def test_document_errors():
     with pytest.raises(DocumentError, match="diagonal"):
         parse_vector_document(

@@ -112,15 +112,25 @@ def test_f9_fixture_is_equigeodesic():
 
 
 def test_f3_chain_is_not_equigeodesic():
-    p = FlagPartition((1, 1, 1))
-    x = TangentVector.from_blocks(p, {(1, 2): [[1.0]], (2, 3): [[1.0]]})
-    v = is_equigeodesic(x)
-    assert not v.is_equigeodesic
-    assert v.violating_triple == (1, 2, 3)
-    assert v.worst_residual > 1e-8
-    c = equigeodesic_certificate(x)
-    assert not c.is_equigeodesic
-    assert c.violating_triple == (1, 2, 3)
+    chains = [  # a_12 a_23 != 0, also beside blocks of very different sizes
+        ((1, 1, 1), {(1, 2): 1, (2, 3): 1}),
+        ((1, 1, 1), {(1, 2): 1, (2, 3): Fraction(1, 10**170)}),  # squares below the float range
+        ((1,) * 5, {(1, 2): Fraction(1, 10**9), (2, 3): Fraction(1, 10**9), (4, 5): 1}),
+    ]
+    for parts, values in chains:
+        residuals = []
+        for mode, entry in ((Mode.FLOAT, float), (Mode.EXACT, GR)):
+            blocks = {pair: [[entry(v)]] for pair, v in values.items()}
+            x = TangentVector.from_blocks(FlagPartition(parts), blocks, mode)
+            v = is_equigeodesic(x)
+            assert not v.is_equigeodesic
+            assert v.violating_triple == (1, 2, 3)
+            assert v.worst_residual > 1e-8
+            c = equigeodesic_certificate(x)
+            assert not c.is_equigeodesic
+            assert c.violating_triple == (1, 2, 3)
+            residuals.append(c.worst_residual)
+        assert residuals[0] == pytest.approx(residuals[1], rel=1e-12)
 
 
 def test_two_block_partition_vacuously_equigeodesic():
@@ -245,10 +255,12 @@ def reference_block_condition(x, tol=1e-8):
 
 @st.composite
 def sparse_block_vectors(draw, mode):
-    """Small Gaussian-integer entries on a random subset of the upper blocks (s <= 8).
+    """Small Gaussian-integer entries times 2**k, k in [-500, 0] per block, on a random
+    subset of the upper blocks (s <= 8).
 
-    Integer entries keep float products exact, so products that cancel
-    through orthogonality are exactly zero in both modes.
+    Such entries keep float products exact, so products that cancel through
+    orthogonality are exactly zero in both modes, and blocks of very different
+    sizes meet, whose products' squares lie below the float range.
     """
     parts = draw(st.lists(st.integers(1, 2 if mode is Mode.EXACT else 3), min_size=1, max_size=8))
     p = FlagPartition(tuple(parts))
@@ -260,7 +272,9 @@ def sparse_block_vectors(draw, mode):
         size = parts[i - 1] * parts[j - 1]
         re = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
         im = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
-        entries = [GR(r, c) if mode is Mode.EXACT else complex(r, c) for r, c in zip(re, im)]
+        scale = Fraction(2) ** draw(st.integers(-500, 0))
+        entries = [GR(r * scale, c * scale) if mode is Mode.EXACT else complex(r * scale, c * scale)
+                   for r, c in zip(re, im)]
         blocks[(i, j)] = [entries[k : k + parts[j - 1]] for k in range(0, size, parts[j - 1])]
     return TangentVector.from_blocks(p, blocks, mode)
 
@@ -271,7 +285,15 @@ def _assert_matches_reference(x):
     assert v.is_equigeodesic == ok
     assert v.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
     assert v.violating_triple == triple
-    assert equigeodesic_certificate(x).is_equigeodesic == ok
+    c = equigeodesic_certificate(x)
+    assert c.is_equigeodesic == ok and c.violating_triple == triple
+    # the entries are dyadic, so the other mode holds the same matrix
+    if x.mode is Mode.EXACT:
+        other = x.to_float()
+    else:
+        rows = [[GR(Fraction(z.real), Fraction(z.imag)) for z in row] for row in x.matrix.data]
+        other = TangentVector(x.partition, CMatrix(rows, Mode.EXACT))
+    assert equigeodesic_certificate(other).worst_residual == pytest.approx(c.worst_residual, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

@@ -52,7 +52,7 @@ RECORDS = {
         {"ranks": {(1, 2): 1}, "singular_values": {(1, 2): (1.0,)}}, {}, {"ranks": {(1, 2): 0}}
     ),
     SpectralData: (
-        {"thetas": (1.0, 0.0, -1.0), "mode": Mode.FLOAT},
+        {"thetas": (1.0, 0.0, -1.0)},
         {"exact_squares": (None, (Fraction(1), Fraction(0), Fraction(1)))},
         {"thetas": (2.0, 0.0, -2.0)},
     ),
@@ -65,6 +65,7 @@ RECORDS = {
             "bound_used": (None, 10),
             "reason": (None, "exp-confirmation"),
             "defect": (None, 1e-15),
+            "thetas": (None, (1.0, 0.0, -1.0)),
         },
         {"status": Closedness.UNDETERMINED},
     ),
@@ -202,10 +203,12 @@ def test_closedness_verdict_replace_keeps_other_fields():
     full = ClosednessVerdict(*RECORDS[ClosednessVerdict][0].values(),
                              *(other for _, other in RECORDS[ClosednessVerdict][1].values()))
     moved = full._replace(defect=0.5)
-    assert moved.defect == 0.5 and moved[:-1] == full[:-1] and full.defect == 1e-15
+    others = [name for name in full._fields if name != "defect"]
+    assert moved.defect == 0.5 and full.defect == 1e-15
+    assert [getattr(moved, n) for n in others] == [getattr(full, n) for n in others]
     # is_killing_closed adds only the exp(T A) defect to the commensurability verdict
     x = fixture_vector("f4-x2y3")
     sd = spectral_data(x)
-    plain, confirmed = commensurability(sd), is_killing_closed(x, sd=sd)
+    plain, confirmed = commensurability(sd), is_killing_closed(x)
     assert plain.defect is None and confirmed.defect is not None
     assert confirmed._replace(defect=None) == plain
