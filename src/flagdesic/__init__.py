@@ -34,8 +34,7 @@ _EXPORTS = {
     "flag": ("FlagPartition", "TangentVector", "build_roots", "t_roots"),
     "gaussian": ("GaussianRational",),
     "linalg": (
-        "CMatrix", "ExactSpectrumUnavailable", "Mode", "NotSkewHermitian", "commutator",
-        "project_m", "skew_spectrum",
+        "CMatrix", "Mode", "NotSkewHermitian", "commutator", "project_m", "skew_spectrum",
     ),
     "metric": ("InvariantMetric", "hadamard_action", "metric_inner"),
     "roots": ("Root", "TRoot", "basis_unit", "weyl_vector"),

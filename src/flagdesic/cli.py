@@ -33,7 +33,7 @@ from .flag import (
     off_block_positions,
     t_roots,
 )
-from .linalg import ExactSpectrumUnavailable, Mode, killing_flow
+from .linalg import Mode, killing_flow
 
 #: Names bound here from the modules only some commands need, when first needed,
 #: so each command compiles and runs only the modules it uses.
@@ -160,10 +160,9 @@ def serialize_vector_with_canonical(x, form) -> dict:
 def _cmd_closedness(args) -> int:
     _load("closure")
     x = _load_vector(args.vector, args.mode)
+    x.matrix.to_float()  # the verdict prints floats: an entry past their range exits 2, naming it
     try:
         verdict = is_killing_closed(x, args.bound)
-    except ExactSpectrumUnavailable as exc:
-        raise _CliError(f"{exc}; rerun with --mode float")
     except AllZeroSpectrum:
         raise _CliError("the zero vector has no period (constant curve)")
     thetas = "  ".join(f"{t:.12g}" for t in verdict.thetas)

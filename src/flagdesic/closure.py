@@ -3,10 +3,10 @@
 The one-parameter group exp(tA) is a circle exactly when the eigenvalue
 imaginary parts theta_1..theta_n are commensurate (all pairwise ratios
 rational). Floats can never prove commensurability, so the Float verdict is
-tri-state with an explicit denominator bound; Exact mode decides it outright
-by testing whether ratios of the rational theta^2 values are squares of
-rationals (theta_i/theta_j rational iff theta_i^2/theta_j^2 is a rational
-square), which avoids ever representing an irrational square root. Every
+tri-state with an explicit denominator bound; Exact mode decides it outright:
+an irrational theta^2 refutes it, and otherwise ratios of the rational theta^2
+must be squares of rationals (theta_i/theta_j rational iff theta_i^2/theta_j^2
+is a rational square), so no irrational square root is ever represented. Every
 verdict carries the spectrum it was decided on.
 
 For an equigeodesic A the same spectrum gives the return distance of the
@@ -60,9 +60,9 @@ class Closedness(Enum):
 class SpectralData(NamedTuple):
     """Eigenvalue data of a skew-Hermitian matrix: eig = {i * theta_k}.
 
-    ``thetas`` is sorted descending. In Exact mode ``exact_squares`` holds the
-    rational theta_k^2 aligned index by index with ``thetas``; in Float mode it is None.
-    """
+    ``thetas`` is sorted descending. In Exact mode ``exact_squares`` holds the rational
+    theta_k^2 aligned index by index with ``thetas``, or is all None where some theta^2 is
+    irrational (``thetas`` then being the float spectrum); in Float mode it is None."""
 
     thetas: tuple
     exact_squares: Optional[tuple] = None
@@ -167,6 +167,8 @@ def _exact_ratios(sd: SpectralData):
     """theta_k / theta_ref as signed integer pairs (p, q) from the exact squares, with
     theta_ref the largest |theta|; None when one ratio is irrational."""
     squares = sd.exact_squares
+    if squares[0] is None:  # some theta^2 is irrational
+        return None
     s_ref = squares[max(range(len(sd.thetas)), key=lambda k: abs(sd.thetas[k]))]
     ratios = []
     for theta, s_k in zip(sd.thetas, squares):
@@ -200,10 +202,13 @@ def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> Closedness
                                      reason="continued-fraction", thetas=sd.thetas)
         ratios = [(p, q) for _, p, q in assessed]
     lambda0, multipliers = _multipliers_and_base(ratios, theta_ref)
+    period = 2.0 * math.pi / lambda0 if lambda0 else math.inf
+    if bound is None and period == math.inf:  # a proof, of a period no float holds
+        raise ValueError("the period lies outside the float range: it exceeds 1.8e+308")
     return ClosednessVerdict(
         status=Closedness.COMMENSURATE,
         base_frequency=lambda0,
-        period=2.0 * math.pi / lambda0,
+        period=period,
         multipliers=multipliers,
         bound_used=bound,
         thetas=sd.thetas,
@@ -213,9 +218,9 @@ def commensurability(sd: SpectralData, bound: int = DEFAULT_BOUND) -> Closedness
 def is_killing_closed(x: TangentVector, bound: int = DEFAULT_BOUND) -> ClosednessVerdict:
     """Spectral data -> commensurability, confirmed by exp(T A) ~ identity.
 
-    The spectrum is computed once, here (``spectral_data`` raises
-    ExactSpectrumUnavailable where it does), and every verdict carries it as
-    ``thetas``. The confirmation guards the float path against accepting
+    The spectrum is computed once, here, and every verdict carries it as
+    ``thetas``; an exact verdict whose floats leave the float range raises
+    ValueError. The confirmation guards the float path against accepting
     spuriously large denominators; on failure, or on an infinite period (with a
     NaN defect), the verdict downgrades to Undetermined with reason
     "exp-confirmation". It reads the spectrum, as A = V diag(i theta) V^* with V

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .flag import FlagPartition, TangentVector, _block_arrays, block_norms_sq, block_sums
+from .flag import FlagPartition, TangentVector, _block_arrays, _norm_sq, block_norms_sq, block_sums
 from .linalg import PAST_FLOAT_RANGE, CMatrix, Mode, _unit_scale, commutator, project_m
 
 if TYPE_CHECKING:
@@ -198,7 +198,6 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     """
     _require_tol(tol)
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
-    whole = FlagPartition((1,))  # block_sums reads only the starts, (0,): one block of any shape
     total = norms.sum()
     worst = 0.0
     failed = False
@@ -215,7 +214,7 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
         xy[slab, :] = inner
         yx[:, slab] = 0
         # disjoint supports; together [X, Y]_m, against ||X||^2 ||Y||^2
-        num = block_norms_sq(whole, xy)[0, 0] + block_norms_sq(whole, yx)[0, 0]
+        num = _norm_sq(xy) + _norm_sq(yx)
         den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
         worst = max(worst, math.sqrt(num / den))
         failed = failed or num > tol**2 * den

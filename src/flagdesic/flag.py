@@ -206,6 +206,12 @@ def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
     return block_sums(partition, arr.real**2 + arr.imag**2)
 
 
+def _norm_sq(arr: np.ndarray):
+    """Squared Frobenius norm of a complex array, or the exact int of an integer embedding
+    (halved, as it holds every entry twice)."""
+    return (arr * arr).sum() // 2 if arr.dtype == object else np.vdot(arr, arr).real
+
+
 def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
     """(partition, array, squared block norms, tolerance): the one block layout of each
     mode, for the one residual rule of the block kernels: a residual sqrt(num / den),

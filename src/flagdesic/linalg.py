@@ -11,15 +11,16 @@ The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
 ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats.
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
 zero tests and ``project_m`` are one numpy expression for both modes; only shapes,
-entries, the norm and ``to_float`` read the 2 x 2 layout, and the exact block and
-spectral kernels run on the embedding itself. ``scale``, ``hadamard``,
-``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never mixes
-modes; mixed-mode binary operations raise ``ValueError``.
+entries, the norm and ``to_float`` read the 2 x 2 layout. Exact block kernels run on the
+embedding, the exact spectrum on the integer characteristic polynomial of D*H. ``scale``,
+``hadamard``, ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never
+mixes modes; mixed-mode binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
 from enum import Enum
@@ -49,10 +50,6 @@ class Mode(Enum):
 
 class NotSkewHermitian(ValueError):
     """Input matrix is not skew-Hermitian (within tolerance in Float mode)."""
-
-
-class ExactSpectrumUnavailable(ValueError):
-    """The exact spectral extraction failed; caller should fall back to Float."""
 
 
 class Immutable:
@@ -332,79 +329,96 @@ def killing_flow(a: CMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _nullity(m: np.ndarray) -> int:
-    """Kernel dimension of a square integer matrix, by Bareiss (1968) elimination:
-    every entry stays an integer minor, so each division by the last pivot is exact."""
-    m = m.copy()
-    size = m.shape[0]
-    rank, prev = 0, 1
-    for c in range(size):
-        nonzero = np.flatnonzero(m[rank:, c])
-        if nonzero.size == 0:
-            continue
-        r = rank + int(nonzero[0])
-        m[[rank, r]] = m[[r, rank]]
-        pivot, below = m[rank, c], slice(rank + 1, size)
-        m[below, c + 1:] = (
-            pivot * m[below, c + 1:] - np.outer(m[below, c], m[rank, c + 1:])
-        ) // prev
-        prev, rank = pivot, rank + 1
-    return size - rank
+def exact_char_poly(a: CMatrix) -> np.ndarray:
+    """The monic integer characteristic polynomial p of D*H, H = -i a, for an Exact
+    skew-Hermitian a over D = a.den: its coefficients, highest first, as an object array.
+    Modulo primes q = 5 (mod 8) in (2^19, 2^20), where 2^((q-1)/4) stands for i,
+    Faddeev-LeVerrier gives p mod q by float64 BLAS products, exact as sums of n <= 4096
+    products of residues stay below 2^53. A coefficient is a sum of principal minors, within
+    prod(1 + r_j) by Hadamard's bound, r_j the 2-norm of row j of D*H (Cohen, 2.2), and the
+    Chinese remainder theorem joins residues of primes whose product passes twice that."""
+    if a.mode is not Mode.EXACT:
+        raise ValueError("exact_char_poly requires Exact mode")
+    e, n = a.data, a.n_rows
+    if not a.is_square or (e + e.T).any():  # E antisymmetric <=> a skew-Hermitian
+        require_skew_hermitian(a)  # raises, naming the defect
+    bound = 2 * math.prod(2 + math.isqrt(r) for r in (e * e).sum(axis=1)[0::2])  # > 2 prod(1 + r_j)
+    count = bound.bit_length() // 19 + 1  # primes above 2^19 whose product passes the bound
+    primes = list(itertools.islice((q for q in range(2**20 - 3, 2**19, -8)
+                                    if all(q % f for f in range(3, 1025, 2))), count))
+    if len(primes) < count or n > 4096:  # else a sum of products of residues may pass 2^53
+        raise ValueError("the exact characteristic polynomial is out of reach: n > 4096, or "
+                         "more primes needed than lie between 2^19 and 2^20")
+    q, w = (np.array(v, dtype=np.int64)[:, None, None]
+            for v in (primes, [pow(2, q // 4, q) for q in primes]))  # w^2 = -1 (mod q)
+    small = np.int64 if abs(e).max() < 2**63 else object  # ints of a numpy type where they fit
+    x, y = e[0::2, 0::2].astype(small), e[1::2, 0::2].astype(small)  # D a = x + i y, D H = y - i x
+    m, q = ((y % q - w * (x % q)) % q).astype(np.float64), q.astype(np.float64)
+    mk, eye, out = 0.0, np.eye(n), [np.ones(count)]
+    for k in range(1, n + 1):  # mk = D H M_{k-1}, M_{k-1} = mk + c_{k-1}, c_k = -tr(mk) / k
+        mk = m @ (mk + out[-1][:, None, None] * eye)
+        mk -= np.floor(mk / q) * q  # exact below 2^53
+        trace = np.trace(mk, axis1=1, axis2=2) % q[:, 0, 0]
+        out.append(-trace * [pow(k, -1, p) for p in primes] % q[:, 0, 0])
+    total = math.prod(primes)
+    basis = np.array([total // p * pow(total // p, -1, p) for p in primes], dtype=object)
+    coeffs = np.array(out).astype(np.int64).astype(object) @ basis % total
+    return np.where(2 * coeffs > total, coeffs - total, coeffs)
+
+
+def _deflate(poly, root: int):
+    """(quotient, multiplicity): ``poly`` divided by x - root while that leaves no remainder."""
+    for mult in itertools.count():
+        *quotient, rest = itertools.accumulate(poly, lambda b, c: b * root + c)
+        if rest:
+            return poly, mult
+        poly = quotient
+
+
+def _sqrt_over(z: int, d: int) -> float:
+    """sqrt(z) / d: math.sqrt(z / d^2) where that is a normal float, else an integer square root
+    scaled by 2^64, so no square under- or overflows; ValueError where no float holds it."""
+    with contextlib.suppress(OverflowError):
+        if (c := z / (d * d)) >= sys.float_info.min or not z:
+            return math.sqrt(c)
+    with contextlib.suppress(OverflowError):
+        if t := math.isqrt(z << 128) / (d << 64):
+            return t
+    raise ValueError("the spectrum lies outside the float range: some theta rounds to 0 or inf")
 
 
 def exact_skew_squares(a: CMatrix):
-    """Exact spectrum of an Exact skew-Hermitian a, eig(a) = {i * theta_k}.
+    """Exact spectrum of an Exact skew-Hermitian a, eig(a) = {i * theta_k}: (thetas, squares),
+    thetas descending, squares[k] the Fraction theta_k^2 and thetas[k] its signed float root.
 
-    Returns (thetas, squares) ordered so that thetas descend; squares[k] is
-    the exact Fraction theta_k^2 and thetas[k] its signed float square root.
-
-    For H = -i a, D*H has Gaussian-integer entries and D^2 (-a^2) = (D H)^2 a
-    monic integer characteristic polynomial, so a rational theta^2 has a
-    denominator dividing D^2. The float spectrum names candidates (its exact
-    squares, rounded to the nearest fractions with denominators up to min(D^2, Q),
-    Q the largest the float error estimate resolves), and exact nullities on the
-    integer embedding accept them with their multiplicities. A rational theta is
-    signed by the nullities of D H -/+ D theta; an irrational one has +theta and
-    -theta equally often, as the characteristic polynomial of H has rational
-    coefficients. Raises ExactSpectrumUnavailable when the accepted
-    multiplicities fall short of n.
-    """
+    p = ``exact_char_poly(a)`` has the roots D theta_k, so s(x^2) = p(x) (-1)^n p(-x) is monic
+    in Z[y] with the roots D^2 theta_k^2 >= 0, a rational one an integer. Newton's method with
+    integer floor steps from their sum never passes the largest, as s/s' = 1 / sum 1/(y - y_k),
+    and stops less than deg s above it; the integers of that window are tested exactly, and a
+    root is divided out with its multiplicity. theta = k/D is signed by the multiplicity of k
+    in p; an irrational theta has -theta as often, as p is in Z[x]. A window without a root
+    means an irrational theta^2 and an incommensurate spectrum (theta_k = q_k theta_ref with
+    rational q_k makes tr(-a^2) = theta_ref^2 sum q_k^2, and so each theta^2, rational): then
+    squares are all None, and thetas the float spectrum."""
     from fractions import Fraction
 
-    if a.mode is not Mode.EXACT:
-        raise ValueError("exact_skew_squares requires Exact mode")
-    n = a.n_rows
-    d, e = a.den, a.data
-    if not a.is_square or (e + e.T).any():  # E antisymmetric <=> a skew-Hermitian
-        require_skew_hermitian(a)  # raises, naming the defect
-    h = np.empty_like(e)  # embedding of D*H: symmetric, as H is Hermitian
-    h[0::2], h[1::2] = e[1::2], -e[0::2]
-    eye = np.diag(np.ones(2 * n, dtype=object))
-    approx, _ = _skew_eigh(a, vectors=False)
-    # estimate (not a proven bound) of each theta^2's float error, 2 n eps ||H||_2^2; inf past range
-    top = float(np.max(np.abs(approx), initial=0.0))
-    delta = 2 * n * sys.float_info.epsilon * (top * top)
-    resolved = math.inf if delta == 0 else max(1, math.floor((2 * delta) ** -0.5))
-    d2 = d * d
-    spectrum, h_sq = [], None
-    for c in {(Fraction(float(t)) ** 2).limit_denominator(min(d2, resolved)) for t in approx}:
-        if (c * d2).denominator != 1:
-            continue  # D^2 c is not an integer, so c is no eigenvalue
-        big = c > sys.float_info.max  # theta^2 beyond the float range: an integer square root
-        mag = math.isqrt(c.numerator * c.denominator) / c.denominator if big else math.sqrt(c)
-        num, den = math.isqrt(c.numerator), math.isqrt(c.denominator)
-        if num * num == c.numerator and den * den == c.denominator:
-            plus = _nullity(den * h - num * d * eye) // 2
-            minus = _nullity(den * h + num * d * eye) // 2 if num else 0
-        else:
-            h_sq = h @ h if h_sq is None else h_sq
-            plus = minus = _nullity(h_sq - int(c * d2) * eye) // 4
-        spectrum += [(mag, c)] * plus + [(-mag, c)] * minus
-    if len(spectrum) != n:
-        raise ExactSpectrumUnavailable(
-            f"exact spectrum undecided: the float spectrum names a rational theta^2 for "
-            f"{len(spectrum)} of {n} eigenvalues; a rational theta^2 has a denominator dividing "
-            f"D^2 = {d2}; denominators resolved up to {resolved}"
-        )
-    spectrum.sort(key=lambda tc: tc[0], reverse=True)
-    return [t for t, _ in spectrum], [c for _, c in spectrum]
+    p = exact_char_poly(a)
+    s = np.convolve(p, p * (-1) ** np.arange(len(p)))[::2].tolist()
+    y, spectrum = -s[1], []  # the sum of the roots
+    while len(s) > 1:
+        v = dv = 0
+        for c in s:  # Horner: v = s(y), dv = s'(y)
+            v, dv = v * y + c, dv * y + v
+        if v >= dv > 0:  # a floor step of at least 1
+            y -= v // dv
+            continue
+        size = len(s)
+        for z in range(y, max(0, y - (size - 1) * v // dv if v else y) - 1, -1):
+            s, mult = _deflate(s, z)
+            if mult:
+                p, plus = _deflate(p, k) if (k := math.isqrt(z)) ** 2 == z else (p, mult // 2)
+                theta, c = _sqrt_over(z, a.den), Fraction(z, a.den**2)
+                spectrum += [(theta, c)] * plus + [(-theta, c)] * (mult - plus)
+        if len(s) == size:  # the largest root left is irrational
+            return [float(t) for t in _skew_eigh(a, vectors=False)[0][::-1]], [None] * a.n_rows
+    return [list(col) for col in zip(*sorted(spectrum, key=lambda tc: tc[0], reverse=True))]

@@ -295,16 +295,17 @@ def test_closedness_undetermined(tmp_path, capsys):
 
 
 def test_closedness_exact_unavailable_advises_float(tmp_path, capsys):
+    # sigma^2 = (3 +- sqrt 5) / 2: an irrational theta^2 proves the spectrum incommensurate
     doc = {
         "parts": [2, 2],
         "mode": "exact",
         "blocks": {"1,2": [["1", "1"], ["0", "1"]]},
     }
     path = write_json(tmp_path / "irr.json", doc)
-    assert main(["closedness", path, "--mode", "exact"]) == 2
-    err = capsys.readouterr().err
-    assert "exact spectrum undecided" in err
-    assert err.count("--mode float") == 1 and "Float mode" not in err
+    assert main(["closedness", path, "--mode", "exact"]) == 1
+    assert capsys.readouterr() == (
+        "spectrum (i * theta): 1.61803398875  0.61803398875  -0.61803398875  -1.61803398875\n"
+        "status: incommensurate\n", "")
 
 
 def _exact_pair(entry):
@@ -313,6 +314,12 @@ def _exact_pair(entry):
 
 EXACT_CHAIN = {"parts": [1, 1, 1, 1], "mode": "exact",
                "blocks": {"1,2": [["1"]], "2,3": [["1"]], "3,4": [["1"]]}}
+
+
+#: an error line naming the float range, where a decided verdict's floats would leave it
+SPECTRUM_PAST_RANGE = ("error: the spectrum lies outside the float range: "
+                       "some theta rounds to 0 or inf\n")
+PERIOD_PAST_RANGE = "error: the period lies outside the float range: it exceeds 1.8e+308\n"
 
 
 @pytest.mark.parametrize("doc, code, expected", [
@@ -325,17 +332,31 @@ EXACT_CHAIN = {"parts": [1, 1, 1, 1], "mode": "exact",
      ("spectrum (i * theta): 4.14951556888e+180  -4.14951556888e+180\nstatus: commensurate\n"
       "base frequency: 4.14951556888e+180\nperiod: 1.51419730879e-180\nmultipliers: 1 -1\n", "")),
     # theta^2 = 10^320 lies past the float range, and the float theta is not 10^160
-    (_exact_pair("1" + "0" * 160), 2, ("", "error: exact spectrum undecided: the float spectrum "
-                                          "names a rational theta^2 for 0 of 2 eigenvalues")),
+    (_exact_pair("1" + "0" * 160), 0,
+     ("spectrum (i * theta): 1e+160  -1e+160\nstatus: commensurate\n"
+      "base frequency: 1e+160\nperiod: 6.28318530718e-160\nmultipliers: 1 -1\n", "")),
     # theta^2 = (3 +- sqrt 5) / 2
-    (EXACT_CHAIN, 2, ("", "error: exact spectrum undecided: the float spectrum names a "
-                          "rational theta^2 for 0 of 4 eigenvalues")),
-], ids=["3e11", "2^600", "1e160", "chain"])
+    (EXACT_CHAIN, 1,
+     ("spectrum (i * theta): 1.61803398875  0.61803398875  -0.61803398875  -1.61803398875\n"
+      "status: incommensurate\n", "")),
+    # theta^2 = 10^-600 underflows, theta = 10^-300 does not: what float mode prints
+    (_exact_pair("1/1" + "0" * 300), 0,
+     ("spectrum (i * theta): 1e-300  -1e-300\nstatus: commensurate\n"
+      "base frequency: 1e-300\nperiod: 6.28318530718e+300\nmultipliers: 1 -1\n", "")),
+    # theta = 10^-320 is a float, its period 2 pi 10^320 is not
+    (_exact_pair("1/1" + "0" * 320), 2, ("", PERIOD_PAST_RANGE)),
+    # theta = {1, 1 + 10^-400}: the base frequency 1 / (10^400 + 1) underflows
+    ({"parts": [1, 1, 1, 1], "mode": "exact",
+      "blocks": {"1,2": [["1"]], "3,4": [[f"{10**400 + 1}/{10**400}"]]}},
+     2, ("", PERIOD_PAST_RANGE)),
+    # singular values {1, 10^-400}: theta = 10^-400 is no float
+    ({"parts": [2, 2], "mode": "exact",
+      "blocks": {"1,2": [[f"1/{10**200}", f"{10**400 - 1}/{10**400}"], ["0", f"1/{10**200}"]]}},
+     2, ("", SPECTRUM_PAST_RANGE)),
+], ids=["3e11", "2^600", "1e160", "chain", "1e-300", "1e-320", "1+1e-400", "1e-400"])
 def test_exact_closedness_beyond_float_squares(tmp_path, capsys, doc, code, expected):
     assert main(["closedness", write_json(tmp_path / "v.json", doc), "--mode", "exact"]) == code
-    out, err = capsys.readouterr()
-    assert out == expected[0] and err.startswith(expected[1])
-    assert err.endswith("; rerun with --mode float\n") if code else err == ""
+    assert capsys.readouterr() == expected
 
 
 def _run_warning_free(args, timeout=60):
@@ -387,10 +408,9 @@ def _canonical_stdout(a):
     # U and J are computed on a scaled copy, so U is that of a_12 = 1 and J holds 1e+308 itself
     (NEAR_MAX, ["canonicalize"], 0, _canonical_stdout(1e308), ""),
     (PAST_MAX, ["canonicalize"], 2, "", PAST_RANGE),
-    (_exact_pair("1" + "0" * 308), ["closedness", "--mode", "exact"], 2, "",
-     "error: exact spectrum undecided: the float spectrum names a rational theta^2 for 0 of 2 "
-     "eigenvalues; a rational theta^2 has a denominator dividing D^2 = 1; denominators resolved "
-     "up to 1; rerun with --mode float\n"),
+    (_exact_pair("1" + "0" * 308), ["closedness", "--mode", "exact"], 0,
+     "spectrum (i * theta): 1e+308  -1e+308\nstatus: commensurate\n"
+     "base frequency: 1e+308\nperiod: 6.28318530718e-308\nmultipliers: 1 -1\n", ""),
 ], ids=["closedness", "curve-phase", "check-modulus", "closedness-past", "curve-past",
         "canonicalize-one", "canonicalize", "canonicalize-past", "exact-closedness"])
 def test_spectra_near_the_float_maximum(tmp_path, doc, args, code, out, err):

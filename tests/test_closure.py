@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import essentially_diagonal, exp_defect
+from conftest import exp_defect
 from flagdesic import (
     AllZeroSpectrum,
     Closedness,
@@ -360,19 +360,31 @@ def test_conjugation_invariance_full_unitary():
     assert v.period == pytest.approx(2 * math.pi)
 
 
-def test_exact_float_agreement_small_integers():
-    values = (GR(1), GR(-1), GR(2), GR(-2), GR(1, 1), GR(1, -1))
-    for seed in range(12):
-        for parts in [(1, 1, 1), (2, 2), (2, 1, 1)]:
-            p = FlagPartition(parts)
-            xe = essentially_diagonal(p, seed, values)
-            if xe.fro() == 0.0:
-                continue
-            ve = is_killing_closed(xe)
-            vf = is_killing_closed(xe.to_float())
-            assert ve.closed == vf.closed
-            if ve.status is Closedness.COMMENSURATE:
-                assert ve.base_frequency == pytest.approx(vf.base_frequency, rel=1e-9)
+#: Gaussian-integer parts, zero half the time, so that blocks are sparse as well as dense
+_SMALL_PARTS = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(1, 1, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (3, 1, 2), (1,) * 5]),
+       st.data())
+def test_exact_float_agreement_small_integers(parts, data):
+    # general upper blocks, not only equigeodesic ones: chains, irrational theta^2 and
+    # rational spectra; exact mode decides every one, and float mode agrees where it decides
+    p = FlagPartition(parts)
+    blocks = {(i, j): [[GR(data.draw(_SMALL_PARTS), data.draw(_SMALL_PARTS))
+                        for _ in range(parts[j - 1])] for _ in range(parts[i - 1])]
+              for i, j in p.positive_pairs()}
+    xe = TangentVector.from_blocks(p, blocks, Mode.EXACT)
+    if xe.matrix.is_zero():
+        return
+    ve = is_killing_closed(xe)
+    assert ve.status in (Closedness.COMMENSURATE, Closedness.INCOMMENSURATE)
+    vf = is_killing_closed(xe.to_float())
+    if vf.closed is not None:
+        assert ve.closed == vf.closed
+    if vf.status is ve.status is Closedness.COMMENSURATE:
+        assert ve.base_frequency == pytest.approx(vf.base_frequency, rel=1e-9)
+    assert ve.thetas == pytest.approx(vf.thetas, abs=1e-9)
 
 
 def _two_by_two_rotations(values):

@@ -1,5 +1,6 @@
 """Scalar field and matrix kernel tests."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import exp_t, random_complex, random_skew
 from flagdesic import (
     CMatrix,
-    ExactSpectrumUnavailable,
     FlagPartition,
     GaussianRational,
     InvariantMetric,
@@ -24,8 +24,9 @@ from flagdesic import (
     project_m,
     skew_spectrum,
 )
+from flagdesic.cli import main
 from flagdesic.linalg import (
-    _nullity,
+    exact_char_poly,
     exact_skew_squares,
     killing_flow,
     require_skew_hermitian,
@@ -411,23 +412,33 @@ def test_skew_spectrum_exact_unavailable_for_irrational():
         for c in range(2):
             arr[r, 2 + c] = GR(b[r][c])
             arr[2 + c, r] = GR(-b[r][c])
-    # D = 1, so a rational eigenvalue would be an integer; none is, and the
-    # refusal counts what the float spectrum named, claiming no irrationality
-    with pytest.raises(ExactSpectrumUnavailable, match="undecided") as err:
-        exact_skew_squares(CMatrix(arr, Mode.EXACT))
-    assert "0 of 4 eigenvalues" in str(err.value) and "irrational" not in str(err.value)
+    # D = 1 and s(y) = (y^2 - 3y + 1)^2 has no integer root: no exact squares, and the
+    # thetas are the float spectrum, kept for printing
+    a = CMatrix(arr, Mode.EXACT)
+    thetas, squares = exact_skew_squares(a)
+    assert squares == [None] * 4
+    golden = (1 + math.sqrt(5)) / 2
+    assert thetas == pytest.approx([golden, golden - 1, 1 - golden, -golden], abs=1e-12)
+    assert thetas == pytest.approx(skew_spectrum(a.to_float()), abs=1e-12)
 
 
-def test_skew_spectrum_exact_undecided_names_both_denominators():
-    # theta^2 = 10^-10 is rational, but its denominator D^2 = 10^10 lies beyond
-    # what float precision resolves next to theta = 1: a refusal, not a proof
+def test_skew_spectrum_exact_undecided_names_both_denominators(tmp_path, capsys):
+    # theta^2 = 10^-10 beside theta^2 = 1: D^2 = 10^10 lies beyond what float precision
+    # resolves next to theta = 1, yet the integer roots 1 and 10^10 of s decide it
     arr = np.full((4, 4), GR(0), dtype=object)
     arr[0, 1], arr[1, 0] = GR(Fraction(1, 10**5)), GR(Fraction(-1, 10**5))
     arr[2, 3], arr[3, 2] = GR(1), GR(-1)
-    with pytest.raises(ExactSpectrumUnavailable, match="undecided") as err:
-        exact_skew_squares(CMatrix(arr, Mode.EXACT))
-    assert "irrational" not in str(err.value)
-    assert f"D^2 = {10**10}" in str(err.value)
+    thetas, squares = exact_skew_squares(CMatrix(arr, Mode.EXACT))
+    assert thetas == [1.0, 1e-05, -1e-05, -1.0]
+    assert squares == [1, Fraction(1, 10**10), Fraction(1, 10**10), 1]
+    doc = {"parts": [1, 1, 1, 1], "mode": "exact",
+           "blocks": {"1,2": [["1/100000"]], "3,4": [["1"]]}}
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps(doc))
+    assert main(["closedness", str(vec), "--mode", "exact"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("spectrum (i * theta): 1  1e-05  -1e-05  -1\nstatus: commensurate\n")
+    assert out.endswith("multipliers: 100000 1 -1 -100000\n")
 
 
 def test_skew_spectrum_exact_repeated_same_sign():
@@ -460,35 +471,46 @@ def test_integer_embedding_scales_and_embeds():
     assert ((e @ e) * sq.den == sq.data * d * d).all()
 
 
-def _rank_reference(rows):
-    """Rank by Gauss-Jordan elimination over Fractions."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for c in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c] / m[rank][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def _char_poly_reference(m):
+    """det(x - m), highest coefficient first, by Faddeev-LeVerrier over Fractions, for a
+    square matrix of exact complex entries given as (re, im) pairs: M_1 = I,
+    c_k = -tr(m M_k) / k, M_{k+1} = m M_k + c_k I."""
+    n = len(m)
+
+    def times(a, b):
+        return [[(sum(a[i][l][0] * b[l][j][0] - a[i][l][1] * b[l][j][1] for l in range(n)),
+                  sum(a[i][l][0] * b[l][j][1] + a[i][l][1] * b[l][j][0] for l in range(n)))
+                 for j in range(n)] for i in range(n)]
+
+    coeffs = [Fraction(1)]
+    mk = [[(Fraction(int(i == j)), Fraction(0)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = times(m, mk)
+        assert sum(am[i][i][1] for i in range(n)) == 0  # m is Hermitian: p is real
+        coeffs.append(-sum(am[i][i][0] for i in range(n)) / k)
+        mk = [[(re + coeffs[-1] * (i == j), im) for j, (re, im) in enumerate(row)]
+              for i, row in enumerate(am)]
+    return coeffs
+
+
+_EXACT_PARTS = st.fractions(-(10**6), 10**6, max_denominator=12) | st.integers(-(10**30), 10**30)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 8), st.data())
-def test_nullity_matches_fraction_reference(n, r, data):
-    # low-rank integer products, with entries large enough to grow the minors
-    entries = st.integers(-(10**6), 10**6)
-    left = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
-    right = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
-    m = np.array(
-        [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(n)],
-        dtype=object,
-    )
-    assert _nullity(m) == n - _rank_reference(m.tolist())
+@given(st.integers(1, 6), st.data())
+def test_exact_char_poly_matches_fraction_reference(n, data):
+    # upper entries and imaginary diagonal with small denominators, or integers past int64
+    upper = {(r, c): GR(data.draw(_EXACT_PARTS), data.draw(_EXACT_PARTS))
+             for r in range(n) for c in range(r + 1, n)}
+    rows = [[GR(0, data.draw(_EXACT_PARTS)) if r == c else upper[r, c] if r < c
+             else GR(-upper[c, r].re, upper[c, r].im) for c in range(n)] for r in range(n)]
+    a = CMatrix(rows, Mode.EXACT)
+    d = a.den
+    # D H = -i D a: the entry x + iy of D a becomes y - ix
+    m = [[(d * v.im, -d * v.re) for v in row] for row in rows]
+    p = exact_char_poly(a)
+    assert list(p) == _char_poly_reference(m)
+    assert all(type(c) is int for c in p)
 
 
 #: Rational rotation generators: (p^2 - q^2, 2pq) / (p^2 + q^2) for small p, q.
