@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 #: Agreement required when a document redundantly supplies both block halves.
 HALF_CONSISTENCY_TOL = 1e-12
 
-_KEY_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*$")
+_KEY_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*$", re.ASCII)
 
 #: The top-level keys a document of each kind may hold.
 _FIELDS = {"vector": ("n", "parts", "mode", "blocks"), "metric": ("parts", "lambda")}
@@ -115,6 +115,8 @@ def _partition(doc, kind: str) -> FlagPartition:
                                 f"allowed keys: {', '.join(_FIELDS[kind])}")
     if "parts" not in doc:
         raise DocumentError(f"{kind} document is missing \"parts\"")
+    if not isinstance(doc["parts"], list):
+        raise DocumentError(f"\"parts\" must be an array of positive integers, got {doc['parts']!r}")
     try:
         return FlagPartition(tuple(doc["parts"]))
     except (TypeError, ValueError, OverflowError) as exc:

@@ -268,8 +268,9 @@ def is_essentially_block_diagonal(x: TangentVector) -> bool:
 
 
 def _block_svds(p: FlagPartition, a: np.ndarray):
-    """Compact SVD of every nonzero upper block of the n x n array ``a``; returns
-    ({pair: (u, s, vh)}, sigma_max).
+    """Compact SVD of every nonzero upper block of the n x n array ``a``, cut once at
+    sigma > RANK_TOL * sigma_max (the largest across all blocks); returns
+    ({pair: (u, s, vh)} holding only the kept singular triples, the sum of the squares cut).
 
     Exactly-zero blocks have rank zero and are left out.
     """
@@ -279,16 +280,22 @@ def _block_svds(p: FlagPartition, a: np.ndarray):
         if nonzero[i - 1, j - 1]:
             blk = a[slice(*p.block_range(i)), slice(*p.block_range(j))]
             svds[(i, j)] = np.linalg.svd(blk, full_matrices=False)
-    sigma_max = max((float(s[0]) for _, s, _ in svds.values()), default=0.0)
-    return svds, sigma_max
+    threshold = RANK_TOL * max((float(s[0]) for _, s, _ in svds.values()), default=0.0)
+    cut = 0.0
+    for pair, (u, s, vh) in svds.items():
+        k = int(np.sum(s > threshold))  # s is descending
+        cut += float(np.sum(s[k:] ** 2))
+        svds[pair] = u[:, :k], s[:k], vh[:k]
+    return svds, cut
 
 
-def _complete_unitary(cols: np.ndarray, n: int) -> np.ndarray:
-    """Extend orthonormal columns to an n x n unitary."""
-    if cols.shape[1] == 0:
+def _complete_unitary(basis: list, n: int) -> np.ndarray:
+    """Extend a list of orthonormal columns to an n x n unitary."""
+    if not basis:
         return np.eye(n, dtype=np.complex128)
+    cols = np.column_stack(basis)
     u, _, _ = np.linalg.svd(cols, full_matrices=True)
-    return np.hstack([cols, u[:, cols.shape[1]:]])
+    return np.hstack([cols, u[:, len(basis):]])
 
 
 def canonicalize(x: TangentVector) -> CanonicalForm:
@@ -298,48 +305,41 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     orthogonal (this is what the equigeodesic condition buys), so one
     block-diagonal unitary U aligns every block with its singular vectors at
     once. Raises NotEquigeodesic on inputs that fail the block condition.
-    Singular values at or below RANK_TOL * sigma_max are left out of J, so the
-    residual may exceed the CANON_RESIDUAL_TOL contract by their norm; a
-    larger residual raises RuntimeError. U and J are computed on the matrix times
-    ``_unit_scale``, so no product over- or underflows and U is that of the matrix;
-    the pair values and the residual are divided back, and a pair value past the
-    float range raises ValueError.
+    Each kept singular triple of ``_block_svds`` gets one row and one column of J;
+    the values it cuts are left out of J, so the residual may exceed the
+    CANON_RESIDUAL_TOL contract by their norm; a larger residual raises RuntimeError.
+    U and J are computed on the matrix times ``_unit_scale``, so no product over- or
+    underflows and U is that of the matrix; the pair values and the residual are
+    divided back, and a pair value past the float range raises ValueError.
     """
-    if x.mode is not Mode.FLOAT:
-        raise ValueError("canonicalize is Float-mode only")
+    x.matrix._require_float("canonicalize")
     _require_equigeodesic(x)
     p = x.partition
-    n = p.total
     scale = _unit_scale(x.matrix.data)
     A = x.matrix.data * scale
 
-    svds, sigma_max = _block_svds(p, A)
-    threshold = RANK_TOL * sigma_max
-    # each singular value the cut drops stays in J_raw twice, at a_ij and a_ji
-    dropped = math.sqrt(2.0 * sum(np.sum(s[s <= threshold] ** 2) for _, s, _ in svds.values()))
-    # the kept singular triples (block pair, index), in the order of ``svds``
-    kept = [(pair, k) for pair, (_, s, _) in svds.items() for k in range(np.sum(s > threshold))]
+    svds, cut = _block_svds(p, A)
 
-    # gather singular-vector columns per block: left vectors of a_ij live in
-    # block i, right vectors in block j, matched index by index
-    collected = {bi: [] for bi in range(1, p.s + 1)}
-    for (i, j), k in kept:
-        u, _, vh = svds[(i, j)]
-        collected[i].append((u[:, k], ("u", (i, j), k)))
-        collected[j].append((vh[k, :].conj(), ("v", (i, j), k)))
+    # gather singular-vector columns per block: left vectors of a_ij live in block i,
+    # right vectors in block j; each takes the next place of its block as it comes,
+    # and (row, col) of J is the pair of places of one singular triple
+    collected = [[] for _ in range(p.s)]
+    slots = []
+    for (i, j), (u, _, vh) in svds.items():
+        left, right = collected[i - 1], collected[j - 1]
+        for k in range(len(vh)):
+            slots.append((p.offsets[i - 1] + len(left), p.offsets[j - 1] + len(right)))
+            left.append(u[:, k])
+            right.append(vh[k, :].conj())
 
-    positions = {}
-    u_full = np.zeros((n, n), dtype=np.complex128)
-    for bi in range(1, p.s + 1):
-        lo, hi = p.block_range(bi)
-        nb = hi - lo
-        if len(collected[bi]) > nb:
-            raise NotEquigeodesic(
-                f"block {bi} rank budget exceeded; input is not equigeodesic"
-            )
+    u_full = np.zeros_like(A)  # complex128
+    for bi, vecs in enumerate(collected):
+        lo, hi = p.offsets[bi], p.offsets[bi + 1]
+        if len(vecs) > hi - lo:
+            raise NotEquigeodesic(f"block {bi + 1} rank budget exceeded; input is not equigeodesic")
         basis = []
-        for vec, tag in collected[bi]:
-            w = vec.astype(np.complex128).copy()
+        for vec in vecs:
+            w = vec.astype(np.complex128)
             for q in basis:
                 w -= (q.conj() @ w) * q
             norm = float(np.linalg.norm(w))
@@ -348,13 +348,9 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
                     "block image spaces are not orthogonal; input fails the "
                     "equigeodesic condition too marginally to canonicalize"
                 )
-            w /= norm
-            positions[tag] = lo + len(basis)
-            basis.append(w)
-        cols = np.column_stack(basis) if basis else np.zeros((nb, 0), dtype=np.complex128)
-        u_full[lo:hi, lo:hi] = _complete_unitary(cols, nb)
+            basis.append(w / norm)
+        u_full[lo:hi, lo:hi] = _complete_unitary(basis, hi - lo)
 
-    slots = [(positions[("u", pair, k)], positions[("v", pair, k)]) for pair, k in kept]
     # rotate each right-side column by a unit phase so the listed entry is real > 0
     for up, vp in slots:
         alpha = u_full[:, up].conj() @ (A @ u_full[:, vp])
@@ -363,8 +359,9 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
 
     j_raw = u_full.conj().T @ A @ u_full
 
+    # each place is handed out once: J is essentially diagonal by construction
     pairs = []
-    j_clean = np.zeros((n, n))  # real, so dividing it by the scale is exact
+    j_clean = np.zeros(A.shape)  # real, so dividing it by the scale is exact
     for row, col in slots:
         a_k = float(j_raw[row, col].real)
         pairs.append((row + 1, col + 1, a_k / scale))
@@ -374,39 +371,26 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
         raise ValueError(PAST_FLOAT_RANGE)
 
     residual = CMatrix(j_raw - j_clean, Mode.FLOAT).fro()
-    bound = CANON_RESIDUAL_TOL * float(np.linalg.norm(A)) + dropped
+    # each singular value the cut drops stays in J_raw twice, at a_ij and a_ji
+    bound = CANON_RESIDUAL_TOL * float(np.linalg.norm(A)) + math.sqrt(2.0 * cut)
     if residual > bound:
         raise RuntimeError(
             f"canonical form residual {residual / scale:.3e} exceeds {bound / scale:.3e}; "
             "input is too close to the rank boundary"
         )
-    residual /= scale
-    j_mat = CMatrix(j_clean / scale, Mode.FLOAT)
-    if not is_essentially_diagonal(j_mat):
-        raise RuntimeError("canonical form is not essentially diagonal")
     pairs.sort(key=lambda rc: (-rc[2], rc[0], rc[1]))
-    return CanonicalForm(
-        U=CMatrix(u_full, Mode.FLOAT),
-        J=j_mat,
-        pairs=tuple(pairs),
-        residual=residual,
-    )
+    return CanonicalForm(U=CMatrix(u_full, Mode.FLOAT), J=CMatrix(j_clean / scale, Mode.FLOAT),
+                         pairs=tuple(pairs), residual=residual / scale)
 
 
 def conjugation_invariants(x: TangentVector) -> ConjugationInvariants:
     """Block ranks and singular values, invariant under block-unitary conjugation.
 
-    Ranks use the global cut sigma > RANK_TOL * sigma_max so that a zero block
-    perturbed by conjugation noise stays rank zero.
+    The values are those ``_block_svds`` keeps: its global cut sigma > RANK_TOL * sigma_max
+    keeps a zero block perturbed by conjugation noise at rank zero.
     """
-    if x.mode is not Mode.FLOAT:
-        raise ValueError("conjugation_invariants is Float-mode only")
-    svds, sigma_max = _block_svds(x.partition, x.matrix.data)
-    threshold = RANK_TOL * sigma_max
-    ranks = {}
-    values = {}
-    for pair in x.partition.positive_pairs():
-        keep = [float(v) for v in svds[pair][1] if v > threshold] if pair in svds else []
-        ranks[pair] = len(keep)
-        values[pair] = tuple(keep)
-    return ConjugationInvariants(ranks=ranks, singular_values=values)
+    x.matrix._require_float("conjugation_invariants")
+    svds, _ = _block_svds(x.partition, x.matrix.data)
+    values = {pair: tuple(svds[pair][1].tolist()) if pair in svds else ()
+              for pair in x.partition.positive_pairs()}
+    return ConjugationInvariants({pair: len(v) for pair, v in values.items()}, values)

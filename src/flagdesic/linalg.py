@@ -376,13 +376,10 @@ def _deflate(poly, root: int):
 
 
 def _sqrt_over(z: int, d: int) -> float:
-    """sqrt(z) / d: math.sqrt(z / d^2) where that is a normal float, else an integer square root
-    scaled by 2^64, so no square under- or overflows; ValueError where no float holds it."""
+    """sqrt(z) / d as one rounding of isqrt(z * 2^128) / (d * 2^64), with no float square to
+    under- or overflow: z = k^2 gives the correctly rounded k/d. ValueError where no float holds it."""
     with contextlib.suppress(OverflowError):
-        if (c := z / (d * d)) >= sys.float_info.min or not z:
-            return math.sqrt(c)
-    with contextlib.suppress(OverflowError):
-        if t := math.isqrt(z << 128) / (d << 64):
+        if (t := math.isqrt(z << 128) / (d << 64)) or not z:
             return t
     raise ValueError("the spectrum lies outside the float range: some theta rounds to 0 or inf")
 

@@ -65,8 +65,7 @@ class InvariantMetric(Immutable):
 def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:
     """Termwise product of a Float tangent vector: block (i, j) of the result is
     lambda_ij * a_ij."""
-    if x.mode is not Mode.FLOAT:
-        raise ValueError("hadamard_action is Float-mode only")
+    x.matrix._require_float("hadamard_action")
     if g.partition != x.partition:
         raise ValueError("metric and tangent vector live on different partitions")
     p = x.partition

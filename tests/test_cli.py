@@ -161,6 +161,18 @@ def test_check_rejects_non_integer_parts(tmp_path, f3_chain, bad, capsys):
     assert 'invalid "parts"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [3, "11", None, {"1": 1}], ids=["number", "string", "null", "object"])
+def test_check_rejects_parts_that_is_not_an_array(tmp_path, f3_chain, bad, capsys):
+    # iterating them would give a TypeError, the digits of a string or the keys of an object
+    err = f'error: "parts" must be an array of positive integers, got {bad!r}\n'
+    vec = write_json(tmp_path / "v.json", {"parts": bad, "blocks": {}})
+    assert main(["check", vec]) == 2
+    assert capsys.readouterr() == ("", err)
+    metric = write_json(tmp_path / "g.json", {"parts": bad, "lambda": {}})
+    assert main(["check", f3_chain, metric]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("name", fixture_names())
 @pytest.mark.parametrize("command", ["check", "closedness"])
 def test_exact_and_float_modes_print_the_same(tmp_path, capsys, command, name):

@@ -394,6 +394,15 @@ def _two_by_two_rotations(values):
     return TangentVector.from_blocks(p, blocks, Mode.EXACT)
 
 
+def test_rational_theta_is_the_correctly_rounded_quotient():
+    # theta = k/D from one integer square root; sqrt(k^2 / D^2) rounded twice, 1 ulp off here
+    a = Fraction(195252963, 724217064)
+    k, d = a.numerator, a.denominator
+    x = _two_by_two_rotations([a])
+    assert spectral_data(x).thetas == (k / d, -k / d)
+    assert is_killing_closed(x).base_frequency == k / d
+
+
 @pytest.mark.parametrize(
     "values, base",
     [

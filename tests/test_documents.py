@@ -208,6 +208,24 @@ def test_n_must_be_an_integer(n):
         parse_vector_document({"n": n, "parts": parts})
 
 
+@pytest.mark.parametrize("parts", [3, "11", None, {"1": 1}], ids=["number", "string", "null", "object"])
+@pytest.mark.parametrize("parse", [parse_vector_document, parse_metric_document])
+def test_parts_must_be_an_array(parse, parts):
+    # iterating them would read a string as its digits and an object as its keys
+    message = f'"parts" must be an array of positive integers, got {parts!r}'
+    with pytest.raises(DocumentError, match=re.escape(message) + "$"):
+        parse({"parts": parts})
+
+
+@pytest.mark.parametrize("key", ["\uff11,\uff12", "\u0661,\u0662"], ids=["fullwidth", "arabic-indic"])
+def test_keys_take_ascii_digits_only(key):
+    # a Unicode \d matches both, and int() reads each as 1, 2; exact entries are ASCII-only too
+    with pytest.raises(DocumentError, match=re.escape(f'block key {key!r} is not of the form "i,j"')):
+        parse_vector_document({"parts": [1, 1], "blocks": {key: [[[1.0, 0.0]]]}})
+    with pytest.raises(DocumentError, match=re.escape(f'lambda key {key!r} is not of the form "i,j"')):
+        parse_metric_document({"parts": [1, 1], "lambda": {key: 2.0}})
+
+
 # ---------------------------------------------------------------------------
 # non-finite numbers (json reads NaN, Infinity and -Infinity as floats)
 # ---------------------------------------------------------------------------

@@ -517,6 +517,23 @@ def test_invariants_stable_under_conjugation():
             )
 
 
+@pytest.mark.parametrize("parts", [(2, 2, 1), (3, 2, 1), (3, 3, 3), (1, 1, 1, 1), (4, 1, 2, 2)])
+def test_canonical_pairs_are_the_kept_singular_values(parts):
+    # canonicalize and conjugation_invariants read the one rank cut: per block pair, the
+    # pair values are the kept singular values and their count the rank
+    p = FlagPartition(parts)
+    for seed in range(4):
+        x = random_equigeodesic(p, 1_500 + seed)
+        for y in (x, x.conjugated_by(random_block_unitary(p, 1_600 + seed))):
+            inv = conjugation_invariants(y)
+            grouped = {pair: [] for pair in p.positive_pairs()}
+            for row, col, a in canonicalize(y).pairs:
+                grouped[(p.block_of(row), p.block_of(col))].append(a)
+            for pair, values in grouped.items():
+                assert len(values) == inv.ranks[pair]
+                assert sorted(values) == pytest.approx(sorted(inv.singular_values[pair]), rel=1e-9)
+
+
 def test_rank_inequality_for_equigeodesic_inputs():
     for seed in range(10):
         p = FlagPartition((2, 2, 1))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exp_t, random_complex, random_skew
@@ -26,6 +26,7 @@ from flagdesic import (
 )
 from flagdesic.cli import main
 from flagdesic.linalg import (
+    _sqrt_over,
     exact_char_poly,
     exact_skew_squares,
     killing_flow,
@@ -491,6 +492,15 @@ def _char_poly_reference(m):
         mk = [[(re + coeffs[-1] * (i == j), im) for j, (re, im) in enumerate(row)]
               for i, row in enumerate(am)]
     return coeffs
+
+
+@settings(max_examples=500)
+@example(0, 7)
+@example(195252963, 724217064)
+@given(st.integers(0, 10**40), st.integers(1, 10**40))
+def test_sqrt_over_a_square_is_the_correctly_rounded_quotient(k, d):
+    # one integer square root: k^2 gives k/d rounded once (sqrt(k^2 / d^2) rounds twice)
+    assert _sqrt_over(k * k, d) == k / d
 
 
 _EXACT_PARTS = st.fractions(-(10**6), 10**6, max_denominator=12) | st.integers(-(10**30), 10**30)
