@@ -17,7 +17,6 @@ if __name__ == "__main__":  # a one-shot process: no collector pass while module
     gc.disable()
 
 import argparse
-import importlib
 import json
 import math
 import sys
@@ -25,41 +24,17 @@ import sys
 import numpy as np
 
 from .documents import parse_metric_document, parse_vector_document, serialize_vector
-from .flag import (
-    FlagPartition,
-    TangentVector,
-    build_roots,
-    off_block_mask,
-    off_block_positions,
-    t_roots,
-)
+from .flag import FlagPartition, TangentVector, build_roots, off_block_mask, off_block_positions, t_roots
 from .linalg import Mode, killing_flow
-
-#: Names bound here from the modules only some commands need, when first needed,
-#: so each command compiles and runs only the modules it uses.
-_LAZY = {
-    # spectral_data runs inside is_killing_closed; perfbench's tracer test reads it here
-    "closure": ("AllZeroSpectrum", "Closedness", "is_killing_closed", "spectral_data"),
-    "equigeo": (
-        "NotEquigeodesic", "canonicalize", "equigeodesic_certificate", "is_equigeodesic",
-        "is_geodesic_vector",
-    ),
-    "examples": ("fixture_document", "fixture_names"),
-}
-
-
-def _load(module: str) -> None:
-    """Bind ``_LAZY[module]`` here; a name already bound (by a test or a tracer) is kept."""
-    source = importlib.import_module(f".{module}", __package__)
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(source, name))
 
 
 def __getattr__(name):
-    for module, names in _LAZY.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
+    # perfbench/test_perfbench.py::test_tracer_rebinds_by_name_imports_and_restores_them
+    # reads cli.spectral_data; it can go with the benchmark change of ROADMAP item 1
+    if name == "spectral_data":
+        from .closure import spectral_data
+
+        return spectral_data
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -109,7 +84,8 @@ def _write_out(text: str, out):
 
 
 def _cmd_check(args) -> int:
-    _load("equigeo")
+    from .equigeo import equigeodesic_certificate, is_equigeodesic, is_geodesic_vector
+
     x = _load_vector(args.vector, args.mode)
     if args.metric is not None:
         g = parse_metric_document(_load_json(args.metric), x.partition)
@@ -128,7 +104,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
-    _load("equigeo")
+    from .equigeo import NotEquigeodesic, canonicalize
+
     x = _load_vector(args.vector, "float")
     try:
         form = canonicalize(x)
@@ -158,7 +135,8 @@ def serialize_vector_with_canonical(x, form) -> dict:
 
 
 def _cmd_closedness(args) -> int:
-    _load("closure")
+    from .closure import AllZeroSpectrum, Closedness, is_killing_closed
+
     x = _load_vector(args.vector, args.mode)
     x.matrix.to_float()  # the verdict prints floats: an entry past their range exits 2, naming it
     try:
@@ -215,7 +193,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    _load("examples")
+    from .examples import fixture_document, fixture_names
+
     if args.list:
         for name in fixture_names():
             print(name)

@@ -220,7 +220,7 @@ def test_canonicalize_uncertified_form_is_undetermined(monkeypatch, f9, capsys):
     def refuse(x):
         raise RuntimeError("canonical form residual exceeds the bound")
 
-    monkeypatch.setattr("flagdesic.cli.canonicalize", refuse)
+    monkeypatch.setattr("flagdesic.equigeo.canonicalize", refuse)
     assert main(["canonicalize", f9]) == 3
     assert "undetermined" in capsys.readouterr().err
 
