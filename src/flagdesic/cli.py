@@ -1,12 +1,15 @@
 """Command-line front door: flagdesic check|canonicalize|closedness|curve|examples|roots.
 
 Exit codes: 0 affirmative, 1 negative, 2 usage or parse error (or an input too
-large for memory), 3 undetermined. ``canonicalize`` exits 3 when the canonical
-form cannot be certified (its residual exceeds the bound, as near the rank cut),
-after printing why.
+large for memory), 3 undetermined. ``canonicalize`` exits 1 only where the block
+condition fails, and 3 where it holds but no canonical form can be certified (the
+singular vectors kept at the rank cut do not fit a block, or the residual exceeds
+the bound), after printing why.
 
 A command runs in a process of its own, through :func:`run`. ``main`` is for
-in-process callers and leaves the garbage collector as it finds it.
+in-process callers and leaves the garbage collector as it finds it. Each handler
+imports the modules its command needs in its own body, so a command compiles and
+runs no other.
 """
 
 from __future__ import annotations

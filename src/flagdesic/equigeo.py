@@ -307,7 +307,9 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     once. Raises NotEquigeodesic on inputs that fail the block condition.
     Each kept singular triple of ``_block_svds`` gets one row and one column of J;
     the values it cuts are left out of J, so the residual may exceed the
-    CANON_RESIDUAL_TOL contract by their norm; a larger residual raises RuntimeError.
+    CANON_RESIDUAL_TOL contract by their norm. RuntimeError means that the block condition
+    holds, to its tolerance, but no form is certified: a larger residual, or kept singular
+    vectors that do not fit a block (more than its size, or far from orthogonal).
     U and J are computed on the matrix times ``_unit_scale``, so no product over- or
     underflows and U is that of the matrix; the pair values and the residual are
     divided back, and a pair value past the float range raises ValueError.
@@ -335,19 +337,15 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     u_full = np.zeros_like(A)  # complex128
     for bi, vecs in enumerate(collected):
         lo, hi = p.offsets[bi], p.offsets[bi + 1]
-        if len(vecs) > hi - lo:
-            raise NotEquigeodesic(f"block {bi + 1} rank budget exceeded; input is not equigeodesic")
-        basis = []
+        basis = []  # more vectors than the block has dimensions leave one of norm ~0
         for vec in vecs:
             w = vec.astype(np.complex128)
             for q in basis:
                 w -= (q.conj() @ w) * q
             norm = float(np.linalg.norm(w))
             if norm < 0.5:
-                raise NotEquigeodesic(
-                    "block image spaces are not orthogonal; input fails the "
-                    "equigeodesic condition too marginally to canonicalize"
-                )
+                raise RuntimeError("the block condition holds, but the singular vectors kept at "
+                                   f"the rank cut do not fit block {bi + 1}")
             basis.append(w / norm)
         u_full[lo:hi, lo:hi] = _complete_unitary(basis, hi - lo)
 

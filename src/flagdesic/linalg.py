@@ -375,6 +375,16 @@ def _deflate(poly, root: int):
         poly = quotient
 
 
+def _none_above(poly, z: int) -> bool:
+    """Whether every Taylor coefficient of ``poly`` at z is >= 0, the remainders of repeated
+    division by x - z: for a monic real-rooted poly, exactly when no root exceeds z."""
+    for _ in range(len(poly) - 1):
+        *poly, rest = itertools.accumulate(poly, lambda b, c: b * z + c)
+        if rest < 0:
+            return False
+    return True
+
+
 def _sqrt_over(z: int, d: int) -> float:
     """sqrt(z) / d as one rounding of isqrt(z * 2^128) / (d * 2^64), with no float square to
     under- or overflow: z = k^2 gives the correctly rounded k/d. ValueError where no float holds it."""
@@ -392,22 +402,29 @@ def exact_skew_squares(a: CMatrix):
     in Z[y] with the roots D^2 theta_k^2 >= 0, a rational one an integer. Newton's method with
     integer floor steps from their sum never passes the largest, as s/s' = 1 / sum 1/(y - y_k),
     and stops less than deg s above it; the integers of that window are tested exactly, and a
-    root is divided out with its multiplicity. theta = k/D is signed by the multiplicity of k
-    in p; an irrational theta has -theta as often, as p is in Z[x]. A window without a root
-    means an irrational theta^2 and an incommensurate spectrum (theta_k = q_k theta_ref with
-    rational q_k makes tr(-a^2) = theta_ref^2 sum q_k^2, and so each theta^2, rational): then
-    squares are all None, and thetas the float spectrum."""
+    root is divided out with its multiplicity. Toward a mu-fold root a step gains only 1/mu of
+    the way, so m = floor(s'^2 / (s'^2 - s s'')) steps, the multiplicity of the roots as seen
+    from y, are taken at once where every Taylor coefficient of s at the landing point is >= 0,
+    which for the real-rooted s says that no root lies above it; m is halved until one is.
+    theta = k/D is signed by the multiplicity of k in p; an irrational theta has -theta as
+    often, as p is in Z[x]. A window without a root means an irrational theta^2 and an
+    incommensurate spectrum (theta_k = q_k theta_ref with rational q_k makes tr(-a^2) =
+    theta_ref^2 sum q_k^2, and so each theta^2, rational): then squares are all None, and
+    thetas the float spectrum."""
     from fractions import Fraction
 
     p = exact_char_poly(a)
     s = np.convolve(p, p * (-1) ** np.arange(len(p)))[::2].tolist()
     y, spectrum = -s[1], []  # the sum of the roots
     while len(s) > 1:
-        v = dv = 0
-        for c in s:  # Horner: v = s(y), dv = s'(y)
-            v, dv = v * y + c, dv * y + v
-        if v >= dv > 0:  # a floor step of at least 1
-            y -= v // dv
+        v = dv = d2 = 0
+        for c in s:  # Horner: v = s(y), dv = s'(y), d2 = s''(y) / 2
+            v, dv, d2 = v * y + c, dv * y + v, d2 * y + dv
+        if v >= dv > 0:  # a floor step of at least 1, m of them at once where certified
+            step, m = v // dv, dv * dv // (dv * dv - 2 * v * d2)
+            while m > 1 and not _none_above(s, y - m * step):
+                m //= 2
+            y -= m * step
             continue
         size = len(s)
         for z in range(y, max(0, y - (size - 1) * v // dv if v else y) - 1, -1):

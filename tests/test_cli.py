@@ -225,6 +225,29 @@ def test_canonicalize_uncertified_form_is_undetermined(monkeypatch, f9, capsys):
     assert "undetermined" in capsys.readouterr().err
 
 
+# a_12 = diag(1, 3e-9) and a_13 = e_2: the block condition holds to its tolerance (residual
+# 3e-9), yet the singular vector of 3e-9, kept at the rank cut, does not fit block 1
+_A13 = [[[0, 0]], [[1, 0]]]
+
+
+@pytest.mark.parametrize("parts, a12, a13", [
+    # not orthogonal in block 1, and three singular vectors for its two dimensions
+    ([3, 2, 1], [[[1, 0], [0, 0]], [[0, 0], [3e-9, 0]], [[0, 0], [0, 0]]], _A13 + [[[0, 0]]]),
+    ([2, 2, 1], [[[1, 0], [0, 0]], [[0, 0], [3e-9, 0]]], _A13),
+])
+def test_canonicalize_of_a_marginal_equigeodesic_is_undetermined(tmp_path, capsys, parts, a12, a13):
+    path = write_json(tmp_path / "marginal.json", {"parts": parts, "blocks": {"1,2": a12, "1,3": a13}})
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "canon.json"
+    assert main(["canonicalize", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: canonical form undetermined: the block condition holds, but "
+                            "the singular vectors kept at the rank cut do not fit block 1\n")
+    assert not out.exists()
+
+
 def test_closedness_computes_the_spectrum_once(monkeypatch, tmp_path, capsys):
     import flagdesic.closure as closure
 

@@ -4,11 +4,12 @@ return distance of the geodesic."""
 import csv
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exp_defect
@@ -387,11 +388,16 @@ def test_exact_float_agreement_small_integers(parts, data):
     assert ve.thetas == pytest.approx(vf.thetas, abs=1e-9)
 
 
-def _two_by_two_rotations(values):
-    """Exact full flag with blocks (2k-1, 2k) = values[k-1]: thetas +-values."""
-    p = FlagPartition((1,) * (2 * len(values)))
-    blocks = {(2 * k + 1, 2 * k + 2): [[v]] for k, v in enumerate(values)}
-    return TangentVector.from_blocks(p, blocks, Mode.EXACT)
+def _two_by_two_rotations(values, parts=None):
+    """Exact vector with entry values[k] at (k + 1, k + 1 + n // 2), on the full flag of
+    n = 2 len(values) unless ``parts`` is given, whose blocks of at most n / 2 rows keep each
+    entry off the diagonal blocks: thetas +-values, and 0 where n is odd."""
+    p = FlagPartition(parts or (1,) * (2 * len(values)))
+    arr = np.zeros((p.total, p.total), dtype=object)
+    for k, v in enumerate(values):
+        arr[k, k + p.total // 2] = v
+    u = CMatrix(arr, Mode.EXACT)
+    return TangentVector(p, u - u.H)
 
 
 def test_rational_theta_is_the_correctly_rounded_quotient():
@@ -425,6 +431,41 @@ def test_exact_decides_rational_spectra_with_large_denominators(values, base):
     vf = is_killing_closed(x.to_float())
     assert vf.status is Closedness.COMMENSURATE
     assert vf.period == pytest.approx(v.period, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1,) * 4, (1,) * 9, (1,) * 16, (2, 2), (2, 1, 3, 2), (2,) * 8]),
+       st.lists(st.integers(10**40, 10**50), min_size=2, max_size=3, unique=True),
+       st.sampled_from([1, 3, 10**9]), st.data())
+@example((1,) * 16, [10**50, 10**50 - 1], 1, None)
+def test_exact_closedness_at_high_multiplicity(parts, numerators, den, data):
+    # two or three values, so a theta^2 is a root of s up to n times
+    half = sum(parts) // 2
+    picks = [0] * half if data is None else [data.draw(st.sampled_from(range(len(numerators))))
+                                             for _ in range(half)]
+    values = [Fraction(numerators[k], den) for k in picks]
+    thetas = sorted(values + [-v for v in values] + [Fraction(0)] * (sum(parts) % 2), reverse=True)
+    ell = math.lcm(*(t.denominator for t in thetas))
+    g = math.gcd(*(int(t * ell) for t in thetas))
+    v = is_killing_closed(_two_by_two_rotations(values, parts))
+    assert v.status is Closedness.COMMENSURATE
+    assert v.multipliers == tuple(int(t * ell) // g for t in thetas)
+    assert v.thetas == tuple(float(t) for t in thetas)
+
+
+def test_exact_spectrum_of_close_large_roots():
+    # theta^2 = 10^40 - 1 from two stars a_12, a_13 (theta^2 = |a_12|^2 + |a_13|^2), below
+    # theta^2 = 10^40 from one pair; seen from above they look like one root of multiplicity
+    # about 6, and that many floor steps at once pass the largest root unless certified
+    a, b, c, d = 99999999999999999997, 24494897427, 153181, 131470
+    assert a * a + b * b + c * c + d * d == 10**40 - 1
+    star = {(1, 2): [[GR(a, b)]], (1, 3): [[GR(c, d)]], (4, 5): [[GR(a, b)]], (4, 6): [[GR(c, d)]]}
+    x = TangentVector.from_blocks(FlagPartition((1,) * 8), {**star, (7, 8): [[10**20]]}, Mode.EXACT)
+    sd = spectral_data(x)
+    # the floats of both thetas are 1e20, so the squares of equal thetas come in either order
+    assert Counter(sd.exact_squares) == {10**40: 2, 10**40 - 1: 4, 0: 2}
+    assert sd.thetas == pytest.approx([1e20, 1e20, 1e20, 0, 0, -1e20, -1e20, -1e20], rel=1e-15)
+    assert is_killing_closed(x).status is Closedness.INCOMMENSURATE
 
 
 # ---------------------------------------------------------------------------
