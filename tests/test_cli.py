@@ -231,7 +231,7 @@ _A13 = [[[0, 0]], [[1, 0]]]
 
 
 @pytest.mark.parametrize("parts, a12, a13", [
-    # not orthogonal in block 1, and three singular vectors for its two dimensions
+    # (3, 2, 1): not orthogonal in block 1; (2, 2, 1): three singular vectors for its two dimensions
     ([3, 2, 1], [[[1, 0], [0, 0]], [[0, 0], [3e-9, 0]], [[0, 0], [0, 0]]], _A13 + [[[0, 0]]]),
     ([2, 2, 1], [[[1, 0], [0, 0]], [[0, 0], [3e-9, 0]]], _A13),
 ])
