@@ -121,20 +121,15 @@ def _cmd_canonicalize(args) -> int:
     for r, c, a in form.pairs:
         print(f"  ({r}, {c})  {a:.12g}")
     print(f"residual {form.residual:.3e}")
-    doc = serialize_vector_with_canonical(x, form)
-    _write_out(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
-
-
-def serialize_vector_with_canonical(x, form) -> dict:
-    j_doc = serialize_vector(TangentVector(x.partition, form.J))
     u = form.U.data
-    return {
-        "J": j_doc,
+    doc = {
+        "J": serialize_vector(TangentVector(x.partition, form.J)),
         "U": np.stack((u.real, u.imag), axis=-1).tolist(),
         "pairs": [[r, c, a] for r, c, a in form.pairs],
         "residual": form.residual,
     }
+    _write_out(json.dumps(doc, indent=2) + "\n", args.out)
+    return 0
 
 
 def _cmd_closedness(args) -> int:

@@ -289,27 +289,19 @@ def _block_svds(p: FlagPartition, a: np.ndarray):
     return svds, cut
 
 
-def _complete_unitary(basis: list, n: int) -> np.ndarray:
-    """Extend a list of orthonormal columns to an n x n unitary."""
-    if not basis:
-        return np.eye(n, dtype=np.complex128)
-    cols = np.column_stack(basis)
-    u, _, _ = np.linalg.svd(cols, full_matrices=True)
-    return np.hstack([cols, u[:, len(basis):]])
-
-
 def canonicalize(x: TangentVector) -> CanonicalForm:
     """Reduce an equigeodesic vector to its essentially diagonal form.
 
     Per block index, the image spaces of the incoming blocks are mutually
     orthogonal (this is what the equigeodesic condition buys), so one
     block-diagonal unitary U aligns every block with its singular vectors at
-    once. Raises NotEquigeodesic on inputs that fail the block condition.
+    once: U_i is the Q of one Householder QR of [V_i | I], V_i the singular vectors
+    kept in block i. Raises NotEquigeodesic on inputs that fail the block condition.
     Each kept singular triple of ``_block_svds`` gets one row and one column of J;
     the values it cuts are left out of J, so the residual may exceed the
     CANON_RESIDUAL_TOL contract by their norm. RuntimeError means that the block condition
     holds, to its tolerance, but no form is certified: a larger residual, or kept singular
-    vectors that do not fit a block (more than its size, or far from orthogonal).
+    vectors that do not fit a block (more than its size, or some |r_kk| < 1/2).
     U and J are computed on the matrix times ``_unit_scale``, so no product over- or
     underflows and U is that of the matrix; the pair values and the residual are
     divided back, and a pair value past the float range raises ValueError.
@@ -334,26 +326,18 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
             left.append(u[:, k])
             right.append(vh[k, :].conj())
 
+    # Q of [V_i | I] orthonormalizes V_i in order and completes it; |r_kk| is what is left
+    # of vector k off the ones before it, and d / |d| turns column k back onto that vector
     u_full = np.zeros_like(A)  # complex128
     for bi, vecs in enumerate(collected):
         lo, hi = p.offsets[bi], p.offsets[bi + 1]
-        basis = []  # more vectors than the block has dimensions leave one of norm ~0
-        for vec in vecs:
-            w = vec.astype(np.complex128)
-            for q in basis:
-                w -= (q.conj() @ w) * q
-            norm = float(np.linalg.norm(w))
-            if norm < 0.5:
-                raise RuntimeError("the block condition holds, but the singular vectors kept at "
-                                   f"the rank cut do not fit block {bi + 1}")
-            basis.append(w / norm)
-        u_full[lo:hi, lo:hi] = _complete_unitary(basis, hi - lo)
-
-    # rotate each right-side column by a unit phase so the listed entry is real > 0
-    for up, vp in slots:
-        alpha = u_full[:, up].conj() @ (A @ u_full[:, vp])
-        if abs(alpha) > 0:
-            u_full[:, vp] *= np.conj(alpha) / abs(alpha)
+        q, r = np.linalg.qr(np.column_stack(vecs + [np.eye(hi - lo)]))
+        d = np.diagonal(r)[:len(vecs)]
+        if len(vecs) > hi - lo or np.any(np.abs(d) < 0.5):
+            raise RuntimeError("the block condition holds, but the singular vectors kept at "
+                               f"the rank cut do not fit block {bi + 1}")
+        q[:, :len(vecs)] *= d / np.abs(d)
+        u_full[lo:hi, lo:hi] = q
 
     j_raw = u_full.conj().T @ A @ u_full
 

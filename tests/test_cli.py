@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from flagdesic import cli
 from flagdesic.cli import main
 from flagdesic.documents import parse_vector_document
 from flagdesic.examples import fixture_document, fixture_names
+from flagdesic.flag import FlagPartition, build_roots
 
 
 def write_json(path, doc):
@@ -423,7 +425,7 @@ EQUIGEODESIC = ("equigeodesic (block-condition): true  worst residual 0.000e+00\
 def _canonical_stdout(a):
     """What canonicalize prints for parts (1, 1) and a_12 = a > 0: U = 1 and J = A."""
     doc = {"J": {"n": 2, "parts": [1, 1], "mode": "float", "blocks": {"1,2": [[[a, 0.0]]]}},
-           "U": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, -0.0]]],
+           "U": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
            "pairs": [[1, 2, a]], "residual": 0.0}
     return (f"pairs (row, col, value):\n  (1, 2)  {a:.12g}\nresidual 0.000e+00\n"
             + json.dumps(doc, indent=2) + "\n")
@@ -682,17 +684,22 @@ def test_examples_compose_with_check(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_roots_reports(capsys):
-    assert main(["roots", "1", "1", "1"]) == 0
+#: every composition of n <= 6, and (3, 3, 3)
+ROOT_PARTITIONS = [tuple(np.diff((0, *cuts, n)).tolist()) for n in range(1, 7) for k in range(n)
+                   for cuts in itertools.combinations(range(1, n), k)] + [(3, 3, 3)]
+
+
+@pytest.mark.parametrize("parts", [
+    pytest.param(parts, id="-".join(map(str, parts))) for parts in ROOT_PARTITIONS])
+def test_roots_reports(capsys, parts):
+    counts = tuple(map(len, build_roots(FlagPartition(parts))))
+    assert main(["roots", *map(str, parts)]) == 0
     out = capsys.readouterr().out
-    assert "positive T-roots: (1,2) (1,3) (2,3)" in out
-    assert "dim m: 6" in out
-    assert main(["roots", "3", "3", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "isotropy modules s(s-1)/2: 3" in out
-    assert main(["roots", "2", "1", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "isotropy modules s(s-1)/2: 3" in out
+    pairs = list(itertools.combinations(range(1, len(parts) + 1), 2))
+    assert f"positive K-roots: {counts[0]}\npositive M-roots: {counts[1]}\n" in out
+    assert f"isotropy modules s(s-1)/2: {len(pairs)}\n" in out
+    assert "positive T-roots: " + " ".join(f"({i},{j})" for i, j in pairs) + "\n" in out
+    assert f"dim m: {sum(parts) ** 2 - sum(ni * ni for ni in parts)}\n" in out
 
 
 def test_roots_invalid_partition(capsys):

@@ -5,6 +5,8 @@ the canonical pair values are the singular values of the blocks (so they scale
 by c), and closedness depends only on the ratios of the eigenvalues.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from flagdesic import (
     Closedness,
     FlagPartition,
     Mode,
+    NotEquigeodesic,
+    TangentVector,
     canonicalize,
     equigeodesic_certificate,
     is_equigeodesic,
@@ -22,6 +26,8 @@ from flagdesic import (
     random_block_unitary,
     random_equigeodesic,
 )
+from flagdesic.equigeo import CANON_RESIDUAL_TOL, RANK_TOL
+from flagdesic.flag import off_block_mask
 
 #: s <= 5 blocks and n <= 9.
 partitions = (
@@ -52,13 +58,41 @@ def test_route_verdicts_invariant(p, seed, c, u_seed, equi):
         assert route(y).is_equigeodesic is route(x).is_equigeodesic
 
 
-@settings(max_examples=40, deadline=None)
-@given(partitions, seeds, wide_scales, seeds)
-def test_canonical_values_scale_by_c(p, seed, c, u_seed):
+def _checked_form(x):
+    """canonicalize(x), after checking that U is block-diagonal and unitary and that the
+    residual lies within its bound: 1e-9 ||X|| plus sqrt 2 times the norm the rank cut drops."""
+    form = canonicalize(x)
+    p, a, u = x.partition, x.matrix.data, form.U.data
+    assert not u[off_block_mask(p)].any()
+    assert np.linalg.norm(u.conj().T @ u - np.eye(p.total)) <= 1e-12
+    sigmas = np.concatenate([np.linalg.svd(a[slice(*p.block_range(i)), slice(*p.block_range(j))],
+                                           compute_uv=False) for i, j in p.positive_pairs()])
+    cut = sigmas[sigmas <= RANK_TOL * sigmas.max()]
+    assert form.residual <= CANON_RESIDUAL_TOL * x.fro() + math.sqrt(2.0) * np.linalg.norm(cut)
+    return form
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions, seeds, wide_scales, seeds, st.floats(-12.0, -6.0).map(lambda e: 10.0**e))
+def test_canonical_values_scale_by_c(p, seed, c, u_seed, eps):
     x = random_equigeodesic(p, seed)
-    values = sorted(a for _, _, a in canonicalize(x).pairs)
-    moved = sorted(a for _, _, a in canonicalize(_transform(x, c, u_seed)).pairs)
+    values = sorted(a for _, _, a in _checked_form(x).pairs)
+    moved = sorted(a for _, _, a in _checked_form(_transform(x, c, u_seed)).pairs)
     assert moved == pytest.approx([c * a for a in values], rel=1e-9)
+    # X plus eps ||X|| of skew noise in m: refused exactly where the block condition fails;
+    # otherwise undetermined, or a form that passes the same checks
+    noise = random_tangent(p, np.random.default_rng((seed, u_seed)))
+    y = _transform(TangentVector(p, x.matrix + noise.matrix.scale(eps * x.fro() / noise.fro())),
+                   c, u_seed)
+    equigeodesic = is_equigeodesic(y).is_equigeodesic
+    try:
+        _checked_form(y)
+    except NotEquigeodesic:
+        assert not equigeodesic
+    except RuntimeError:
+        assert equigeodesic
+    else:
+        assert equigeodesic
 
 
 @settings(max_examples=40, deadline=None)
