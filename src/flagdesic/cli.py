@@ -6,10 +6,12 @@ condition fails, and 3 where it holds but no canonical form can be certified (th
 singular vectors kept at the rank cut do not fit a block, or the residual exceeds
 the bound), after printing why.
 
-A command runs in a process of its own, through :func:`run`. ``main`` is for
-in-process callers and leaves the garbage collector as it finds it. Each handler
-imports the modules its command needs in its own body, so a command compiles and
-runs no other.
+A command runs in a process of its own, through :func:`run`, which flushes stdout and
+stderr after the command and then ends the process with ``os._exit``: the interpreter
+frees nothing that is about to vanish, and no ``atexit`` handler runs. ``main`` is for
+in-process and library callers; it returns the exit code and leaves the garbage
+collector as it finds it. Each handler imports the modules its command needs in its own
+body, so a command compiles and runs no other.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ if __name__ == "__main__":  # a one-shot process: no collector pass while module
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -80,7 +83,7 @@ def _load_vector(path: str, requested_mode: str):
 
 def _write_out(text: str, out):
     if out is None:
-        sys.stdout.write(text)
+        print(text, end="")  # unlike sys.stdout.write, a no-op where stdout was closed
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -305,13 +308,29 @@ def main(argv=None) -> int:
 def run():
     """The program entry: ``python -m flagdesic.cli`` and the console script.
 
-    Freezes every object loaded so far, which the collector then never walks again,
-    neither on a pass while the command runs nor at interpreter shutdown, and turns
-    collection back on for the command itself.
+    Freezes every object loaded so far, which the collector then never walks again on a
+    pass while the command runs, and turns collection back on for the command itself.
+    When ``main`` returns, flushes stdout and stderr and ends the process with
+    ``os._exit``, skipping interpreter teardown, so no ``atexit`` handler runs; library
+    callers use :func:`main`. Output that stdout cannot take at that flush (a full disk,
+    a closed pipe) exits 2 with one ``error:`` line, as a failed write inside ``main``
+    does. An exception that escapes ``main`` leaves the ordinary way.
     """
     gc.freeze()
     gc.enable()
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:  # None where stdout was closed: print wrote nothing
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

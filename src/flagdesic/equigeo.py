@@ -64,8 +64,8 @@ class CanonicalForm(NamedTuple):
     """Block-diagonal unitary U with essentially diagonal J = U^* A U.
 
     ``pairs`` lists the extracted entries (global row, global col, a_k) with
-    row < col and a_k > 0, sorted by descending a_k then (row, col);
-    coordinates are 1-based.
+    row < col and a_k > 0, sorted by descending a_k to 12 significant digits (the
+    ones the CLI prints), then by (row, col); coordinates are 1-based.
     """
 
     U: CMatrix
@@ -360,7 +360,9 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
             f"canonical form residual {residual / scale:.3e} exceeds {bound / scale:.3e}; "
             "input is too close to the rank boundary"
         )
-    pairs.sort(key=lambda rc: (-rc[2], rc[0], rc[1]))
+    # the key rounds to the 12 digits the listing prints, so pairs equal in exact
+    # arithmetic are listed by place, not by rounding noise in their last bits
+    pairs.sort(key=lambda rc: (-float(f"{rc[2]:.12g}"), rc[0], rc[1]))
     return CanonicalForm(U=CMatrix(u_full, Mode.FLOAT), J=CMatrix(j_clean / scale, Mode.FLOAT),
                          pairs=tuple(pairs), residual=residual / scale)
 

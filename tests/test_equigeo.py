@@ -451,6 +451,21 @@ def test_canonicalize_repeated_singular_values():
     assert spectrum == pytest.approx([2.0, 2.0, 0.0, 0.0, -2.0, -2.0])
 
 
+def test_canonicalize_lists_tied_pairs_by_place():
+    # a * R with R orthogonal and a, R integer: both singular values are exactly c = |(a, b)|,
+    # but the SVD returns them apart in the last bits; pairs that print equal go by place
+    p = FlagPartition((2, 2))
+    later_larger = 0
+    for a, b in [(3, 4), (5, 12), (8, 15), (7, 24), (20, 21), (9, 40), (28, 45), (11, 60)]:
+        for block in ([[a, -b], [b, a]], [[a, b], [b, -a]], [[b, a], [a, -b]]):
+            form = canonicalize(TangentVector.from_blocks(p, {(1, 2): block}))
+            assert [(r, c) for r, c, _ in form.pairs] == [(1, 3), (2, 4)]
+            values = [v for *_, v in form.pairs]
+            assert values == pytest.approx([math.hypot(a, b)] * 2, rel=1e-14)
+            later_larger += values[1] > values[0]
+    assert later_larger  # some tie came out larger at (2, 4): an unrounded key lists it first
+
+
 def test_canonicalize_saturated_rank_budget():
     # block 2 of partition (2,2,2) receives rank 1 from each side, filling n_2
     p = FlagPartition((2, 2, 2))
