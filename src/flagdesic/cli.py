@@ -12,6 +12,12 @@ frees nothing that is about to vanish, and no ``atexit`` handler runs. ``main`` 
 in-process and library callers; it returns the exit code and leaves the garbage
 collector as it finds it. Each handler imports the modules its command needs in its own
 body, so a command compiles and runs no other.
+
+A well-formed command line (the command, its positionals, then ``--option value`` pairs)
+is read straight off ``_COMMANDS``; argparse, which also loads gettext and locale, is
+imported only to print help or a usage error, or to read any other spelling, so every
+help text, usage message and exit code is argparse's own. An error line that stderr cannot
+take still leaves with the error's exit code.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ import gc
 if __name__ == "__main__":  # a one-shot process: no collector pass while modules load
     gc.disable()
 
-import argparse
 import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -266,43 +272,108 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command`` alone: the only one
-    a command line naming it can reach. Usage still lists every command."""
+def _build_parser():
+    """The argparse parser of every command: the reader of help and usage errors."""
+    import argparse  # here, so a well-formed command line never loads it
+
     parser = argparse.ArgumentParser(
         prog="flagdesic",
         description="Equigeodesic vectors on flag manifolds: certification, "
         "canonical forms, and Killing-field closedness.",
     )
-    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            sp = sub.add_parser(name, help=help_text)
-            for args, kwargs in arguments:
-                sp.add_argument(*args, **kwargs)
-            sp.set_defaults(func=func)
+        sp = sub.add_parser(name, help=help_text)
+        for args, kwargs in arguments:
+            sp.add_argument(*args, **kwargs)
+        sp.set_defaults(func=func)
     return parser
+
+
+def _read_plain(argv):
+    """The namespace ``_build_parser()`` gives for ``argv``, read straight off ``_COMMANDS``
+    where ``argv`` is a command name, its positionals, then ``--option value`` pairs (and
+    ``--list``), each option once; ``None`` for anything else, which argparse then reads:
+    help, ``--opt=value``, abbreviations, ``--``, an unknown or repeated option, a token
+    starting with ``-`` where a value or positional belongs, an option before a positional,
+    a value its type or choices refuse, or a missing argument."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    values, options, positionals = {"command": argv[0], "func": func}, {}, []
+    for names, kwargs in arguments:
+        flag = kwargs.get("action") == "store_true"
+        dest = kwargs.get("dest", names[0].lstrip("-").replace("-", "_"))
+        values[dest] = kwargs.get("default", False if flag else None)
+        if names[0].startswith("-"):
+            options[names[0]] = (dest, flag, kwargs)
+        else:
+            positionals.append((dest, kwargs))
+
+    def convert(token, kwargs):
+        value = kwargs.get("type", str)(token)
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            raise ValueError(token)
+        return value
+
+    cut = next((k for k, t in enumerate(argv) if t.startswith("-")), len(argv))
+    given, tokens, seen = argv[1:cut], iter(argv[cut:]), set()
+    try:
+        for dest, kwargs in positionals:
+            nargs = kwargs.get("nargs")
+            taken = [convert(t, kwargs) for t in (given if nargs == "+" else given[:1])]
+            given = given[len(taken):]
+            if taken:
+                values[dest] = taken if nargs == "+" else taken[0]
+            elif nargs != "?":
+                return None
+        if given:
+            return None
+        for name in tokens:
+            if name not in options or name in seen:
+                return None
+            seen.add(name)
+            dest, flag, kwargs = options[name]
+            if flag:
+                values[dest] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            values[dest] = convert(value, kwargs)
+    except (TypeError, ValueError):
+        return None
+    if any(kwargs.get("required") and name not in seen for name, (_, _, kwargs) in options.items()):
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def _fail(message, code: int) -> int:
+    """Print ``error: message`` to stderr and return ``code``, also where stderr cannot
+    take the line (a full disk): the exit code is the error's, not the write's."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+    return code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return _fail(exc, exc.code)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except MemoryError as exc:
-        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 2
+        return _fail(f"not enough memory: {str(exc) or 'allocation failed'}", 2)
 
 
 def run():
@@ -323,8 +394,7 @@ def run():
         if sys.stdout is not None:  # None where stdout was closed: print wrote nothing
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        code = _fail(exc, 2)
     try:
         if sys.stderr is not None:
             sys.stderr.flush()

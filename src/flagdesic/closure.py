@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .flag import TangentVector
-from .linalg import Mode, exact_skew_squares, skew_spectrum
+from .linalg import Mode, skew_spectrum
 
 #: Default continued-fraction denominator bound.
 DEFAULT_BOUND = 10**6
@@ -103,6 +103,8 @@ def matrix_spectral_data(a) -> SpectralData:
     """Spectral data of any skew-Hermitian CMatrix (not only tangent vectors)."""
     if a.mode is Mode.FLOAT:
         return SpectralData(tuple(skew_spectrum(a)))
+    from .gaussian import exact_skew_squares  # here, so float requests never load gaussian
+
     thetas, squares = exact_skew_squares(a)
     return SpectralData(tuple(thetas), tuple(squares))
 

@@ -12,15 +12,15 @@ The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
 zero tests and ``project_m`` are one numpy expression for both modes; only shapes,
 entries, the norm and ``to_float`` read the 2 x 2 layout. Exact block kernels run on the
-embedding, the exact spectrum on the integer characteristic polynomial of D*H. ``scale``,
-``hadamard``, ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never
-mixes modes; mixed-mode binary operations raise ``ValueError``.
+embedding; the exact spectrum, from the integer characteristic polynomial of D*H, is in
+``gaussian``, which only exact input loads. ``scale``, ``hadamard``, ``skew_spectrum`` and
+``killing_flow`` are Float-mode only. A matrix never mixes modes; mixed-mode binary
+operations raise ``ValueError``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import sys
 from enum import Enum
@@ -307,7 +307,7 @@ def _skew_eigh(a: CMatrix, vectors: bool):
 def skew_spectrum(a: CMatrix) -> list:
     """Sorted real list theta_1 >= ... >= theta_n with eig(a) = {i * theta_k}, for a Float
     skew-Hermitian a, from the Hermitian eigenproblem for -i a. The exact spectrum of an
-    Exact matrix is ``exact_skew_squares``."""
+    Exact matrix is ``gaussian.exact_skew_squares``."""
     a._require_float("skew_spectrum")
     require_skew_hermitian(a)
     w, _ = _skew_eigh(a, vectors=False)
@@ -322,117 +322,3 @@ def killing_flow(a: CMatrix):
     require_skew_hermitian(a)
     w, v = _skew_eigh(a, vectors=True)
     return w, lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
-
-
-# ---------------------------------------------------------------------------
-# exact kernels on the integer embedding
-# ---------------------------------------------------------------------------
-
-
-def exact_char_poly(a: CMatrix) -> np.ndarray:
-    """The monic integer characteristic polynomial p of D*H, H = -i a, for an Exact
-    skew-Hermitian a over D = a.den: its coefficients, highest first, as an object array.
-    Modulo primes q = 5 (mod 8) in (2^19, 2^20), where 2^((q-1)/4) stands for i,
-    Faddeev-LeVerrier gives p mod q by float64 BLAS products, exact as sums of n <= 4096
-    products of residues stay below 2^53. A coefficient is a sum of principal minors, within
-    prod(1 + r_j) by Hadamard's bound, r_j the 2-norm of row j of D*H (Cohen, 2.2), and the
-    Chinese remainder theorem joins residues of primes whose product passes twice that."""
-    if a.mode is not Mode.EXACT:
-        raise ValueError("exact_char_poly requires Exact mode")
-    e, n = a.data, a.n_rows
-    if not a.is_square or (e + e.T).any():  # E antisymmetric <=> a skew-Hermitian
-        require_skew_hermitian(a)  # raises, naming the defect
-    bound = 2 * math.prod(2 + math.isqrt(r) for r in (e * e).sum(axis=1)[0::2])  # > 2 prod(1 + r_j)
-    count = bound.bit_length() // 19 + 1  # primes above 2^19 whose product passes the bound
-    primes = list(itertools.islice((q for q in range(2**20 - 3, 2**19, -8)
-                                    if all(q % f for f in range(3, 1025, 2))), count))
-    if len(primes) < count or n > 4096:  # else a sum of products of residues may pass 2^53
-        raise ValueError("the exact characteristic polynomial is out of reach: n > 4096, or "
-                         "more primes needed than lie between 2^19 and 2^20")
-    q, w = (np.array(v, dtype=np.int64)[:, None, None]
-            for v in (primes, [pow(2, q // 4, q) for q in primes]))  # w^2 = -1 (mod q)
-    small = np.int64 if abs(e).max() < 2**63 else object  # ints of a numpy type where they fit
-    x, y = e[0::2, 0::2].astype(small), e[1::2, 0::2].astype(small)  # D a = x + i y, D H = y - i x
-    m, q = ((y % q - w * (x % q)) % q).astype(np.float64), q.astype(np.float64)
-    mk, eye, out = 0.0, np.eye(n), [np.ones(count)]
-    for k in range(1, n + 1):  # mk = D H M_{k-1}, M_{k-1} = mk + c_{k-1}, c_k = -tr(mk) / k
-        mk = m @ (mk + out[-1][:, None, None] * eye)
-        mk -= np.floor(mk / q) * q  # exact below 2^53
-        trace = np.trace(mk, axis1=1, axis2=2) % q[:, 0, 0]
-        out.append(-trace * [pow(k, -1, p) for p in primes] % q[:, 0, 0])
-    total = math.prod(primes)
-    basis = np.array([total // p * pow(total // p, -1, p) for p in primes], dtype=object)
-    coeffs = np.array(out).astype(np.int64).astype(object) @ basis % total
-    return np.where(2 * coeffs > total, coeffs - total, coeffs)
-
-
-def _deflate(poly, root: int):
-    """(quotient, multiplicity): ``poly`` divided by x - root while that leaves no remainder."""
-    for mult in itertools.count():
-        *quotient, rest = itertools.accumulate(poly, lambda b, c: b * root + c)
-        if rest:
-            return poly, mult
-        poly = quotient
-
-
-def _none_above(poly, z: int) -> bool:
-    """Whether every Taylor coefficient of ``poly`` at z is >= 0, the remainders of repeated
-    division by x - z: for a monic real-rooted poly, exactly when no root exceeds z."""
-    for _ in range(len(poly) - 1):
-        *poly, rest = itertools.accumulate(poly, lambda b, c: b * z + c)
-        if rest < 0:
-            return False
-    return True
-
-
-def _sqrt_over(z: int, d: int) -> float:
-    """sqrt(z) / d as one rounding of isqrt(z * 2^128) / (d * 2^64), with no float square to
-    under- or overflow: z = k^2 gives the correctly rounded k/d. ValueError where no float holds it."""
-    with contextlib.suppress(OverflowError):
-        if (t := math.isqrt(z << 128) / (d << 64)) or not z:
-            return t
-    raise ValueError("the spectrum lies outside the float range: some theta rounds to 0 or inf")
-
-
-def exact_skew_squares(a: CMatrix):
-    """Exact spectrum of an Exact skew-Hermitian a, eig(a) = {i * theta_k}: (thetas, squares),
-    thetas descending, squares[k] the Fraction theta_k^2 and thetas[k] its signed float root.
-
-    p = ``exact_char_poly(a)`` has the roots D theta_k, so s(x^2) = p(x) (-1)^n p(-x) is monic
-    in Z[y] with the roots D^2 theta_k^2 >= 0, a rational one an integer. Newton's method with
-    integer floor steps from their sum never passes the largest, as s/s' = 1 / sum 1/(y - y_k),
-    and stops less than deg s above it; the integers of that window are tested exactly, and a
-    root is divided out with its multiplicity. Toward a mu-fold root a step gains only 1/mu of
-    the way, so m = floor(s'^2 / (s'^2 - s s'')) steps, the multiplicity of the roots as seen
-    from y, are taken at once where every Taylor coefficient of s at the landing point is >= 0,
-    which for the real-rooted s says that no root lies above it; m is halved until one is.
-    theta = k/D is signed by the multiplicity of k in p; an irrational theta has -theta as
-    often, as p is in Z[x]. A window without a root means an irrational theta^2 and an
-    incommensurate spectrum (theta_k = q_k theta_ref with rational q_k makes tr(-a^2) =
-    theta_ref^2 sum q_k^2, and so each theta^2, rational): then squares are all None, and
-    thetas the float spectrum."""
-    from fractions import Fraction
-
-    p = exact_char_poly(a)
-    s = np.convolve(p, p * (-1) ** np.arange(len(p)))[::2].tolist()
-    y, spectrum = -s[1], []  # the sum of the roots
-    while len(s) > 1:
-        v = dv = d2 = 0
-        for c in s:  # Horner: v = s(y), dv = s'(y), d2 = s''(y) / 2
-            v, dv, d2 = v * y + c, dv * y + v, d2 * y + dv
-        if v >= dv > 0:  # a floor step of at least 1, m of them at once where certified
-            step, m = v // dv, dv * dv // (dv * dv - 2 * v * d2)
-            while m > 1 and not _none_above(s, y - m * step):
-                m //= 2
-            y -= m * step
-            continue
-        size = len(s)
-        for z in range(y, max(0, y - (size - 1) * v // dv if v else y) - 1, -1):
-            s, mult = _deflate(s, z)
-            if mult:
-                p, plus = _deflate(p, k) if (k := math.isqrt(z)) ** 2 == z else (p, mult // 2)
-                theta, c = _sqrt_over(z, a.den), Fraction(z, a.den**2)
-                spectrum += [(theta, c)] * plus + [(-theta, c)] * (mult - plus)
-        if len(s) == size:  # the largest root left is irrational
-            return [float(t) for t in _skew_eigh(a, vectors=False)[0][::-1]], [None] * a.n_rows
-    return [list(col) for col in zip(*sorted(spectrum, key=lambda tc: tc[0], reverse=True))]

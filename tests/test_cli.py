@@ -737,17 +737,78 @@ def _parse_exit(parser, argv):
 
 @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
 def test_help_and_usage_texts_match_the_parser_of_every_command(argv):
-    # main adds only the subparser argv[0] names; its texts must not show it
+    # none of these is a plain command line, so main's texts and codes are argparse's own
     expected = _outcome(lambda: _parse_exit(cli._build_parser(), argv))
     assert _outcome(lambda: main(argv)) == expected
 
 
-@pytest.mark.parametrize("name", cli._COMMANDS)
-def test_a_named_command_builds_only_its_subparser(name):
-    listed, everything = cli._build_parser(name).format_help(), cli._build_parser().format_help()
-    for other, (help_text, _, _) in cli._COMMANDS.items():
-        assert help_text in everything
-        assert (help_text in listed) == (other == name)
+#: Tokens a command line is drawn from: file names, options, their spellings argparse alone
+#: reads (help, ``--``, an abbreviation, ``--opt=value``), values that convert or do not.
+ARGV_TOKENS = st.sampled_from([
+    "v.json", "m.json", "f9-333", "3", "0", "--mode", "exact", "float", "bogus", "--tol", "-1",
+    "nan", "1e3", "--out", "--list", "--t-max", "--samples", "--bound", "-h", "--help", "--",
+    "--mo", "--mode=exact", "", "-",
+])
+
+#: Values of positionals and options: some convert, some do not, some start with ``-``.
+ARGV_VALUES = st.sampled_from(["v.json", "exact", "float", "bogus", "3", "0", "-1", "nan", "1e3", ""])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line built from a command's own table, then 0 to 2 tokens of the alphabet
+    inserted anywhere after the name: well-formed ones often, malformed ones of every kind."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv, pairs = [name], []
+    for names, kwargs in cli._COMMANDS[name][2]:
+        if not names[0].startswith("-"):
+            low, high = {"?": (0, 1), "+": (1, 3)}.get(kwargs.get("nargs"), (1, 1))
+            argv += draw(st.lists(ARGV_VALUES, min_size=low, max_size=high))
+        elif kwargs.get("required") or draw(st.booleans()):
+            pairs.append([names[0]] if "action" in kwargs else [names[0], draw(ARGV_VALUES)])
+    argv += itertools.chain.from_iterable(draw(st.permutations(pairs)))
+    for token in draw(st.lists(ARGV_TOKENS, max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+def _comparable(namespace):
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+            for k, v in vars(namespace).items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_a_command_line_the_plain_reader_accepts_parses_alike_in_argparse(argv):
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert _comparable(plain) == _comparable(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "v.json", "m.json", "--mode", "exact", "--tol", "1e-6"],
+    ["curve", "v.json", "--t-max", "1", "--samples", "4", "--out", "c.csv"],
+    ["closedness", "v.json", "--bound", "12"],
+    ["examples", "--list"],
+    ["examples", "f9-333", "--mode", "exact", "--out", "f9.json"],
+    ["roots", "3", "3", "3"],
+    ["canonicalize", "v.json"],
+], ids=" ".join)
+def test_the_plain_reader_reads_well_formed_command_lines(argv):
+    plain = cli._read_plain(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "v.json", "--mode=exact"], ["check", "v.json", "--mo", "exact"],
+    ["check", "v.json", "--help"], ["check", "--", "v.json"], ["check", "--mode", "exact", "v.json"],
+    ["check", "v.json", "--tol", "1", "--tol", "2"], ["check", "v.json", "--tol", "-1"],
+    ["check", "v.json", "--mode", "bogus"], ["roots", "3", "x"], ["roots", "-1"], ["curve", "v.json"],
+    ["check"], ["check", "a", "b", "c"], ["nosuch"], [],
+], ids=" ".join)
+def test_the_plain_reader_leaves_every_other_command_line_to_argparse(argv):
+    assert cli._read_plain(argv) is None
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,8 @@ from flagdesic import (
     skew_spectrum,
 )
 from flagdesic.cli import main
-from flagdesic.linalg import (
-    _sqrt_over,
-    exact_char_poly,
-    exact_skew_squares,
-    killing_flow,
-    require_skew_hermitian,
-)
+from flagdesic.gaussian import _sqrt_over, exact_char_poly, exact_skew_squares
+from flagdesic.linalg import killing_flow, require_skew_hermitian
 
 GR = GaussianRational
 

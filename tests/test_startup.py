@@ -16,13 +16,13 @@ import pytest
 import flagdesic
 from flagdesic.examples import fixture_document
 
-# ``python -m flagdesic.cli``: the package, then cli as __main__. numpy, argparse and json
-# load first, so ``added`` holds only what flagdesic itself imports, whatever they import.
+# ``python -m flagdesic.cli``: the package, then cli as __main__. numpy and json load first,
+# so ``added`` holds only what flagdesic itself imports, whatever they import.
 # The entry's os._exit is swapped for a SystemExit, so the state can be read after the
 # command: the collector on again, with the loaded modules frozen, and no thread left that
 # os._exit would cut off.
 PROBE = """
-import argparse, gc, json, os, runpy, sys, threading
+import gc, json, os, runpy, sys, threading
 import numpy
 before = set(sys.modules)
 sys.argv, code = ["flagdesic", *sys.argv[1:]], None
@@ -40,6 +40,9 @@ print(json.dumps([code, loaded, added, gc.isenabled(), gc.get_freeze_count(),
 """
 
 BASE = ["flagdesic", "flagdesic.documents", "flagdesic.flag", "flagdesic.linalg"]
+
+#: What argparse loads; only help and usage errors need it.
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 def run_fresh(code, *argv):
@@ -81,8 +84,21 @@ def test_command_loads_only_its_modules(files, argv, extra):
     assert enabled and frozen > 0
     assert loaded == sorted(BASE + extra)
     assert "dataclasses" not in added  # no record class is generated at import
-    if "flagdesic.gaussian" not in extra:  # a float request loads no exact scalar code
+    assert not PARSER_MODULES & set(added)  # a well-formed command line needs no argparse
+    if "{exact}" not in argv:  # a float request loads no exact code
+        assert "flagdesic.gaussian" not in loaded
         assert not {"fractions", "decimal"} & set(added)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("check {vector} --help", 0),
+    ("check {vector} --bogus", 2),
+])
+def test_help_and_usage_errors_load_argparse(files, argv, expected):
+    code, loaded, added, *_ = run_fresh(PROBE, *argv.format(**files).split())
+    assert code == expected
+    assert {"argparse", "gettext"} <= set(added)
+    assert loaded == sorted(BASE)  # argparse prints and exits before the handler runs
 
 
 def test_import_flagdesic_loads_no_submodule():
@@ -212,3 +228,13 @@ def test_a_full_stdout_exits_2_with_one_error_line(argv, buffered):
 @pytest.mark.parametrize("argv", [["examples", "--list"], ["examples", "f9-333"]])
 def test_a_closed_stdout_exits_0_quietly(argv, buffered):
     assert cli_process(argv, stdout=None, shell_redirect=">&-", buffered=buffered) == (0, None, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv, redirect", [
+    (["examples", "nosuch"], "2>/dev/full"),  # main's own error line
+    (["examples", "--list"], ">/dev/full 2>/dev/full"),  # the entry's stdout-flush error line
+])
+def test_an_error_line_stderr_cannot_take_keeps_exit_2(argv, redirect, buffered):
+    assert cli_process(argv, shell_redirect=redirect, buffered=buffered) == (2, "", "")
