@@ -37,7 +37,7 @@ import numpy as np
 
 from .documents import parse_metric_document, parse_vector_document, serialize_vector
 from .flag import FlagPartition, TangentVector, build_roots, off_block_mask, off_block_positions, t_roots
-from .linalg import Mode, killing_flow
+from .linalg import DEFAULT_BOUND, DEFAULT_EQUI_TOL, Mode, killing_flow
 
 
 def __getattr__(name):
@@ -243,7 +243,7 @@ _COMMANDS = {
         (("vector",), {}),
         (("metric",), {"nargs": "?", "default": None, "help": "optional metric file"}),
         _MODE,
-        (("--tol",), {"type": float, "default": 1e-8}),
+        (("--tol",), {"type": float, "default": DEFAULT_EQUI_TOL}),
     ]),
     "canonicalize": ("block-unitary essentially diagonal form", _cmd_canonicalize, [
         (("vector",), {}),
@@ -252,7 +252,7 @@ _COMMANDS = {
     "closedness": ("Killing-field closedness via the spectrum", _cmd_closedness, [
         (("vector",), {}),
         _MODE,
-        (("--bound",), {"type": int, "default": 1000000}),
+        (("--bound",), {"type": int, "default": DEFAULT_BOUND}),
     ]),
     "curve": ("sample exp(tA) along the curve into CSV", _cmd_curve, [
         (("vector",), {}),

@@ -30,10 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .flag import TangentVector
-from .linalg import Mode, skew_spectrum
-
-#: Default continued-fraction denominator bound.
-DEFAULT_BOUND = 10**6
+from .linalg import DEFAULT_BOUND, Mode, skew_spectrum
 
 #: Scaled-residual acceptance threshold: |rho - p/q| * q^2 <= ACCEPT_TOL.
 ACCEPT_TOL = 1e-9

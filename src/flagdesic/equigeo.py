@@ -27,13 +27,10 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, _block_arrays, _norm_sq, block_norms_sq, block_sums
-from .linalg import PAST_FLOAT_RANGE, CMatrix, Mode, _unit_scale, commutator, project_m
+from .linalg import DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _unit_scale, commutator, project_m
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
-
-#: Default relative tolerance for block products and bracket residuals.
-DEFAULT_EQUI_TOL = 1e-8
 
 #: Singular values below RANK_TOL * (largest sigma across all blocks) are rank noise.
 RANK_TOL = 1e-9
@@ -169,13 +166,7 @@ def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> Equigeod
     """
     _require_tol(tol)
     worst, first_bad, _ = _scan_block_products(x, tol)
-    ok = first_bad is None
-    return EquigeodesicVerdict(
-        is_equigeodesic=ok,
-        method="block-condition",
-        worst_residual=worst,
-        violating_triple=None if ok else first_bad,
-    )
+    return EquigeodesicVerdict(first_bad is None, "block-condition", worst, first_bad)
 
 
 def _require_equigeodesic(x: TangentVector) -> None:
@@ -222,12 +213,7 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     if failed:
         _, first_bad, argmax = _scan_block_products(x, tol)
         triple = first_bad if first_bad is not None else argmax
-    return EquigeodesicVerdict(
-        is_equigeodesic=not failed,
-        method="bracket-certificate",
-        worst_residual=worst,
-        violating_triple=triple,
-    )
+    return EquigeodesicVerdict(not failed, "bracket-certificate", worst, triple)
 
 
 # ---------------------------------------------------------------------------

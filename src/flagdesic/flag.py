@@ -3,9 +3,9 @@
 Partitions, block coordinates, tangent vectors, block-wise norms, and the
 positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
-everywhere in the public API. Outside ``linalg``, this is the only module that
-knows each mode's block layout: ``_block_arrays`` gives every block kernel its
-numbers and its tolerance.
+everywhere in the public API. Outside ``linalg``, only this module's block-kernel plumbing
+(``_block_arrays``, ``block_norms_sq``, ``_norm_sq``) reads an Exact ``data``, the 2 x 2
+embedding: ``_block_arrays`` gives every block kernel its numbers and its tolerance.
 """
 
 from __future__ import annotations

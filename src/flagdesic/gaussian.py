@@ -1,12 +1,12 @@
 """Gaussian rationals, the entries of Exact-mode matrices, and the exact spectral kernels.
 
-An Exact ``CMatrix`` computes on the integer embedding of its entries (see
-``linalg``) and stores no GaussianRational: these are its entries going in and
-coming out, so they have no arithmetic. The exact spectrum of exact ``closedness``
-is here too: the integer characteristic polynomial of D*H (``exact_char_poly``) and
-its roots (``exact_skew_squares``). Only exact input loads this module, the only one
-that imports ``fractions`` at module level, so float commands never compile these
-kernels or load ``fractions`` and the ``decimal`` module it imports.
+An Exact ``CMatrix`` computes on the integer embedding of its entries (see ``linalg``)
+and stores no GaussianRational: these are its entries going in and coming out, so they
+have no arithmetic. The exact spectrum of exact ``closedness`` is here too: the integer
+characteristic polynomial of D*H (``exact_char_poly``, which reads D*a = x + iy through
+``CMatrix.int_parts``, not the embedding) and its roots (``exact_skew_squares``). Only
+exact input loads this module, the only one that imports ``fractions`` at module level,
+so float commands never compile these kernels or load ``fractions`` and its ``decimal``.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ def exact_char_poly(a: CMatrix) -> np.ndarray:
     Chinese remainder theorem joins residues of primes whose product passes twice that."""
     if a.mode is not Mode.EXACT:
         raise ValueError("exact_char_poly requires Exact mode")
-    e, n = a.data, a.n_rows
-    if not a.is_square or (e + e.T).any():  # E antisymmetric <=> a skew-Hermitian
-        require_skew_hermitian(a)  # raises, naming the defect
-    bound = 2 * math.prod(2 + math.isqrt(r) for r in (e * e).sum(axis=1)[0::2])  # > 2 prod(1 + r_j)
+    require_skew_hermitian(a)
+    (x, y), n = a.int_parts(), a.n_rows  # D a = x + i y, D H = y - i x
+    rows = (x * x + y * y).sum(axis=1)  # r_j^2
+    bound = 2 * math.prod(2 + math.isqrt(r) for r in rows)  # > 2 prod(1 + r_j)
     count = bound.bit_length() // 19 + 1  # primes above 2^19 whose product passes the bound
     primes = list(itertools.islice((q for q in range(2**20 - 3, 2**19, -8)
                                     if all(q % f for f in range(3, 1025, 2))), count))
@@ -130,8 +130,8 @@ def exact_char_poly(a: CMatrix) -> np.ndarray:
                          "more primes needed than lie between 2^19 and 2^20")
     q, w = (np.array(v, dtype=np.int64)[:, None, None]
             for v in (primes, [pow(2, q // 4, q) for q in primes]))  # w^2 = -1 (mod q)
-    small = np.int64 if abs(e).max() < 2**63 else object  # ints of a numpy type where they fit
-    x, y = e[0::2, 0::2].astype(small), e[1::2, 0::2].astype(small)  # D a = x + i y, D H = y - i x
+    small = np.int64 if max(rows) < 2**126 else object  # int64 where every |x|, |y| < 2^63
+    x, y = x.astype(small), y.astype(small)
     m, q = ((y % q - w * (x % q)) % q).astype(np.float64), q.astype(np.float64)
     mk, eye, out = 0.0, np.eye(n), [np.ones(count)]
     for k in range(1, n + 1):  # mk = D H M_{k-1}, M_{k-1} = mk + c_{k-1}, c_k = -tr(mk) / k

@@ -10,12 +10,13 @@ Two computation modes run through the whole library:
 The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
 ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats.
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
-zero tests and ``project_m`` are one numpy expression for both modes; only shapes,
-entries, the norm and ``to_float`` read the 2 x 2 layout. Exact block kernels run on the
-embedding; the exact spectrum, from the integer characteristic polynomial of D*H, is in
-``gaussian``, which only exact input loads. ``scale``, ``hadamard``, ``skew_spectrum`` and
-``killing_flow`` are Float-mode only. A matrix never mixes modes; mixed-mode binary
-operations raise ``ValueError``.
+zero tests and ``project_m`` are one numpy expression for both modes. The constructor
+writes the 2 x 2 layout, ``shape`` halves it, and only ``int_parts`` slices it, for
+``entries``, ``nonzero``, ``fro``, ``to_float`` and ``gaussian.exact_char_poly``. Exact block
+kernels run on the embedding; the exact spectrum, from the integer characteristic polynomial
+of D*H, is in ``gaussian``, which only exact input loads. ``scale``, ``hadamard``,
+``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never mixes modes;
+mixed-mode binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ DEFAULT_RTOL = 1e-9
 
 #: Skew-Hermitian validation is relative to the Frobenius norm: tau = factor * ||a||_F.
 SKEW_TOL_FACTOR = 1e-9
+
+#: Default relative tolerance for block products and bracket residuals (``--tol``).
+DEFAULT_EQUI_TOL = 1e-8
+
+#: Default continued-fraction denominator bound (``--bound``).
+DEFAULT_BOUND = 10**6
 
 #: The ValueError message of a spectrum, or canonical pair value, past the float range.
 PAST_FLOAT_RANGE = "the spectrum lies outside the float range: some |theta| exceeds 1.8e+308"
@@ -174,16 +181,21 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             s = _unit_scale(self.data)
             return float(np.linalg.norm(self.data * s)) / s
-        return math.sqrt((self.data * self.data).sum() // 2 / self.den**2)  # each entry twice
+        return math.sqrt(sum((v * v).sum() for v in self.int_parts()) / self.den**2)
 
     def is_zero(self) -> bool:
         return not any(self.data.flat)
+
+    def int_parts(self) -> tuple:
+        """Exact mode: read-only int views (x, y) of the embedding, with den * A = x + i y."""
+        return self.data[0::2, 0::2], self.data[1::2, 0::2]
 
     def nonzero(self) -> np.ndarray:
         """Boolean array of the entries that are not exactly zero."""
         if self.mode is Mode.FLOAT:
             return self.data != 0
-        return (self.data[0::2, 0::2] != 0) | (self.data[1::2, 0::2] != 0)
+        x, y = self.int_parts()
+        return (x != 0) | (y != 0)
 
     def entries(self) -> np.ndarray:
         """The entries: the complex128 ``data`` in Float mode, an object array of
@@ -197,7 +209,7 @@ class CMatrix(Immutable):
         def entry(x, y):
             return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
 
-        return np.frompyfunc(entry, 2, 1)(self.data[0::2, 0::2], self.data[1::2, 0::2])
+        return np.frompyfunc(entry, 2, 1)(*self.int_parts())
 
     def hadamard(self, grid: np.ndarray) -> "CMatrix":
         """Entrywise product with a real float array of this shape."""
@@ -210,7 +222,7 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             return self
         out = np.zeros(self.shape, dtype=np.complex128)
-        re, im = self.data[0::2, 0::2], self.data[1::2, 0::2]
+        re, im = self.int_parts()
         for k, (x, y) in enumerate(zip(re.flat, im.flat)):
             with contextlib.suppress(OverflowError):  # int / int rounds correctly at any size
                 out.flat[k] = complex(x / self.den, y / self.den)

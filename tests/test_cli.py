@@ -623,13 +623,14 @@ def test_curve_decomposes_once_and_closedness_never(tmp_path, f9, monkeypatch, c
 
 
 def test_option_defaults_are_the_library_defaults():
-    # cli builds its parser without importing equigeo or closure, so the defaults are literals
+    # both readers, the plain one and argparse, take --tol and --bound from the constants the
+    # library functions default to
     from flagdesic.closure import DEFAULT_BOUND
     from flagdesic.equigeo import DEFAULT_EQUI_TOL
 
-    parser = cli._build_parser()
-    assert parser.parse_args(["check", "v.json"]).tol == DEFAULT_EQUI_TOL
-    assert parser.parse_args(["closedness", "v.json"]).bound == DEFAULT_BOUND
+    for read in (cli._read_plain, cli._build_parser().parse_args):
+        check, closedness = read(["check", "v.json"]), read(["closedness", "v.json"])
+        assert check.tol is DEFAULT_EQUI_TOL and closedness.bound is DEFAULT_BOUND
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "-1"])

@@ -467,6 +467,38 @@ def test_integer_embedding_scales_and_embeds():
     assert ((e @ e) * sq.den == sq.data * d * d).all()
 
 
+#: Exact parts with mixed denominators, numerators past int64, and magnitudes past the float
+#: range both ways (10^400 and 10^-400), and zero.
+_WIDE_PARTS = (st.just(0) | st.fractions(-(10**6), 10**6, max_denominator=12)
+               | st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)))
+
+
+def _or_overflow(f):
+    try:
+        return f()
+    except OverflowError:
+        return OverflowError
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
+    rows = [[GR(data.draw(_WIDE_PARTS), data.draw(_WIDE_PARTS)) for _ in range(c)]
+            for _ in range(r)]
+    a = CMatrix(rows, Mode.EXACT)
+    x, y = a.int_parts()
+    assert x.shape == y.shape == (r, c) and not (x.flags.writeable or y.flags.writeable)
+    assert all(type(v) is int for v in [*x.flat, *y.flat])
+    # den * A = x + i y, entry by entry, as Fractions
+    assert [list(zip(xr, yr)) for xr, yr in zip(x.tolist(), y.tolist())] == \
+        [[(a.den * v.re, a.den * v.im) for v in row] for row in rows]
+    assert a.nonzero().tolist() == [[bool(v) for v in row] for row in rows]
+    assert a.entries().tolist() == rows
+    # the sum of squares is exact and rounded once, so both sides raise or agree bit for bit
+    square_sum = sum(v.re**2 + v.im**2 for row in rows for v in row)
+    assert _or_overflow(a.fro) == _or_overflow(lambda: math.sqrt(square_sum))
+
+
 def _char_poly_reference(m):
     """det(x - m), highest coefficient first, by Faddeev-LeVerrier over Fractions, for a
     square matrix of exact complex entries given as (re, im) pairs: M_1 = I,
