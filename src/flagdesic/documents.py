@@ -7,10 +7,11 @@ A vector document is a JSON object
 
 holding only the upper block triangle; the lower half is forced to
 a_ji = -a_ij^*, which removes a whole class of inconsistent inputs. Float
-entries are [re, im] pairs; exact entries are strings like "1/2-3/4i".
-Missing blocks are zero. Metric documents carry {"parts": [...],
-"lambda": {"i,j": value}} with absent pairs defaulting to 1. Any other
-top-level key is an error, so a misspelt key cannot read as a default.
+entries are [re, im] pairs; exact entries, strings like "1/2-3/4i", are read straight to
+the integers of ``CMatrix.from_ints`` and load neither ``gaussian`` nor ``fractions``.
+Missing blocks are zero. Metric documents carry {"parts": [...], "lambda": {"i,j": value}}
+with absent pairs defaulting to 1. Any other top-level key is an error, so a misspelt key
+cannot read as a default.
 """
 
 from __future__ import annotations
@@ -25,13 +26,19 @@ from .flag import FlagPartition, TangentVector, block_sums
 from .linalg import CMatrix, Mode
 
 if TYPE_CHECKING:
-    from .gaussian import GaussianRational
     from .metric import InvariantMetric
 
 #: Agreement required when a document redundantly supplies both block halves.
 HALF_CONSISTENCY_TOL = 1e-12
 
 _KEY_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*$", re.ASCII)
+
+#: An exact entry: a signed real part with an optional "+ bi" or "- bi" term, or bi alone,
+#: where b may be left out for 1; each part an integer, p/q or a decimal, in ASCII digits.
+#: ``re`` compiles it on first use, so float documents never do.
+_PART = r"(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+_LITERAL = (rf"\s*(?:(?P<re>[+-]?{_PART})(?:\s*(?P<sign>[+-])\s*(?P<im>{_PART})?i)?"
+            rf"|(?P<sign_only>[+-]?)(?P<im_only>{_PART})?i)\s*")
 
 #: The top-level keys a document of each kind may hold.
 _FIELDS = {"vector": ("n", "parts", "mode", "blocks"), "metric": ("parts", "lambda")}
@@ -83,26 +90,52 @@ def _parse_float_entry(value, where: str) -> complex:
     return complex(_finite(value[0], where), _finite(value[1], where))
 
 
-def _parse_exact_entry(value, where: str) -> GaussianRational:
-    from .gaussian import GaussianRational
+def read_literal(text: str) -> tuple:
+    """(a, b, c, d) with text = a/b + (c/d) i, b, d > 0, for an exact entry like "3", "-1/2",
+    "0.25", "i", "2i" or "1/2-3/4i"; ValueError for any other text, naming it."""
+    m = re.fullmatch(_LITERAL, text, re.ASCII)
+    if m is None:
+        raise ValueError(f"cannot parse Gaussian rational {text!r}: each part must be an "
+                         "integer, p/q or a decimal, without an exponent")
+    real, sign, im = m.group("re", "sign", "im") if m["re"] else ("0", m["sign_only"], m["im_only"])
+    out = []
+    try:  # int's digit limit, or a zero denominator: int() reads the digits as Fraction() does
+        for part in (real, "0" if sign is None else sign + (im or "1")):
+            whole, slash, q = part.lstrip("+-").partition("/")
+            whole, _, frac = whole.partition(".")
+            p, q = int(whole or "0"), int(q) if slash else 10 ** len(frac)
+            if not q:
+                raise ZeroDivisionError
+            p = p * q + int(frac) if frac else p
+            out += [-p if part[0] == "-" else p, q]
+    except (ValueError, ZeroDivisionError) as exc:
+        why = "a denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"cannot parse Gaussian rational {text!r}: {why}") from None
+    return tuple(out)
 
+
+def _parse_exact_entry(value, where: str) -> tuple:
     if isinstance(value, int) and not isinstance(value, bool):
-        return GaussianRational(value)
+        return value, 1, 0, 1
     if not isinstance(value, str):
         raise DocumentError(f"{where}: exact entries must be strings like \"p/q+r/si\"")
     try:
-        return GaussianRational.parse(value)
+        return read_literal(value)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from None
 
 
-def _parse_block(raw, rows: int, cols: int, mode: Mode, where: str):
+def _parse_block(raw, rows: int, cols: int, mode: Mode, where: str) -> CMatrix:
     if not isinstance(raw, list) or len(raw) != rows or any(
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DocumentError(f"{where}: expected a {rows}x{cols} matrix of entries")
-    parse = _parse_float_entry if mode is Mode.FLOAT else _parse_exact_entry
-    return [[parse(v, where) for v in row] for row in raw]
+    if mode is Mode.FLOAT:
+        return CMatrix([[_parse_float_entry(v, where) for v in row] for row in raw], mode)
+    a, b, c, d = np.array([[_parse_exact_entry(v, where) for v in row] for row in raw],
+                          dtype=object).transpose(2, 0, 1)
+    den = math.lcm(*b.flat, *d.flat)
+    return CMatrix.from_ints(a * (den // b), c * (den // d), den)
 
 
 def _partition(doc, kind: str) -> FlagPartition:
@@ -142,24 +175,18 @@ def parse_vector_document(doc: dict) -> TangentVector:
     if not isinstance(raw_blocks, dict):
         raise DocumentError("\"blocks\" must be an object keyed by \"i,j\"")
 
-    upper = {}
-    lower = {}
+    upper, lower = {}, {}
     for key, raw in raw_blocks.items():
         i, j = _parse_key(key, partition.s, "block")
-        rows = partition.parts[i - 1]
-        cols = partition.parts[j - 1]
-        block = _parse_block(raw, rows, cols, mode, f"block {key!r}")
+        block = _parse_block(raw, partition.parts[i - 1], partition.parts[j - 1], mode, f"block {key!r}")
         half, pair = (upper, (i, j)) if i < j else (lower, (j, i))
         if pair in half:
             raise DocumentError(f"block ({i},{j}) supplied twice")
         half[pair] = block
 
     for pair, low in lower.items():
-        implied = -CMatrix(low, mode).H
-        if pair not in upper:
-            upper[pair] = implied
-            continue
-        given = CMatrix(upper[pair], mode)
+        implied = -low.H
+        given = upper.setdefault(pair, implied)
         if not given.allclose(implied, HALF_CONSISTENCY_TOL):
             raise DocumentError(
                 f"blocks {pair} and {pair[::-1]} disagree by "

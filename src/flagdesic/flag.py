@@ -162,8 +162,9 @@ class TangentVector(Immutable):
         The blocks fill the strictly block-upper matrix U, and the vector is
         U - U^*: the lower half is a_ji = -a_ij^*. Missing blocks are zero.
         """
-        dtype = np.complex128 if mode is Mode.FLOAT else object
-        arr = np.zeros((partition.total, partition.total), dtype=dtype)
+        exact = mode is Mode.EXACT
+        arr = np.zeros((partition.total, partition.total), dtype=object if exact else np.complex128)
+        y, placed = arr.copy(), []
         for (i, j), blk in blocks.items():
             if not (1 <= i <= partition.s and 1 <= j <= partition.s):
                 raise ValueError(f"block key ({i},{j}) out of range 1..{partition.s}")
@@ -171,13 +172,17 @@ class TangentVector(Immutable):
                 raise ValueError(f"from_blocks accepts upper block keys only, got ({i},{j})")
             r0, r1 = partition.block_range(i)
             c0, c1 = partition.block_range(j)
-            sub = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, dtype=dtype)
-            if sub.shape != (r1 - r0, c1 - c0):
+            if not (isinstance(blk, CMatrix) and blk.mode is mode):  # else placed by its numbers
+                blk = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, arr.dtype)
+            if blk.shape != (r1 - r0, c1 - c0):
                 raise ValueError(
-                    f"block ({i},{j}) has shape {sub.shape}, expected {(r1 - r0, c1 - c0)}"
+                    f"block ({i},{j}) has shape {blk.shape}, expected {(r1 - r0, c1 - c0)}"
                 )
-            arr[r0:r1, c0:c1] = sub
-        u = CMatrix(arr, mode)
+            placed.append((np.s_[r0:r1, c0:c1], blk if isinstance(blk, CMatrix) else CMatrix(blk, mode)))
+        den = math.lcm(*(b.den for _, b in placed))
+        for at, b in placed:  # an Exact block by its integers, over the common denominator
+            arr[at], y[at] = (v * (den // b.den) for v in b.int_parts()) if exact else (b.data, 0)
+        u = CMatrix.from_ints(arr, y, den) if exact else CMatrix(arr, mode)
         return cls(partition, u - u.H)
 
 

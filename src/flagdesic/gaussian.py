@@ -1,12 +1,12 @@
 """Gaussian rationals, the entries of Exact-mode matrices, and the exact spectral kernels.
 
-An Exact ``CMatrix`` computes on the integer embedding of its entries (see ``linalg``)
-and stores no GaussianRational: these are its entries going in and coming out, so they
-have no arithmetic. The exact spectrum of exact ``closedness`` is here too: the integer
-characteristic polynomial of D*H (``exact_char_poly``, which reads D*a = x + iy through
-``CMatrix.int_parts``, not the embedding) and its roots (``exact_skew_squares``). Only
-exact input loads this module, the only one that imports ``fractions`` at module level,
-so float commands never compile these kernels or load ``fractions`` and its ``decimal``.
+An Exact ``CMatrix`` computes on the integer embedding of its entries (see ``linalg``) and
+stores no GaussianRational: these are a caller's entries going in and ``entries()`` coming
+out, so they have no arithmetic. Here too is the exact spectrum of exact ``closedness``: the
+integer characteristic polynomial of D*H (``exact_char_poly``, on ``CMatrix.int_parts``) and
+its roots (``exact_skew_squares``). The only module to import ``fractions`` at module level,
+it loads only where a Fraction or GaussianRational goes in or out: exact ``closedness``'s
+squares, the Exact ``CMatrix`` constructor, ``entries()`` and writing exact documents.
 """
 
 from __future__ import annotations
@@ -14,23 +14,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
 
 from .linalg import CMatrix, Immutable, Mode, _skew_eigh, require_skew_hermitian
-
-#: An integer, p/q or a decimal, in ASCII digits.
-_PART = r"(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
-
-#: An exact entry: a signed real part with an optional "+ bi" or "- bi" term, or bi alone,
-#: where b may be left out for 1.
-_LITERAL = re.compile(
-    rf"\s*(?:(?P<re>[+-]?{_PART})(?:\s*(?P<sign>[+-])\s*(?P<im>{_PART})?i)?"
-    rf"|(?P<sign_only>[+-]?)(?P<im_only>{_PART})?i)\s*",
-    re.ASCII,
-)
 
 
 class GaussianRational(Immutable):
@@ -49,20 +37,12 @@ class GaussianRational(Immutable):
     def parse(cls, text: str) -> "GaussianRational":
         """Parse strings like ``"3"``, ``"-1/2"``, ``"0.25"``, ``"i"``, ``"2i"``, ``"1/2-3/4i"``:
         a real part, an imaginary part or both, each an integer, p/q or a decimal of ASCII
-        digits, without an exponent; spaces only at the ends and around the joining sign."""
-        m = _LITERAL.fullmatch(text)
-        if m is None:
-            raise ValueError(f"cannot parse Gaussian rational {text!r}: each part must be an "
-                             "integer, p/q or a decimal, without an exponent")
-        if m["re"] is None:
-            re_part, sign, im = "0", m["sign_only"], m["im_only"]
-        else:
-            re_part, sign, im = m["re"], m["sign"], m["im"]
-        try:  # int's digit limit, or a zero denominator
-            return cls(Fraction(re_part), 0 if sign is None else Fraction(sign + (im or "1")))
-        except (ValueError, ZeroDivisionError) as exc:
-            why = "a denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
-            raise ValueError(f"cannot parse Gaussian rational {text!r}: {why}") from None
+        digits, without an exponent; spaces only at the ends and around the joining sign:
+        the grammar of exact documents, read by ``documents.read_literal``."""
+        from .documents import read_literal
+
+        a, b, c, d = read_literal(text)
+        return cls(Fraction(a, b), Fraction(c, d))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

@@ -10,13 +10,13 @@ Two computation modes run through the whole library:
 The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
 ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats.
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
-zero tests and ``project_m`` are one numpy expression for both modes. The constructor
-writes the 2 x 2 layout, ``shape`` halves it, and only ``int_parts`` slices it, for
-``entries``, ``nonzero``, ``fro``, ``to_float`` and ``gaussian.exact_char_poly``. Exact block
-kernels run on the embedding; the exact spectrum, from the integer characteristic polynomial
-of D*H, is in ``gaussian``, which only exact input loads. ``scale``, ``hadamard``,
-``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never mixes modes;
-mixed-mode binary operations raise ``ValueError``.
+zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints``, which
+documents and the constructor call, writes the 2 x 2 layout of (x, y, den), ``shape`` halves
+it, and only ``int_parts`` slices it, for ``entries``, ``nonzero``, ``fro``, ``to_float`` and
+``gaussian.exact_char_poly``. Exact block kernels run on the embedding; the exact spectrum is
+in ``gaussian``, which loads only where a Fraction or GaussianRational goes in or comes out.
+``scale``, ``hadamard``, ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix
+never mixes modes; mixed-mode binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -91,16 +91,24 @@ class CMatrix(Immutable):
             den = math.lcm(*(f.denominator for pair in parts for f in pair))
             ints = [[f.numerator * (den // f.denominator) for f in pair] for pair in parts]
             re, im = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
-            arr = np.empty((2 * arr.shape[0], 2 * arr.shape[1]), dtype=object)
-            arr[0::2, 0::2] = arr[1::2, 1::2] = re
-            arr[1::2, 0::2], arr[0::2, 1::2] = im, -im
+            arr = CMatrix.from_ints(re, im, den).data  # den is lowest already
         self._store(arr, den, mode)
 
-    def _store(self, data: np.ndarray, den: int, mode: Mode) -> None:
+    @classmethod
+    def from_ints(cls, x: np.ndarray, y: np.ndarray, den: int) -> "CMatrix":
+        """The Exact matrix (x + iy) / den in lowest terms, for int object arrays x and y of one
+        shape: the one writer of the 2 x 2 layout, which the Exact constructor calls too."""
+        arr = np.empty((2 * x.shape[0], 2 * x.shape[1]), dtype=object)
+        arr[0::2, 0::2] = arr[1::2, 1::2] = x
+        arr[1::2, 0::2], arr[0::2, 1::2] = y, -y
+        return object.__new__(cls)._store(arr, den, Mode.EXACT)._like(arr, den)
+
+    def _store(self, data: np.ndarray, den: int, mode: Mode) -> "CMatrix":
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mode", mode)
+        return self
 
     def _like(self, data: np.ndarray, den: int = 1, reduce: bool = True) -> "CMatrix":
         """The matrix of this mode with ``data`` over ``den``, Exact ones in lowest terms;
@@ -108,9 +116,7 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             return CMatrix(data, Mode.FLOAT)
         g = math.gcd(den, *data.flat) if reduce else 1
-        out = object.__new__(CMatrix)
-        out._store(data // g if g > 1 else data, den // g, Mode.EXACT)
-        return out
+        return object.__new__(CMatrix)._store(data // g if g > 1 else data, den // g, Mode.EXACT)
 
     # -- shape -------------------------------------------------------------
 
@@ -176,12 +182,14 @@ class CMatrix(Immutable):
         return self._like(flipped.T, self.den, reduce=False)
 
     def fro(self) -> float:
-        """Frobenius norm, a float in both modes: the exact sum of squares is rounded once,
-        and a Float norm is taken on the ``_unit_scale`` copy, so no square over- or underflows."""
+        """Frobenius norm, a float in both modes, inf past its range: Exact rounds the sum of
+        squares once (from 2^1023, its integer part's isqrt), Float scales by ``_unit_scale`` first."""
         if self.mode is Mode.FLOAT:
             s = _unit_scale(self.data)
             return float(np.linalg.norm(self.data * s)) / s
-        return math.sqrt(sum((v * v).sum() for v in self.int_parts()) / self.den**2)
+        z, d2 = sum((v * v).sum() for v in self.int_parts()), self.den**2
+        root = math.sqrt(z / d2) if z >> 1023 < d2 else math.isqrt(z // d2)
+        return float(root) if root <= sys.float_info.max else math.inf
 
     def is_zero(self) -> bool:
         return not any(self.data.flat)

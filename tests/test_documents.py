@@ -3,14 +3,15 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tangent, serialize_metric
-from flagdesic import FlagPartition, GaussianRational, Mode, TangentVector
+from flagdesic import CMatrix, FlagPartition, GaussianRational, Mode, TangentVector
 from flagdesic.documents import (
     DocumentError,
     parse_metric_document,
@@ -133,6 +134,99 @@ def test_exact_entry_parsing_errors():
     doc = {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [["1/2-i"]]}}
     x = parse_vector_document(doc)
     assert x.matrix.entries()[0, 1] == GR(0.5, -1)
+
+
+# ---------------------------------------------------------------------------
+# exact literals, read straight to integers
+# ---------------------------------------------------------------------------
+
+#: Rational parts: 0 and +-1, decimals ("1.", ".5"), small fractions and wide numerators.
+_RATIONALS = (st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+              | st.builds(Fraction, st.integers(-999, 999), st.sampled_from([1, 2, 8, 10, 1000]))
+              | st.fractions(-50, 50, max_denominator=40)
+              | st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6)))
+
+#: Gaussian rationals, with +-i and integers (a bare i, JSON integers) drawn often.
+_GAUSSIANS = (st.builds(GR, _RATIONALS, _RATIONALS) | st.sampled_from([GR(0, 1), GR(0, -1)])
+              | st.builds(GR, st.integers(-(10**20), 10**20)))
+
+
+@st.composite
+def _spelt(draw, z: GaussianRational):
+    """One spelling of z that the exact grammar allows, or a JSON integer where z is one."""
+    pad = st.sampled_from(["", " ", "  "])
+
+    def magnitude(q):  # |q| as p/q (maybe unreduced), an integer, or a decimal like "1." or ".5"
+        q, k = abs(q), draw(st.integers(1, 9))
+        forms = [f"{q.numerator * k}/{q.denominator * k}"]
+        digits = next((d for d in range(12) if (q * 10**d).denominator == 1), None)
+        if digits is not None:
+            whole, frac = divmod(int(q * 10**digits), 10**digits)
+            frac = f"{frac:0{digits}d}" if digits else ""
+            forms += [f"{whole}.{frac}", f"{whole or ''}.{frac}" if frac else f"{whole}"]
+        return draw(st.sampled_from(forms))
+
+    def sign(q):
+        return "-" if q < 0 else draw(st.sampled_from(["", "+"]))
+
+    if z.im == 0 and z.re.denominator == 1 and draw(st.booleans()):
+        return int(z.re)
+    if z.im == 0:
+        body = sign(z.re) + magnitude(z.re)
+    else:
+        im = "" if abs(z.im) == 1 and draw(st.booleans()) else magnitude(z.im)  # a bare i
+        if z.re == 0 and draw(st.booleans()):
+            body = sign(z.im) + im + "i"
+        else:
+            joint = draw(pad) + ("-" if z.im < 0 else "+") + draw(pad)
+            body = sign(z.re) + magnitude(z.re) + joint + im + "i"
+    return draw(pad) + body + draw(pad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_exact_documents_read_to_the_integers_of_their_gaussian_rationals(r, c, lower, data):
+    values = [[data.draw(_GAUSSIANS) for _ in range(c)] for _ in range(r)]
+    if lower:  # supply the lower half -B^* instead; the vector is the same
+        key, supplied = "2,1", [[GR(-v.re, v.im) for v in col] for col in zip(*values)]
+    else:
+        key, supplied = "1,2", values
+    spelt = [[data.draw(_spelt(v)) for v in row] for row in supplied]
+    for text, v in zip(sum(spelt, []), sum(supplied, [])):
+        assert isinstance(text, int) or GR.parse(text) == v
+    x = parse_vector_document({"parts": [r, c], "mode": "exact", "blocks": {key: spelt}})
+    zero = GR()
+    rows = [[zero] * r + row for row in values]
+    rows += [[GR(-v.re, v.im) for v in col] + [zero] * c for col in zip(*values)]
+    expected = CMatrix(rows, Mode.EXACT)
+    assert x.matrix.den == expected.den
+    assert x.matrix.data.tolist() == expected.data.tolist()
+
+
+def _int_error(digits: str) -> str:
+    with pytest.raises(ValueError) as exc:
+        int(digits)
+    return str(exc.value)
+
+
+_GRAMMAR = "each part must be an integer, p/q or a decimal, without an exponent"
+
+
+@pytest.mark.parametrize("text, why", [
+    ("1e3", _GRAMMAR), ("i2", _GRAMMAR), ("--1", _GRAMMAR), ("1/2 i", _GRAMMAR),
+    ("1/0", "a denominator is zero"), ("1+0/0i", "a denominator is zero"),
+    ("1" * 5000, _int_error("1" * 5000)), ("1/" + "7" * 5000, _int_error("7" * 5000)),
+    ("-." + "5" * 5000 + "i", _int_error("5" * 5000)),
+], ids=["exponent", "i2", "double-sign", "inner-space", "zero-den", "zero-im-den", "digits",
+        "digits-den", "digits-decimal"])
+def test_malformed_literals_keep_their_error_text(text, why):
+    message = f"cannot parse Gaussian rational {text!r}: {why}"
+    with pytest.raises(ValueError) as exc:
+        GR.parse(text)
+    assert str(exc.value) == message
+    with pytest.raises(DocumentError) as exc:
+        parse_vector_document({"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[text]]}})
+    assert str(exc.value) == f"block '1,2': {message}"
 
 
 def test_metric_document_defaults_and_errors():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -473,13 +474,6 @@ _WIDE_PARTS = (st.just(0) | st.fractions(-(10**6), 10**6, max_denominator=12)
                | st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)))
 
 
-def _or_overflow(f):
-    try:
-        return f()
-    except OverflowError:
-        return OverflowError
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
@@ -494,9 +488,28 @@ def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
         [[(a.den * v.re, a.den * v.im) for v in row] for row in rows]
     assert a.nonzero().tolist() == [[bool(v) for v in row] for row in rows]
     assert a.entries().tolist() == rows
-    # the sum of squares is exact and rounded once, so both sides raise or agree bit for bit
-    square_sum = sum(v.re**2 + v.im**2 for row in rows for v in row)
-    assert _or_overflow(a.fro) == _or_overflow(lambda: math.sqrt(square_sum))
+    # the sum of squares is exact: below 2^1023 it is rounded once, as sqrt reads it, so both
+    # agree bit for bit; from there the norm is its root, or inf where no float holds it
+    square_sum, norm = sum(v.re**2 + v.im**2 for row in rows for v in row), a.fro()
+    if square_sum < 2**1023:
+        assert norm == math.sqrt(square_sum)
+    elif norm == math.inf:
+        assert square_sum > Fraction(sys.float_info.max) ** 2
+    else:
+        assert abs(Fraction(norm) ** 2 / square_sum - 1) < 2**-51
+
+
+def test_exact_norm_past_the_float_range_is_a_float_as_in_float_mode():
+    # the square of 10^200 passes the float range and its norm does not; 2 * 10^308 does
+    big = 10**308
+    for rows, norm in [([[10**200, 0], [0, 0]], 1e200), ([[big, big], [big, big]], math.inf)]:
+        assert [CMatrix(rows, mode).fro() for mode in Mode] == [norm, norm]
+    assert CMatrix([[GR(3 * 10**200, 4 * 10**200)]], Mode.EXACT).fro() == 5e200
+
+
+def test_exact_skew_test_past_the_float_range_raises_not_skew_hermitian():
+    with pytest.raises(NotSkewHermitian, match=r"defect 2\.000e\+200, exact test"):
+        require_skew_hermitian(CMatrix([[10**200, 0], [0, 0]], Mode.EXACT))
 
 
 def _char_poly_reference(m):

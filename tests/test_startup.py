@@ -74,8 +74,9 @@ def files(tmp_path_factory):
     ("closedness {vector}", ["flagdesic.closure"]),
     ("closedness {exact} --mode exact", ["flagdesic.closure", "flagdesic.gaussian"]),
     ("curve {vector} --t-max 1 --samples 4 --out {out}", []),
-    ("check {exact} --mode exact", ["flagdesic.equigeo", "flagdesic.gaussian"]),
-    ("canonicalize {exact} --out {out}", ["flagdesic.equigeo", "flagdesic.gaussian"]),
+    ("check {exact} --mode exact", ["flagdesic.equigeo"]),
+    ("canonicalize {exact} --out {out}", ["flagdesic.equigeo"]),
+    ("curve {exact} --t-max 1 --samples 4 --out {out}", []),
 ])
 def test_command_loads_only_its_modules(files, argv, extra):
     code, loaded, added, enabled, frozen, threads = run_fresh(PROBE, *argv.format(**files).split())
@@ -85,7 +86,8 @@ def test_command_loads_only_its_modules(files, argv, extra):
     assert loaded == sorted(BASE + extra)
     assert "dataclasses" not in added  # no record class is generated at import
     assert not PARSER_MODULES & set(added)  # a well-formed command line needs no argparse
-    if "{exact}" not in argv:  # a float request loads no exact code
+    # exact documents are read straight to integers: only the exact spectrum needs Fractions
+    if "closedness {exact}" not in argv:
         assert "flagdesic.gaussian" not in loaded
         assert not {"fractions", "decimal"} & set(added)
 
