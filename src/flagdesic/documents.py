@@ -7,11 +7,11 @@ A vector document is a JSON object
 
 holding only the upper block triangle; the lower half is forced to
 a_ji = -a_ij^*, which removes a whole class of inconsistent inputs. Float
-entries are [re, im] pairs; exact entries, strings like "1/2-3/4i", are read straight to
-the integers of ``CMatrix.from_ints`` and load neither ``gaussian`` nor ``fractions``.
-Missing blocks are zero. Metric documents carry {"parts": [...], "lambda": {"i,j": value}}
-with absent pairs defaulting to 1. Any other top-level key is an error, so a misspelt key
-cannot read as a default.
+entries are [re, im] pairs; exact entries, strings like "1/2-3/4i", are read by
+``linalg.read_literal`` straight to the integers of ``CMatrix.from_ints``, without
+``gaussian`` or ``fractions``. Missing blocks are zero. Metric documents carry {"parts": [...],
+"lambda": {"i,j": value}} with absent pairs defaulting to 1. Any other top-level key is an
+error, so a misspelt key cannot read as a default.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, block_sums
-from .linalg import CMatrix, Mode
+from .linalg import CMatrix, Mode, read_literal
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -32,13 +32,6 @@ if TYPE_CHECKING:
 HALF_CONSISTENCY_TOL = 1e-12
 
 _KEY_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*$", re.ASCII)
-
-#: An exact entry: a signed real part with an optional "+ bi" or "- bi" term, or bi alone,
-#: where b may be left out for 1; each part an integer, p/q or a decimal, in ASCII digits.
-#: ``re`` compiles it on first use, so float documents never do.
-_PART = r"(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
-_LITERAL = (rf"\s*(?:(?P<re>[+-]?{_PART})(?:\s*(?P<sign>[+-])\s*(?P<im>{_PART})?i)?"
-            rf"|(?P<sign_only>[+-]?)(?P<im_only>{_PART})?i)\s*")
 
 #: The top-level keys a document of each kind may hold.
 _FIELDS = {"vector": ("n", "parts", "mode", "blocks"), "metric": ("parts", "lambda")}
@@ -88,30 +81,6 @@ def _parse_float_entry(value, where: str) -> complex:
     ):
         raise DocumentError(f"{where}: float entries must be [re, im] pairs, got {value!r}")
     return complex(_finite(value[0], where), _finite(value[1], where))
-
-
-def read_literal(text: str) -> tuple:
-    """(a, b, c, d) with text = a/b + (c/d) i, b, d > 0, for an exact entry like "3", "-1/2",
-    "0.25", "i", "2i" or "1/2-3/4i"; ValueError for any other text, naming it."""
-    m = re.fullmatch(_LITERAL, text, re.ASCII)
-    if m is None:
-        raise ValueError(f"cannot parse Gaussian rational {text!r}: each part must be an "
-                         "integer, p/q or a decimal, without an exponent")
-    real, sign, im = m.group("re", "sign", "im") if m["re"] else ("0", m["sign_only"], m["im_only"])
-    out = []
-    try:  # int's digit limit, or a zero denominator: int() reads the digits as Fraction() does
-        for part in (real, "0" if sign is None else sign + (im or "1")):
-            whole, slash, q = part.lstrip("+-").partition("/")
-            whole, _, frac = whole.partition(".")
-            p, q = int(whole or "0"), int(q) if slash else 10 ** len(frac)
-            if not q:
-                raise ZeroDivisionError
-            p = p * q + int(frac) if frac else p
-            out += [-p if part[0] == "-" else p, q]
-    except (ValueError, ZeroDivisionError) as exc:
-        why = "a denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
-        raise ValueError(f"cannot parse Gaussian rational {text!r}: {why}") from None
-    return tuple(out)
 
 
 def _parse_exact_entry(value, where: str) -> tuple:
@@ -175,10 +144,13 @@ def parse_vector_document(doc: dict) -> TangentVector:
     if not isinstance(raw_blocks, dict):
         raise DocumentError("\"blocks\" must be an object keyed by \"i,j\"")
 
-    upper, lower = {}, {}
+    upper = {}
+    lower = {}
     for key, raw in raw_blocks.items():
         i, j = _parse_key(key, partition.s, "block")
-        block = _parse_block(raw, partition.parts[i - 1], partition.parts[j - 1], mode, f"block {key!r}")
+        rows = partition.parts[i - 1]
+        cols = partition.parts[j - 1]
+        block = _parse_block(raw, rows, cols, mode, f"block {key!r}")
         half, pair = (upper, (i, j)) if i < j else (lower, (j, i))
         if pair in half:
             raise DocumentError(f"block ({i},{j}) supplied twice")
@@ -186,7 +158,10 @@ def parse_vector_document(doc: dict) -> TangentVector:
 
     for pair, low in lower.items():
         implied = -low.H
-        given = upper.setdefault(pair, implied)
+        if pair not in upper:
+            upper[pair] = implied
+            continue
+        given = upper[pair]
         if not given.allclose(implied, HALF_CONSISTENCY_TOL):
             raise DocumentError(
                 f"blocks {pair} and {pair[::-1]} disagree by "

@@ -163,8 +163,8 @@ class TangentVector(Immutable):
         U - U^*: the lower half is a_ji = -a_ij^*. Missing blocks are zero.
         """
         exact = mode is Mode.EXACT
-        arr = np.zeros((partition.total, partition.total), dtype=object if exact else np.complex128)
-        y, placed = arr.copy(), []
+        x = np.zeros((partition.total, partition.total), dtype=object if exact else np.complex128)
+        exact_blocks = []
         for (i, j), blk in blocks.items():
             if not (1 <= i <= partition.s and 1 <= j <= partition.s):
                 raise ValueError(f"block key ({i},{j}) out of range 1..{partition.s}")
@@ -172,17 +172,22 @@ class TangentVector(Immutable):
                 raise ValueError(f"from_blocks accepts upper block keys only, got ({i},{j})")
             r0, r1 = partition.block_range(i)
             c0, c1 = partition.block_range(j)
-            if not (isinstance(blk, CMatrix) and blk.mode is mode):  # else placed by its numbers
-                blk = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, arr.dtype)
+            if not (exact and isinstance(blk, CMatrix) and blk.mode is mode):
+                blk = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, x.dtype)
             if blk.shape != (r1 - r0, c1 - c0):
                 raise ValueError(
                     f"block ({i},{j}) has shape {blk.shape}, expected {(r1 - r0, c1 - c0)}"
                 )
-            placed.append((np.s_[r0:r1, c0:c1], blk if isinstance(blk, CMatrix) else CMatrix(blk, mode)))
-        den = math.lcm(*(b.den for _, b in placed))
-        for at, b in placed:  # an Exact block by its integers, over the common denominator
-            arr[at], y[at] = (v * (den // b.den) for v in b.int_parts()) if exact else (b.data, 0)
-        u = CMatrix.from_ints(arr, y, den) if exact else CMatrix(arr, mode)
+            if exact:  # placed below, by its integers rather than its entries
+                blk = CMatrix(blk, mode) if isinstance(blk, np.ndarray) else blk
+                exact_blocks.append((np.s_[r0:r1, c0:c1], blk))
+            else:
+                x[r0:r1, c0:c1] = blk
+        if exact:  # every block over their common denominator
+            y, den = np.zeros_like(x), math.lcm(*(b.den for _, b in exact_blocks))
+            for at, b in exact_blocks:
+                x[at], y[at] = (v * (den // b.den) for v in b.int_parts())
+        u = CMatrix.from_ints(x, y, den) if exact else CMatrix(x, mode)
         return cls(partition, u - u.H)
 
 

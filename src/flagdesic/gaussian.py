@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import CMatrix, Immutable, Mode, _skew_eigh, require_skew_hermitian
+from .linalg import CMatrix, Immutable, Mode, _skew_eigh, read_literal, require_skew_hermitian
 
 
 class GaussianRational(Immutable):
@@ -38,9 +38,7 @@ class GaussianRational(Immutable):
         """Parse strings like ``"3"``, ``"-1/2"``, ``"0.25"``, ``"i"``, ``"2i"``, ``"1/2-3/4i"``:
         a real part, an imaginary part or both, each an integer, p/q or a decimal of ASCII
         digits, without an exponent; spaces only at the ends and around the joining sign:
-        the grammar of exact documents, read by ``documents.read_literal``."""
-        from .documents import read_literal
-
+        the grammar of exact documents, read by ``linalg.read_literal``."""
         a, b, c, d = read_literal(text)
         return cls(Fraction(a, b), Fraction(c, d))
 

@@ -13,8 +13,9 @@ Sums, products, negation, the conjugate transpose (the transpose of an embedding
 zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints``, which
 documents and the constructor call, writes the 2 x 2 layout of (x, y, den), ``shape`` halves
 it, and only ``int_parts`` slices it, for ``entries``, ``nonzero``, ``fro``, ``to_float`` and
-``gaussian.exact_char_poly``. Exact block kernels run on the embedding; the exact spectrum is
-in ``gaussian``, which loads only where a Fraction or GaussianRational goes in or comes out.
+``gaussian.exact_char_poly``. ``read_literal`` reads an exact literal to integers, for
+documents and ``GaussianRational.parse``. Exact block kernels run on the embedding; the exact
+spectrum is in ``gaussian``, which loads only where a Fraction or GaussianRational goes in or out.
 ``scale``, ``hadamard``, ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix
 never mixes modes; mixed-mode binary operations raise ``ValueError``.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import sys
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -91,7 +93,8 @@ class CMatrix(Immutable):
             den = math.lcm(*(f.denominator for pair in parts for f in pair))
             ints = [[f.numerator * (den // f.denominator) for f in pair] for pair in parts]
             re, im = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
-            arr = CMatrix.from_ints(re, im, den).data  # den is lowest already
+            m = CMatrix.from_ints(re, im, den)
+            arr, den = m.data, m.den
         self._store(arr, den, mode)
 
     @classmethod
@@ -101,22 +104,20 @@ class CMatrix(Immutable):
         arr = np.empty((2 * x.shape[0], 2 * x.shape[1]), dtype=object)
         arr[0::2, 0::2] = arr[1::2, 1::2] = x
         arr[1::2, 0::2], arr[0::2, 1::2] = y, -y
-        return object.__new__(cls)._store(arr, den, Mode.EXACT)._like(arr, den)
+        return _exact(arr, den)
 
-    def _store(self, data: np.ndarray, den: int, mode: Mode) -> "CMatrix":
+    def _store(self, data: np.ndarray, den: int, mode: Mode) -> None:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mode", mode)
-        return self
 
     def _like(self, data: np.ndarray, den: int = 1, reduce: bool = True) -> "CMatrix":
         """The matrix of this mode with ``data`` over ``den``, Exact ones in lowest terms;
         ``reduce=False`` skips the gcd where the caller keeps this matrix's own terms."""
         if self.mode is Mode.FLOAT:
             return CMatrix(data, Mode.FLOAT)
-        g = math.gcd(den, *data.flat) if reduce else 1
-        return object.__new__(CMatrix)._store(data // g if g > 1 else data, den // g, Mode.EXACT)
+        return _exact(data, den, reduce)
 
     # -- shape -------------------------------------------------------------
 
@@ -183,12 +184,15 @@ class CMatrix(Immutable):
 
     def fro(self) -> float:
         """Frobenius norm, a float in both modes, inf past its range: Exact rounds the sum of
-        squares once (from 2^1023, its integer part's isqrt), Float scales by ``_unit_scale`` first."""
+        squares once (past the float range, its integer part's isqrt), Float scales by
+        ``_unit_scale`` first."""
         if self.mode is Mode.FLOAT:
             s = _unit_scale(self.data)
             return float(np.linalg.norm(self.data * s)) / s
         z, d2 = sum((v * v).sum() for v in self.int_parts()), self.den**2
-        root = math.sqrt(z / d2) if z >> 1023 < d2 else math.isqrt(z // d2)
+        with contextlib.suppress(OverflowError):  # else the sum passes the float range
+            return math.sqrt(z / d2)
+        root = math.isqrt(z // d2)
         return float(root) if root <= sys.float_info.max else math.inf
 
     def is_zero(self) -> bool:
@@ -250,6 +254,46 @@ class CMatrix(Immutable):
 
     def __repr__(self):
         return f"CMatrix({self.n_rows}x{self.n_cols}, {self.mode.value})"
+
+
+def _exact(data: np.ndarray, den: int, reduce: bool = True) -> CMatrix:
+    """The Exact matrix of the embedding ``data`` over ``den``, divided by their gcd unless
+    ``reduce`` is False."""
+    g = math.gcd(den, *data.flat) if reduce else 1
+    m = object.__new__(CMatrix)
+    m._store(data // g if g > 1 else data, den // g, Mode.EXACT)
+    return m
+
+
+#: An exact entry: a signed real part with an optional "+ bi" or "- bi" term, or bi alone,
+#: where b may be left out for 1; each part an integer, p/q or a decimal, in ASCII digits.
+#: ``re`` compiles it on first use, so float documents never do.
+_PART = r"(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+_LITERAL = (rf"\s*(?:(?P<re>[+-]?{_PART})(?:\s*(?P<sign>[+-])\s*(?P<im>{_PART})?i)?"
+            rf"|(?P<sign_only>[+-]?)(?P<im_only>{_PART})?i)\s*")
+
+
+def read_literal(text: str) -> tuple:
+    """(a, b, c, d) with text = a/b + (c/d) i, b, d > 0, for an exact entry like "3", "-1/2",
+    "0.25", "i", "2i" or "1/2-3/4i"; ValueError for any other text, naming it."""
+    m = re.fullmatch(_LITERAL, text, re.ASCII)
+    if m is None:
+        raise ValueError(f"cannot parse Gaussian rational {text!r}: each part must be an "
+                         "integer, p/q or a decimal, without an exponent")
+    real, sign, im = m.group("re", "sign", "im") if m["re"] else ("0", m["sign_only"], m["im_only"])
+    out = []
+    try:  # int's digit limit, or a zero denominator: int() reads the digits as Fraction() does
+        for part in (real, "0" if sign is None else sign + (im or "1")):
+            num, _, q = part.lstrip("+-").partition("/")
+            whole, _, frac = num.partition(".")
+            scale = 10 ** len(frac)
+            p, q = int(whole or "0") * scale + int(frac or "0"), int(q or "1") * scale
+            if not q:
+                raise ValueError("a denominator is zero")
+            out += [-p if part[0] == "-" else p, q]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse Gaussian rational {text!r}: {exc}") from None
+    return tuple(out)
 
 
 def _unit_scale(arr: np.ndarray) -> float:

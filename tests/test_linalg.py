@@ -474,6 +474,13 @@ _WIDE_PARTS = (st.just(0) | st.fractions(-(10**6), 10**6, max_denominator=12)
                | st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)))
 
 
+def _or_overflow(f):
+    try:
+        return f()
+    except OverflowError:
+        return OverflowError
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
@@ -488,11 +495,12 @@ def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
         [[(a.den * v.re, a.den * v.im) for v in row] for row in rows]
     assert a.nonzero().tolist() == [[bool(v) for v in row] for row in rows]
     assert a.entries().tolist() == rows
-    # the sum of squares is exact: below 2^1023 it is rounded once, as sqrt reads it, so both
-    # agree bit for bit; from there the norm is its root, or inf where no float holds it
+    # the sum of squares is exact and rounded once: wherever sqrt reads it as a float, both
+    # agree bit for bit; past that, the norm is its root, or inf where no float holds it
     square_sum, norm = sum(v.re**2 + v.im**2 for row in rows for v in row), a.fro()
-    if square_sum < 2**1023:
-        assert norm == math.sqrt(square_sum)
+    expected = _or_overflow(lambda: math.sqrt(square_sum))
+    if expected is not OverflowError:
+        assert norm == expected
     elif norm == math.inf:
         assert square_sum > Fraction(sys.float_info.max) ** 2
     else:
@@ -505,6 +513,9 @@ def test_exact_norm_past_the_float_range_is_a_float_as_in_float_mode():
     for rows, norm in [([[10**200, 0], [0, 0]], 1e200), ([[big, big], [big, big]], math.inf)]:
         assert [CMatrix(rows, mode).fro() for mode in Mode] == [norm, norm]
     assert CMatrix([[GR(3 * 10**200, 4 * 10**200)]], Mode.EXACT).fro() == 5e200
+    # a sum of squares that a float holds is rounded to it first, as math.sqrt reads it,
+    # although the integer root here would round to 9.482e153
+    assert CMatrix([[9482 * 10**150]], Mode.EXACT).fro() == 9.481999999999999e153
 
 
 def test_exact_skew_test_past_the_float_range_raises_not_skew_hermitian():
