@@ -92,8 +92,8 @@ class CMatrix(Immutable):
             parts = [_parts(v) for v in arr.flat]
             den = math.lcm(*(f.denominator for pair in parts for f in pair))
             ints = [[f.numerator * (den // f.denominator) for f in pair] for pair in parts]
-            re, im = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
-            m = CMatrix.from_ints(re, im, den)
+            x, y = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
+            m = CMatrix.from_ints(x, y, den)
             arr, den = m.data, m.den
         self._store(arr, den, mode)
 
@@ -184,8 +184,7 @@ class CMatrix(Immutable):
 
     def fro(self) -> float:
         """Frobenius norm, a float in both modes, inf past its range: Exact rounds the sum of
-        squares once (past the float range, its integer part's isqrt), Float scales by
-        ``_unit_scale`` first."""
+        squares once (past the range, its integer part's isqrt), Float scales by ``_unit_scale``."""
         if self.mode is Mode.FLOAT:
             s = _unit_scale(self.data)
             return float(np.linalg.norm(self.data * s)) / s
