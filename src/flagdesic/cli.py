@@ -10,8 +10,9 @@ A command runs in a process of its own, through :func:`run`, which flushes stdou
 stderr after the command and then ends the process with ``os._exit``: the interpreter
 frees nothing that is about to vanish, and no ``atexit`` handler runs. ``main`` is for
 in-process and library callers; it returns the exit code and leaves the garbage
-collector as it finds it. Each handler imports the modules its command needs in its own
-body, so a command compiles and runs no other.
+collector as it finds it. Every command loads numpy and the modules ``cli`` imports
+(``documents``, ``flag``, ``linalg``), even one that calls none of them, as ``roots`` never
+calls ``documents``; each handler imports the rest of what its command needs in its own body.
 
 A well-formed command line (the command, its positionals, then ``--option value`` pairs)
 is read straight off ``_COMMANDS``; argparse, which also loads gettext and locale, is
@@ -116,11 +117,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
-    from .equigeo import NotEquigeodesic, canonicalize
+    from .equigeo import NotEquigeodesic, _require_equigeodesic, canonicalize
 
-    x = _load_vector(args.vector, "float")
+    x = parse_vector_document(_load_json(args.vector))
     try:
-        form = canonicalize(x)
+        if x.mode is Mode.EXACT:  # the block condition decided exactly, not on the float copy
+            _require_equigeodesic(x)
+        form = canonicalize(x.to_float())
     except NotEquigeodesic as exc:
         print(f"not equigeodesic: {exc}", file=sys.stderr)
         return 1

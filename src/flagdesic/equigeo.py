@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, _block_arrays, _norm_sq, block_norms_sq, block_sums
-from .linalg import DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _unit_scale, commutator, project_m
+from .linalg import (DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _build, _unit_scale, commutator,
+                     project_m)
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -104,7 +105,7 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
     xf = xf.scaled(_unit_scale(xf.matrix.data))  # exact, and the residual is scale-free
     y = hadamard_action(g, xf).matrix.data
     s = _unit_scale(y)  # exact, so [X, lambda.X] cannot overflow, whatever the multipliers
-    bracket = project_m(commutator(xf.matrix, CMatrix(y * s, Mode.FLOAT)), x.partition)
+    bracket = project_m(commutator(xf.matrix, _build(y * s, Mode.FLOAT)), x.partition)
     scale = xf.fro() ** 2 * (g.max_lambda() * s)
     if scale == 0.0:
         return True, 0.0
@@ -338,7 +339,7 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     if any(math.isinf(a) for *_, a in pairs):
         raise ValueError(PAST_FLOAT_RANGE)
 
-    residual = CMatrix(j_raw - j_clean, Mode.FLOAT).fro()
+    residual = _build(j_raw - j_clean, Mode.FLOAT).fro()
     # each singular value the cut drops stays in J_raw twice, at a_ij and a_ji
     bound = CANON_RESIDUAL_TOL * float(np.linalg.norm(A)) + math.sqrt(2.0 * cut)
     if residual > bound:
@@ -349,7 +350,8 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     # the key rounds to the 12 digits the listing prints, so pairs equal in exact
     # arithmetic are listed by place, not by rounding noise in their last bits
     pairs.sort(key=lambda rc: (-float(f"{rc[2]:.12g}"), rc[0], rc[1]))
-    return CanonicalForm(U=CMatrix(u_full, Mode.FLOAT), J=CMatrix(j_clean / scale, Mode.FLOAT),
+    j = (j_clean / scale).astype(np.complex128)
+    return CanonicalForm(U=_build(u_full, Mode.FLOAT), J=_build(j, Mode.FLOAT),
                          pairs=tuple(pairs), residual=residual / scale)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .documents import serialize_vector
 from .flag import FlagPartition, TangentVector
-from .linalg import CMatrix, Mode
+from .linalg import CMatrix, Mode, _build
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -76,7 +76,7 @@ def random_block_unitary(partition: FlagPartition, seed) -> CMatrix:
         d = np.diagonal(r)
         q = q * (d / np.abs(d))
         out[lo:hi, lo:hi] = q
-    return CMatrix(out, Mode.FLOAT)
+    return _build(out, Mode.FLOAT)
 
 
 def _sample_cross_pairs(partition: FlagPartition, rng: np.random.Generator, keep_prob: float):
@@ -114,7 +114,7 @@ def random_essentially_diagonal(partition: FlagPartition, seed) -> TangentVector
     arr = np.zeros((partition.total, partition.total), dtype=complex)
     for r, c in pairs:
         arr[r - 1, c - 1] = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
-    u = CMatrix(arr, Mode.FLOAT)
+    u = _build(arr, Mode.FLOAT)
     return TangentVector(partition, u - u.H)
 
 

@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _unit_scale, require_skew_hermitian
+from .linalg import (SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _build, _unit_scale,
+                     require_skew_hermitian)
 
 
 class _ByValue(Immutable):
@@ -187,7 +188,7 @@ class TangentVector(Immutable):
             y, den = np.zeros_like(x), math.lcm(*(b.den for _, b in exact_blocks))
             for at, b in exact_blocks:
                 x[at], y[at] = (v * (den // b.den) for v in b.int_parts())
-        u = CMatrix.from_ints(x, y, den) if exact else CMatrix(x, mode)
+        u = CMatrix.from_ints(x, y, den) if exact else _build(x, mode)
         return cls(partition, u - u.H)
 
 

@@ -7,8 +7,9 @@ Two computation modes run through the whole library:
   real embedding of den * A as Python ints, each entry x + iy a 2 x 2 block
   [[x, -y], [y, x]], in lowest terms: exact arithmetic and zero tests on ints.
 
-The ``CMatrix`` constructor takes entries in both modes: complex numbers, or
-``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats.
+The ``CMatrix`` constructor copies and checks a caller's entries in both modes: complex numbers,
+or ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats. Every
+matrix the library computes is stored as it is by ``_build``, an Exact one in lowest terms.
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
 zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints``, which
 documents and the constructor call, writes the 2 x 2 layout of (x, y, den), ``shape`` halves
@@ -62,7 +63,7 @@ class NotSkewHermitian(ValueError):
 
 
 class Immutable:
-    """Base of the library's immutable value types: ``__init__`` validates and stores
+    """Base of the library's immutable value types: construction validates and stores
     each field once with ``object.__setattr__``, and any later assignment raises."""
 
     __slots__ = ()
@@ -79,13 +80,12 @@ class CMatrix(Immutable):
     = 1. Both are frozen after construction. Equality is identity.
     """
 
-    def __init__(self, data: np.ndarray, mode: Mode):
+    def __new__(cls, data: np.ndarray, mode: Mode):
         if mode not in (Mode.FLOAT, Mode.EXACT):  # pragma: no cover
             raise ValueError(f"unknown mode {mode!r}")
         arr = np.array(data, dtype=np.complex128 if mode is Mode.FLOAT else object)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        den = 1
         if mode is Mode.EXACT:
             from .gaussian import _parts
 
@@ -93,9 +93,8 @@ class CMatrix(Immutable):
             den = math.lcm(*(f.denominator for pair in parts for f in pair))
             ints = [[f.numerator * (den // f.denominator) for f in pair] for pair in parts]
             x, y = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
-            m = CMatrix.from_ints(x, y, den)
-            arr, den = m.data, m.den
-        self._store(arr, den, mode)
+            return cls.from_ints(x, y, den)
+        return _build(arr, Mode.FLOAT)
 
     @classmethod
     def from_ints(cls, x: np.ndarray, y: np.ndarray, den: int) -> "CMatrix":
@@ -104,20 +103,7 @@ class CMatrix(Immutable):
         arr = np.empty((2 * x.shape[0], 2 * x.shape[1]), dtype=object)
         arr[0::2, 0::2] = arr[1::2, 1::2] = x
         arr[1::2, 0::2], arr[0::2, 1::2] = y, -y
-        return _exact(arr, den)
-
-    def _store(self, data: np.ndarray, den: int, mode: Mode) -> None:
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "mode", mode)
-
-    def _like(self, data: np.ndarray, den: int = 1, reduce: bool = True) -> "CMatrix":
-        """The matrix of this mode with ``data`` over ``den``, Exact ones in lowest terms;
-        ``reduce=False`` skips the gcd where the caller keeps this matrix's own terms."""
-        if self.mode is Mode.FLOAT:
-            return CMatrix(data, Mode.FLOAT)
-        return _exact(data, den, reduce)
+        return _build(arr, Mode.EXACT, den)
 
     # -- shape -------------------------------------------------------------
 
@@ -155,18 +141,18 @@ class CMatrix(Immutable):
         self._check_binary(other, "add")
         den = math.lcm(self.den, other.den)  # a Float data array is never multiplied
         a, b = (m.data if m.den == den else m.data * (den // m.den) for m in (self, other))
-        return self._like(a + b, den)
+        return _build(a + b, self.mode, den)
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "subtract")
         return self + -other
 
     def __neg__(self) -> "CMatrix":
-        return self._like(-self.data, self.den, reduce=False)
+        return _build(-self.data, self.mode, self.den, reduce=False)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "matmul", matmul=True)
-        return self._like(np.dot(self.data, other.data), self.den * other.den)
+        return _build(np.dot(self.data, other.data), self.mode, self.den * other.den)
 
     def _require_float(self, op: str) -> None:
         if self.mode is not Mode.FLOAT:
@@ -174,13 +160,13 @@ class CMatrix(Immutable):
 
     def scale(self, s: complex) -> "CMatrix":
         self._require_float("scale")
-        return CMatrix(self.data * complex(s), Mode.FLOAT)
+        return _build(self.data * complex(s), Mode.FLOAT)
 
     @property
     def H(self) -> "CMatrix":
         """Conjugate transpose; transposing an embedding conjugates its entries."""
         flipped = self.data.conj() if self.mode is Mode.FLOAT else self.data
-        return self._like(flipped.T, self.den, reduce=False)
+        return _build(flipped.T, self.mode, self.den, reduce=False)
 
     def fro(self) -> float:
         """Frobenius norm, a float in both modes, inf past its range: Exact rounds the sum of
@@ -223,9 +209,9 @@ class CMatrix(Immutable):
         return np.frompyfunc(entry, 2, 1)(*self.int_parts())
 
     def hadamard(self, grid: np.ndarray) -> "CMatrix":
-        """Entrywise product with a real float array of this shape."""
+        """Entrywise product with a real float array of this shape, or one that broadcasts to it."""
         self._require_float("hadamard")
-        return CMatrix(self.data * grid, Mode.FLOAT)
+        return _build(self.data * np.broadcast_to(grid, self.shape), Mode.FLOAT)
 
     def to_float(self) -> "CMatrix":
         """The Float matrix of the same entries; an Exact entry that overflows, or is
@@ -241,7 +227,7 @@ class CMatrix(Immutable):
                 r, c = divmod(k, self.n_cols)
                 raise ValueError(f"entry ({r + 1}, {c + 1}) is outside the float range: "
                                  "nonzero magnitudes run from 4.9e-324 to 1.8e+308")
-        return CMatrix(out, Mode.FLOAT)
+        return _build(out, Mode.FLOAT)
 
     def allclose(self, other: "CMatrix", tol: float = DEFAULT_RTOL) -> bool:
         """Relative Frobenius comparison in Float mode, ||a - b|| <= tol * max(||a||, ||b||)
@@ -255,12 +241,18 @@ class CMatrix(Immutable):
         return f"CMatrix({self.n_rows}x{self.n_cols}, {self.mode.value})"
 
 
-def _exact(data: np.ndarray, den: int, reduce: bool = True) -> CMatrix:
-    """The Exact matrix of the embedding ``data`` over ``den``, divided by their gcd unless
-    ``reduce`` is False."""
-    g = math.gcd(den, *data.flat) if reduce else 1
+def _build(data: np.ndarray, mode: Mode, den: int = 1, reduce: bool = True) -> CMatrix:
+    """The matrix of an array the library computed, stored as it is, neither copied nor checked:
+    the complex128 entries (Float), or the embedding over ``den`` (Exact), divided by their gcd
+    unless ``reduce`` is False, as for -A and A^*, which keep the lowest terms of A."""
+    g = math.gcd(den, *data.flat) if reduce and mode is Mode.EXACT else 1
+    if g > 1:
+        data, den = data // g, den // g
+    data.setflags(write=False)
     m = object.__new__(CMatrix)
-    m._store(data // g if g > 1 else data, den // g, Mode.EXACT)
+    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "mode", mode)
     return m
 
 
@@ -350,7 +342,7 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
             f"matrix shape {a.shape} does not match partition of total {partition.total}"
         )
     idx = np.repeat(partition.block_index, a.data.shape[0] // partition.total)
-    return a._like(np.where(idx[:, None] != idx[None, :], a.data, 0), a.den)
+    return _build(np.where(idx[:, None] != idx[None, :], a.data, 0), a.mode, a.den)
 
 
 def _skew_eigh(a: CMatrix, vectors: bool):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, _ByValue
-from .linalg import CMatrix, Mode
+from .linalg import CMatrix, Mode, _build
 
 
 class Root(_ByValue):
@@ -78,9 +78,9 @@ def basis_unit(partition: FlagPartition, root: Root) -> CMatrix:
     root space of the root."""
     if root.kind != "M":
         raise ValueError("K-roots are isotropy directions, not tangent directions")
-    arr = np.zeros((partition.total, partition.total))
+    arr = np.zeros((partition.total, partition.total), dtype=complex)
     arr[root.global_row - 1, root.global_col - 1] = 1
-    return CMatrix(arr, Mode.FLOAT)
+    return _build(arr, Mode.FLOAT)
 
 
 def weyl_vector(partition: FlagPartition, root: Root, kind: str) -> TangentVector:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagdesic import cli
@@ -248,6 +248,57 @@ def test_canonicalize_of_a_marginal_equigeodesic_is_undetermined(tmp_path, capsy
     assert captured.err == ("error: canonical form undetermined: the block condition holds, but "
                             "the singular vectors kept at the rank cut do not fit block 1\n")
     assert not out.exists()
+
+
+def _exact_marginal(parts):
+    """The exact twin of the marginal documents: a_12 = diag(1, 3/10^9) and a_13 = e_2."""
+    pad = parts[0] - 2
+    return {"parts": parts, "mode": "exact", "blocks": {
+        "1,2": [["1", "0"], ["0", "3/1000000000"]] + [["0", "0"]] * pad,
+        "1,3": [["0"], ["1"]] + [["0"]] * pad,
+    }}
+
+
+@pytest.mark.parametrize("parts", [[3, 2, 1], [2, 2, 1]])
+def test_canonicalize_decides_the_block_condition_of_an_exact_document_exactly(tmp_path, capsys,
+                                                                                parts):
+    path = write_json(tmp_path / "marginal.exact.json", _exact_marginal(parts))
+    assert main(["check", path, "--mode", "exact"]) == 1
+    assert capsys.readouterr().out.count("violating triple (2, 1, 3)") == 2
+    out = tmp_path / "canon.json"
+    assert main(["canonicalize", path, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "not equigeodesic: input is not equigeodesic: blocks "
+                                       "(2, 1, 3) have residual 3.000e-09\n")
+    assert not out.exists()
+
+
+@st.composite
+def sparse_exact_documents(draw):
+    """Exact documents of three or four blocks, each block there or not, with entries 0, +-k/q
+    or +-k/q +- (k'/q')i for k, k' <= 3 and q, q' = 1 or 10^9: chains, equigeodesic vectors, and
+    products that the float block condition passes at its tolerance although they are not zero."""
+    parts = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
+    p = FlagPartition(tuple(parts))
+    part = st.builds("{}{}/{}".format, st.sampled_from("+-"), st.integers(1, 3),
+                     st.sampled_from([1, 10**9]))
+    entry = st.just("0") | part | st.builds("{}{}i".format, part, part)
+    blocks = {}
+    for i, j in p.positive_pairs():
+        if draw(st.booleans()):
+            rows, cols = p.parts[i - 1], p.parts[j - 1]
+            blocks[f"{i},{j}"] = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                               min_size=rows, max_size=rows))
+    return {"parts": parts, "mode": "exact", "blocks": blocks}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_exact_documents())
+@example(_exact_marginal([2, 2, 1]))
+def test_canonicalize_exits_1_exactly_where_exact_check_does(tmp_path_factory, doc):
+    path = write_json(tmp_path_factory.getbasetemp() / "drawn.exact.json", doc)
+    check = main(["check", path, "--mode", "exact"])
+    canonical = main(["canonicalize", path, "--out", os.devnull])
+    assert (canonical == 1) == (check == 1), (check, canonical)
 
 
 def test_closedness_computes_the_spectrum_once(monkeypatch, tmp_path, capsys):

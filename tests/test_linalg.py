@@ -175,11 +175,37 @@ def test_exact_matrix_ring_laws(mats, g, data):
     }
     for name, m in results.items():
         assert m.den > 0 and math.gcd(m.den, *m.data.flat) == 1, name
+        assert not m.data.flags.writeable, name
     assert_equal(results["(a+b)-b"], a)
     assert_equal(results["a@(b+c)"], results["a@b+a@c"])
     assert_equal(results["(a@b).H"], results["b.H@a.H"])
     assert_equal(results["a-a"], CMatrix(np.zeros((n, n), dtype=int), Mode.EXACT))
     assert results["a-a"].den == 1
+
+
+@pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])
+def test_the_constructor_copies_and_every_computed_matrix_is_read_only(mode):
+    half = Fraction(1, 2) if mode is Mode.EXACT else 0.5
+    arr = np.array([[0, half], [-half, 2]], dtype=object if mode is Mode.EXACT else complex)
+    m = CMatrix(arr, mode)
+    before = m.data.copy()
+    arr[:] = 7
+    assert np.array_equal(m.data, before)
+    p = FlagPartition((1, 1))
+    results = {"m+m": m + m, "m-m": m - m, "-m": -m, "m@m": m @ m, "m.H": m.H,
+               "project_m": project_m(m, p), "to_float": m.to_float()}
+    if mode is Mode.FLOAT:
+        results.update(scale=m.scale(2j), hadamard=m.hadamard(np.full((2, 2), 3.0)))
+        with pytest.raises(ValueError):  # a grid that does not broadcast to the matrix
+            m.hadamard(np.ones((1, 2, 2)))
+    for name, r in results.items():
+        assert not r.data.flags.writeable, name
+        if r.mode is Mode.EXACT:
+            assert r.den > 0 and math.gcd(r.den, *r.data.flat) == 1, name
+        else:
+            assert r.data.dtype == np.complex128 and r.data.shape == (2, 2), name
+    if mode is Mode.EXACT:  # over den 2, m + m reduces to den 1 and m @ m keeps den 4
+        assert (m + m).den == 1 and (m @ m).den == 4
 
 
 def assert_same(exact, flt):
