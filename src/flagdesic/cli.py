@@ -2,9 +2,9 @@
 
 Exit codes: 0 affirmative, 1 negative, 2 usage or parse error (or an input too
 large for memory), 3 undetermined. ``canonicalize`` exits 1 only where the block
-condition fails, and 3 where it holds but no canonical form can be certified (the
-singular vectors kept at the rank cut do not fit a block, or the residual exceeds
-the bound), after printing why.
+condition fails, in the document's own mode (exactly, on an exact document), and 3 where it
+holds but no canonical form can be certified (the singular vectors kept at the rank cut do
+not fit a block, or the residual exceeds the bound), after printing why.
 
 A command runs in a process of its own, through :func:`run`, which flushes stdout and
 stderr after the command and then ends the process with ``os._exit``: the interpreter
@@ -37,8 +37,9 @@ import types
 import numpy as np
 
 from .documents import parse_metric_document, parse_vector_document, serialize_vector
-from .flag import FlagPartition, TangentVector, build_roots, off_block_mask, off_block_positions, t_roots
-from .linalg import DEFAULT_BOUND, DEFAULT_EQUI_TOL, Mode, killing_flow
+from .flag import (FlagPartition, NotEquigeodesic, TangentVector, build_roots, off_block_mask,
+                   off_block_positions, t_roots)
+from .linalg import DEFAULT_BOUND, DEFAULT_EQUI_TOL, Mode, _unit_scale, killing_flow
 
 
 def __getattr__(name):
@@ -117,13 +118,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
-    from .equigeo import NotEquigeodesic, _require_equigeodesic, canonicalize
+    from .equigeo import canonicalize
 
     x = parse_vector_document(_load_json(args.vector))
     try:
-        if x.mode is Mode.EXACT:  # the block condition decided exactly, not on the float copy
-            _require_equigeodesic(x)
-        form = canonicalize(x.to_float())
+        form = canonicalize(x)
     except NotEquigeodesic as exc:
         print(f"not equigeodesic: {exc}", file=sys.stderr)
         return 1
@@ -193,9 +192,10 @@ def _cmd_curve(args) -> int:
     if not math.isfinite(ts[-1] * float(np.max(np.abs(w)))):
         raise _CliError("the phase t * theta at --t-max lies outside the float range")
     off = np.array([flow(t)[mask] for t in ts])  # one row of off-block entries per t
+    s = np.array([[_unit_scale(r)] for r in off])  # exact, so no square of a tiny entry underflows
     # hypot is Python's abs(complex); the leading zero and cumsum add each row left to right
-    sq = np.hypot(off.real, off.imag) ** 2
-    dist = np.sqrt(np.cumsum(np.column_stack((np.zeros(len(ts)), sq)), axis=1)[:, -1])
+    sq = np.hypot(off.real * s, off.imag * s) ** 2
+    dist = np.sqrt(np.cumsum(np.column_stack((np.zeros(len(ts)), sq)), axis=1)[:, -1]) / s[:, 0]
     table = np.column_stack((ts, off.view(np.float64), dist)).tolist()  # re, im interleaved
     row = "%.12g" + ",%.15g" * (len(header) - 1) + "\n"
     _write_out(",".join(header) + "\n" + "".join(row % tuple(r) for r in table), args.out)

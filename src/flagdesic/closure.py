@@ -11,7 +11,7 @@ verdict carries the spectrum it was decided on.
 
 For an equigeodesic A the same spectrum gives the return distance of the
 geodesic through o (the off-diagonal-block norm of exp(tA)) in closed form:
-the geodesic first returns at half the Killing period.
+the geodesic first returns at half the Killing period (gated by ``flag``'s block condition).
 
 Float ratio testing uses continued-fraction convergents with the residual
 scaled by the squared denominator: |rho - p/q| * q^2 is about 1/a_next, so a
@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .flag import TangentVector
+from .flag import TangentVector, _require_equigeodesic
 from .linalg import DEFAULT_BOUND, Mode, skew_spectrum
 
 #: Scaled-residual acceptance threshold: |rho - p/q| * q^2 <= ACCEPT_TOL.
@@ -252,8 +252,6 @@ def geodesic_return_distance(x: TangentVector, t):
     through o is back at o, are exactly the multiples of ``is_killing_closed(x).period
     / 2``, as the multipliers have gcd 1; an incommensurate spectrum has none.
     """
-    from .equigeo import _require_equigeodesic  # here, so closedness never loads equigeo
-
     _require_equigeodesic(x)
     phases = np.multiply.outer(np.asarray(t, dtype=float), spectral_data(x).thetas)
     return np.sqrt(np.sum(np.sin(phases) ** 2, axis=-1))

@@ -6,10 +6,10 @@ metric) exactly when all cross products of its blocks vanish:
 
     a_ij a_jm = 0   for all ordered distinct triples (i, j, m).
 
-Two independent routes decide this: the block condition above, and a finite
-bracket certificate probing [X, L_ij X] over the 0/1 multiplier basis. The
-equivalence of the two is one of the library's acceptance gates. Both run on
-``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one
+Two independent routes decide this: the block condition above (scanned by
+``flag._scan_block_products``), and a finite bracket certificate probing [X, L_ij X] over the
+0/1 multiplier basis. The equivalence of the two is one of the library's acceptance gates. Both
+run on ``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one
 scale, and apply its one residual rule in both modes: a residual sqrt(num / den),
 violated where num > tol^2 * den, with tol = 0 on Exact ints.
 
@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .flag import FlagPartition, TangentVector, _block_arrays, _norm_sq, block_norms_sq, block_sums
+from .flag import (FlagPartition, TangentVector, _block_arrays, _norm_sq, _require_equigeodesic,
+                   _scan_block_products, block_sums)
 from .linalg import (DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _build, _unit_scale, commutator,
                      project_m)
 
@@ -41,14 +42,6 @@ CANON_RESIDUAL_TOL = 1e-9
 
 #: Entry threshold for essential diagonality, relative to the largest modulus.
 ESSENTIAL_ENTRY_TOL = 1e-9
-
-
-class NotEquigeodesic(ValueError):
-    """Raised when an operation requires an equigeodesic input and gets none."""
-
-    def __init__(self, message, violating_triple=None):
-        super().__init__(message)
-        self.violating_triple = violating_triple
 
 
 class EquigeodesicVerdict(NamedTuple):
@@ -118,46 +111,6 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 
-def _scan_block_products(x: TangentVector, tol: float):
-    """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
-
-    Returns (worst residual, first violating triple or None, argmax triple),
-    both triples the first in lexicographic (i, j, m) order. One middle block
-    j at a time: A[:, J] @ A[J, :] holds every product a_ij a_jm at once, and
-    only the rows and columns of blocks joined to j by a nonzero block count.
-    """
-    p, a, norms, tol = _block_arrays(x, tol, balance=True)
-    nonzero = norms != 0
-    np.fill_diagonal(nonzero, False)
-    parts = np.array(p.parts)
-    block_of = p.block_index
-    first_bad = None
-    peaks = []  # (-residual, triple) of the largest residual per middle block
-    for j in range(p.s):
-        # only the blocks joined to j by a nonzero block can give a nonzero product
-        near = np.flatnonzero(nonzero[:, j] | nonzero[j, :])
-        if near.size < 2:
-            continue
-        idx = np.flatnonzero(np.isin(block_of, near))
-        lo, hi = p.offsets[j], p.offsets[j + 1]
-        prod = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
-        live = np.outer(nonzero[near, j], nonzero[j, near])
-        np.fill_diagonal(live, False)
-        num = np.where(live, prod, 0)
-        den = np.where(live, np.outer(norms[near, j], norms[j, near]), 1)
-        res = np.sqrt((num / den).astype(float))
-        bad = num > tol**2 * den
-        if bad.any():
-            i, m = near[np.argwhere(bad)[0]]
-            triple = (int(i) + 1, j + 1, int(m) + 1)
-            first_bad = triple if first_bad is None else min(first_bad, triple)
-        i, m = divmod(int(np.argmax(res)), near.size)
-        if res[i, m] > 0.0:
-            peaks.append((-float(res[i, m]), (int(near[i]) + 1, j + 1, int(near[m]) + 1)))
-    neg_worst, argmax = min(peaks, default=(-0.0, None))
-    return -neg_worst, first_bad, argmax
-
-
 def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
     """Block condition: every ordered product a_ij a_jm (i, j, m distinct) vanishes.
 
@@ -168,14 +121,6 @@ def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> Equigeod
     _require_tol(tol)
     worst, first_bad, _ = _scan_block_products(x, tol)
     return EquigeodesicVerdict(first_bad is None, "block-condition", worst, first_bad)
-
-
-def _require_equigeodesic(x: TangentVector) -> None:
-    """Raise NotEquigeodesic, naming the first violating triple, unless the block condition holds."""
-    v = is_equigeodesic(x)
-    if not v.is_equigeodesic:
-        raise NotEquigeodesic(f"input is not equigeodesic: blocks {v.violating_triple} have "
-                              f"residual {v.worst_residual:.3e}", violating_triple=v.violating_triple)
 
 
 def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
@@ -279,11 +224,11 @@ def _block_svds(p: FlagPartition, a: np.ndarray):
 def canonicalize(x: TangentVector) -> CanonicalForm:
     """Reduce an equigeodesic vector to its essentially diagonal form.
 
-    Per block index, the image spaces of the incoming blocks are mutually
-    orthogonal (this is what the equigeodesic condition buys), so one
-    block-diagonal unitary U aligns every block with its singular vectors at
-    once: U_i is the Q of one Householder QR of [V_i | I], V_i the singular vectors
-    kept in block i. Raises NotEquigeodesic on inputs that fail the block condition.
+    Per block index, the image spaces of the incoming blocks are mutually orthogonal (this is what
+    the equigeodesic condition buys), so one block-diagonal unitary U aligns every block with its
+    singular vectors at once: U_i is the Q of one Householder QR of [V_i | I], V_i the singular
+    vectors kept in block i. Raises NotEquigeodesic on inputs that fail the block condition, decided
+    on the vector as given (exactly, on an Exact one); the form is computed on its float copy.
     Each kept singular triple of ``_block_svds`` gets one row and one column of J;
     the values it cuts are left out of J, so the residual may exceed the
     CANON_RESIDUAL_TOL contract by their norm. RuntimeError means that the block condition
@@ -293,8 +238,8 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     underflows and U is that of the matrix; the pair values and the residual are
     divided back, and a pair value past the float range raises ValueError.
     """
-    x.matrix._require_float("canonicalize")
     _require_equigeodesic(x)
+    x = x.to_float()
     p = x.partition
     scale = _unit_scale(x.matrix.data)
     A = x.matrix.data * scale

@@ -5,7 +5,8 @@ positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
 everywhere in the public API. Outside ``linalg``, only this module's block-kernel plumbing
 (``_block_arrays``, ``block_norms_sq``, ``_norm_sq``) reads an Exact ``data``, the 2 x 2
-embedding: ``_block_arrays`` gives every block kernel its numbers and its tolerance.
+embedding: ``_block_arrays`` gives every block kernel its numbers and its tolerance. The block
+condition a_ij a_jm = 0, the gate of canonical forms and return distances, is scanned here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import (SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _build, _unit_scale,
+from .linalg import (DEFAULT_EQUI_TOL, SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _build, _unit_scale,
                      require_skew_hermitian)
 
 
@@ -259,3 +260,59 @@ def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
     elif x.mode is Mode.FLOAT:
         a = a * _unit_scale(a)
     return p, a, block_norms_sq(p, a), tol
+
+
+class NotEquigeodesic(ValueError):
+    """Raised when an operation requires an equigeodesic input and gets none."""
+
+    def __init__(self, message, violating_triple=None):
+        super().__init__(message)
+        self.violating_triple = violating_triple
+
+
+def _scan_block_products(x: TangentVector, tol: float):
+    """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
+
+    Returns (worst residual, first violating triple or None, argmax triple),
+    both triples the first in lexicographic (i, j, m) order. One middle block
+    j at a time: A[:, J] @ A[J, :] holds every product a_ij a_jm at once, and
+    only the rows and columns of blocks joined to j by a nonzero block count.
+    """
+    p, a, norms, tol = _block_arrays(x, tol, balance=True)
+    nonzero = norms != 0
+    np.fill_diagonal(nonzero, False)
+    parts = np.array(p.parts)
+    block_of = p.block_index
+    first_bad = None
+    peaks = []  # (-residual, triple) of the largest residual per middle block
+    for j in range(p.s):
+        # only the blocks joined to j by a nonzero block can give a nonzero product
+        near = np.flatnonzero(nonzero[:, j] | nonzero[j, :])
+        if near.size < 2:
+            continue
+        idx = np.flatnonzero(np.isin(block_of, near))
+        lo, hi = p.offsets[j], p.offsets[j + 1]
+        prod = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        live = np.outer(nonzero[near, j], nonzero[j, near])
+        np.fill_diagonal(live, False)
+        num = np.where(live, prod, 0)
+        den = np.where(live, np.outer(norms[near, j], norms[j, near]), 1)
+        res = np.sqrt((num / den).astype(float))
+        bad = num > tol**2 * den
+        if bad.any():
+            i, m = near[np.argwhere(bad)[0]]
+            triple = (int(i) + 1, j + 1, int(m) + 1)
+            first_bad = triple if first_bad is None else min(first_bad, triple)
+        i, m = divmod(int(np.argmax(res)), near.size)
+        if res[i, m] > 0.0:
+            peaks.append((-float(res[i, m]), (int(near[i]) + 1, j + 1, int(near[m]) + 1)))
+    neg_worst, argmax = min(peaks, default=(-0.0, None))
+    return -neg_worst, first_bad, argmax
+
+
+def _require_equigeodesic(x: TangentVector) -> None:
+    """Raise NotEquigeodesic, naming the first violating triple, unless the block condition holds."""
+    worst, first_bad, _ = _scan_block_products(x, DEFAULT_EQUI_TOL)
+    if first_bad is not None:
+        raise NotEquigeodesic(f"input is not equigeodesic: blocks {first_bad} have "
+                              f"residual {worst:.3e}", violating_triple=first_bad)

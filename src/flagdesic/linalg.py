@@ -371,9 +371,9 @@ def skew_spectrum(a: CMatrix) -> list:
 
 def killing_flow(a: CMatrix):
     """(w, flow) for a Float skew-Hermitian a, from one eigendecomposition -i a = V diag(w) V^*:
-    ``w`` ascending, eig(a) = {i * w_k}, and ``flow(t)`` the array exp(t a) = V diag(e^{i t w}) V^*.
-    Callers sampling the Killing field exp(t a) at many t call this once."""
+    ``w`` ascending, eig(a) = {i * w_k}, and ``flow(t)`` = exp(t a) = I + V diag(expm1(i t w)) V^*:
+    I exactly at t = 0, and each entry off I rounded relative to itself. Call it once for many t."""
     a._require_float("killing_flow")
     require_skew_hermitian(a)
     w, v = _skew_eigh(a, vectors=True)
-    return w, lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
+    return w, lambda t: np.eye(w.size) + (v * np.expm1(1j * t * w)) @ v.conj().T

@@ -301,6 +301,24 @@ def test_canonicalize_exits_1_exactly_where_exact_check_does(tmp_path_factory, d
     assert (canonical == 1) == (check == 1), (check, canonical)
 
 
+def test_exact_canonicalize_scans_the_blocks_once(monkeypatch, tmp_path, capsys):
+    import flagdesic.equigeo as equigeo
+    import flagdesic.flag as flag
+
+    calls = []
+    scan = flag._scan_block_products
+
+    def counting(x, tol):
+        calls.append(x.mode.value)
+        return scan(x, tol)
+
+    for module in (flag, equigeo):  # equigeo holds the name too, so every caller is counted
+        monkeypatch.setattr(module, "_scan_block_products", counting)
+    path = write_json(tmp_path / "f9e.json", fixture_document("f9-333", "exact"))
+    assert main(["canonicalize", path, "--out", os.devnull]) == 0
+    assert calls == ["exact"]
+
+
 def test_closedness_computes_the_spectrum_once(monkeypatch, tmp_path, capsys):
     import flagdesic.closure as closure
 
@@ -696,7 +714,22 @@ def test_curve_t_max_zero_single_identity_row(tmp_path, f4, capsys):
     assert main(["curve", f4, "--t-max", "0"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2
-    assert float(rows[1][-1]) <= 1e-12
+    assert [float(v) for v in rows[1]] == [0.0] * len(rows[0])  # exp(0) = I
+
+
+@pytest.mark.parametrize("a12", [1.0, 1e-200, 1e-320])
+def test_curve_starts_at_the_base_point_and_follows_a_small_rotation(tmp_path, capsys, a12):
+    # exp(t A) is sin(t a12) at (1, 2) and -sin(t a12) at (2, 1), so dist_k = sqrt(2) sin(t a12):
+    # 0 at t = 0 exactly, and each value to its own rounding, below 1e-308 too
+    vec = write_json(tmp_path / "v.json", {"parts": [1, 1], "blocks": {"1,2": [[[a12, 0.0]]]}})
+    assert main(["curve", vec, "--t-max", "1", "--samples", "4"]) == 0
+    rows = [[float(v) for v in row] for row in csv.reader(capsys.readouterr().out.splitlines()[1:])]
+    assert rows[0] == [0.0] * 6
+    for t, re12, im12, re21, im21, dist in rows[1:]:
+        s = math.sin(t * a12)
+        assert abs(re12 - s) <= 1e-14 * s + 2.0**-1074 and re21 == -re12
+        assert abs(im12) <= 1e-15 * s and im21 == -im12
+        assert abs(dist - math.sqrt(2.0) * s) <= 1e-14 * s + 2.0**-1073
 
 
 @pytest.mark.parametrize("options, rows", [

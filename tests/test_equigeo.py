@@ -308,6 +308,17 @@ def test_block_condition_matches_reference_exact(x):
     _assert_matches_reference(x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(sparse_block_vectors(Mode.EXACT).filter(
+    lambda x: not x.matrix.is_zero() and is_equigeodesic(x).is_equigeodesic))
+def test_exact_canonicalize_is_that_of_its_float_copy(x):
+    # the exact vector only decides the block condition; the form is its float copy's, bit for bit
+    form, copy = canonicalize(x), canonicalize(x.to_float())
+    assert form.pairs == copy.pairs and form.residual == copy.residual
+    assert form.U.data.tobytes() == copy.U.data.tobytes()
+    assert form.J.data.tobytes() == copy.J.data.tobytes()
+
+
 @pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])
 def test_first_violating_triple_is_lexicographic(mode):
     # chains 1-4-5 and 2-3-6: (1, 4, 5) comes first although its middle block is later
@@ -423,11 +434,18 @@ def test_canonicalize_rejects_non_equigeodesic():
     assert err.value.violating_triple == (1, 2, 3)
 
 
-def test_canonicalize_rejects_exact_mode():
-    p = FlagPartition((1, 1))
-    x = TangentVector.from_blocks(p, {(1, 2): [[GR(1)]]}, Mode.EXACT)
-    with pytest.raises(ValueError, match="Float"):
+@pytest.mark.parametrize("parts", [(3, 2, 1), (2, 2, 1)])
+def test_canonicalize_decides_the_block_condition_of_an_exact_vector_exactly(parts):
+    # a_12 = diag(1, 3/10^9) beside a_13 = e_2: a_21 a_13 = (0, -3/10^9)^T is not zero, although
+    # the float copy passes the block condition at its tolerance
+    pad = parts[0] - 2
+    a12 = [[GR(1), GR(0)], [GR(0), GR(Fraction(3, 10**9))]] + [[GR(0), GR(0)]] * pad
+    a13 = [[GR(0)], [GR(1)]] + [[GR(0)]] * pad
+    x = TangentVector.from_blocks(FlagPartition(parts), {(1, 2): a12, (1, 3): a13}, Mode.EXACT)
+    assert is_equigeodesic(x.to_float()).is_equigeodesic
+    with pytest.raises(NotEquigeodesic) as err:
         canonicalize(x)
+    assert err.value.violating_triple == (2, 1, 3)
 
 
 def test_canonical_values_match_spectrum():

@@ -725,3 +725,17 @@ def test_killing_flow_samples_match_unitary_exp():
     with pytest.raises(ValueError, match="Float"):
         killing_flow(CMatrix([[0, 1], [-1, 0]], Mode.EXACT))
 
+
+@pytest.mark.parametrize("a12", [1.0, 1e-200, 1e-320])
+def test_killing_flow_of_a_rotation_is_its_closed_form(a12):
+    # exp(t A) = [[cos ta, sin ta], [-sin ta, cos ta]]: at t = 0 exactly I, and sin ta to its own
+    # rounding however small a12 is (below 1e-308 too), not to the rounding of the diagonal's 1
+    _, flow = killing_flow(CMatrix([[0, a12], [-a12, 0]], Mode.FLOAT))
+    assert np.array_equal(flow(0.0), np.eye(2)) and not np.signbit(flow(0.0).view(float)).any()
+    for t in (0.5, 1.0, 1.5, 3.0, 7.0):
+        c, s = math.cos(t * a12), math.sin(t * a12)
+        got = flow(t)
+        assert np.allclose(got, [[c, s], [-s, c]], rtol=0, atol=1e-15)
+        off = np.array([got[0, 1], -got[1, 0]])
+        assert np.all(np.abs(off - s) <= 1e-14 * abs(s) + 2.0**-1074)
+

@@ -103,6 +103,20 @@ def test_help_and_usage_errors_load_argparse(files, argv, expected):
     assert loaded == sorted(BASE)  # argparse prints and exits before the handler runs
 
 
+def test_return_distance_gates_without_loading_equigeo():
+    # the block condition it runs first lives in flag, beside the block layout it reads
+    code = """if True:
+        import json, sys
+        from flagdesic.closure import geodesic_return_distance
+        from flagdesic.flag import FlagPartition, TangentVector
+        x = TangentVector.from_blocks(FlagPartition((1, 1, 1)), {(1, 2): [[1.0]]})
+        assert geodesic_return_distance(x, [0.0, 1.0])[0] == 0.0
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("flagdesic"))))
+    """
+    assert run_fresh(code) == ["flagdesic", "flagdesic.closure", "flagdesic.flag",
+                               "flagdesic.linalg"]
+
+
 def test_import_flagdesic_loads_no_submodule():
     code = "import json, sys, flagdesic; print(json.dumps(sorted(m for m in sys.modules if m.startswith('flagdesic'))))"
     assert run_fresh(code) == ["flagdesic"]
