@@ -147,7 +147,6 @@ def _cmd_closedness(args) -> int:
     from .closure import AllZeroSpectrum, Closedness, is_killing_closed
 
     x = _load_vector(args.vector, args.mode)
-    x.matrix.to_float()  # the verdict prints floats: an entry past their range exits 2, naming it
     try:
         verdict = is_killing_closed(x, args.bound)
     except AllZeroSpectrum:

@@ -101,10 +101,8 @@ def _parse_block(raw, rows: int, cols: int, mode: Mode, where: str) -> CMatrix:
         raise DocumentError(f"{where}: expected a {rows}x{cols} matrix of entries")
     if mode is Mode.FLOAT:
         return CMatrix([[_parse_float_entry(v, where) for v in row] for row in raw], mode)
-    a, b, c, d = np.array([[_parse_exact_entry(v, where) for v in row] for row in raw],
-                          dtype=object).transpose(2, 0, 1)
-    den = math.lcm(*b.flat, *d.flat)
-    return CMatrix.from_ints(a * (den // b), c * (den // d), den)
+    entries = [[_parse_exact_entry(v, where) for v in row] for row in raw]
+    return CMatrix.from_ints(*np.array(entries, dtype=object).transpose(2, 0, 1))
 
 
 def _partition(doc, kind: str) -> FlagPartition:

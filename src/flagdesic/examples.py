@@ -56,16 +56,10 @@ def fixture_document(name: str, mode: str = "float") -> dict:
     return serialize_vector(fixture_vector(name, mode))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_block_unitary(partition: FlagPartition, seed) -> CMatrix:
     """Haar-distributed element of U(n_1) + ... + U(n_s) (block-diagonal): the group
     whose conjugation takes an equigeodesic vector to its canonical form and back."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = partition.total
     out = np.zeros((n, n), dtype=np.complex128)
     for i in range(1, partition.s + 1):
@@ -109,7 +103,7 @@ def random_essentially_diagonal(partition: FlagPartition, seed) -> TangentVector
     One nonzero entry per row and column at most, all of them crossing block
     boundaries; magnitudes are uniform in [0.3, 3] with random phase.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     pairs = _sample_cross_pairs(partition, rng, keep_prob=0.8)
     arr = np.zeros((partition.total, partition.total), dtype=complex)
     for r, c in pairs:
@@ -124,7 +118,7 @@ def random_equigeodesic(partition: FlagPartition, seed) -> TangentVector:
     An essentially diagonal sample conjugated by a random block-diagonal
     unitary: the converse of the canonical form construction.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     base = random_essentially_diagonal(partition, rng)
     u = random_block_unitary(partition, rng)
     return base.conjugated_by(u)

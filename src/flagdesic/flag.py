@@ -3,10 +3,11 @@
 Partitions, block coordinates, tangent vectors, block-wise norms, and the
 positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
-everywhere in the public API. Outside ``linalg``, only this module's block-kernel plumbing
-(``_block_arrays``, ``block_norms_sq``, ``_norm_sq``) reads an Exact ``data``, the 2 x 2
-embedding: ``_block_arrays`` gives every block kernel its numbers and its tolerance. The block
-condition a_ij a_jm = 0, the gate of canonical forms and return distances, is scanned here.
+everywhere in the public API. Outside ``linalg``, only this module reads an Exact ``data``,
+the 2 x 2 embedding: ``TangentVector.from_blocks`` places each block's ``data`` by one rule in
+both modes, and ``_block_arrays`` gives every block kernel its numbers and its tolerance (with
+``block_norms_sq`` and ``_norm_sq``). The block condition a_ij a_jm = 0, the gate of canonical
+forms and return distances, is scanned here.
 """
 
 from __future__ import annotations
@@ -161,12 +162,12 @@ class TangentVector(Immutable):
     ) -> "TangentVector":
         """Build from upper blocks {(i, j): rows or CMatrix}, i < j.
 
-        The blocks fill the strictly block-upper matrix U, and the vector is
-        U - U^*: the lower half is a_ji = -a_ij^*. Missing blocks are zero.
+        The blocks fill the strictly block-upper matrix U, and the vector is U - U^*: the
+        lower half is a_ji = -a_ij^*. Missing blocks are zero. Each block becomes a CMatrix
+        of ``mode``, and its ``data`` goes into U's over the blocks' common denominator.
         """
-        exact = mode is Mode.EXACT
-        x = np.zeros((partition.total, partition.total), dtype=object if exact else np.complex128)
-        exact_blocks = []
+        k, dtype = (2, object) if mode is Mode.EXACT else (1, np.complex128)
+        placed = []
         for (i, j), blk in blocks.items():
             if not (1 <= i <= partition.s and 1 <= j <= partition.s):
                 raise ValueError(f"block key ({i},{j}) out of range 1..{partition.s}")
@@ -174,22 +175,19 @@ class TangentVector(Immutable):
                 raise ValueError(f"from_blocks accepts upper block keys only, got ({i},{j})")
             r0, r1 = partition.block_range(i)
             c0, c1 = partition.block_range(j)
-            if not (exact and isinstance(blk, CMatrix) and blk.mode is mode):
-                blk = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, x.dtype)
+            if not (isinstance(blk, CMatrix) and blk.mode is mode):
+                blk = np.asarray(blk.entries() if isinstance(blk, CMatrix) else blk, dtype)
             if blk.shape != (r1 - r0, c1 - c0):
                 raise ValueError(
                     f"block ({i},{j}) has shape {blk.shape}, expected {(r1 - r0, c1 - c0)}"
                 )
-            if exact:  # placed below, by its integers rather than its entries
-                blk = CMatrix(blk, mode) if isinstance(blk, np.ndarray) else blk
-                exact_blocks.append((np.s_[r0:r1, c0:c1], blk))
-            else:
-                x[r0:r1, c0:c1] = blk
-        if exact:  # every block over their common denominator
-            y, den = np.zeros_like(x), math.lcm(*(b.den for _, b in exact_blocks))
-            for at, b in exact_blocks:
-                x[at], y[at] = (v * (den // b.den) for v in b.int_parts())
-        u = CMatrix.from_ints(x, y, den) if exact else _build(x, mode)
+            blk = CMatrix(blk, mode) if isinstance(blk, np.ndarray) else blk
+            placed.append((np.s_[k * r0:k * r1, k * c0:k * c1], blk))
+        den = math.lcm(*(b.den for _, b in placed))
+        u = np.zeros((k * partition.total,) * 2, dtype)
+        for at, b in placed:
+            u[at] = b.data if b.den == den else b.data * (den // b.den)
+        u = _build(u, mode, den)
         return cls(partition, u - u.H)
 
 

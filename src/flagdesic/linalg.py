@@ -11,12 +11,13 @@ The ``CMatrix`` constructor copies and checks a caller's entries in both modes: 
 or ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats. Every
 matrix the library computes is stored as it is by ``_build``, an Exact one in lowest terms.
 Sums, products, negation, the conjugate transpose (the transpose of an embedding),
-zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints``, which
-documents and the constructor call, writes the 2 x 2 layout of (x, y, den), ``shape`` halves
-it, and only ``int_parts`` slices it, for ``entries``, ``nonzero``, ``fro``, ``to_float`` and
-``gaussian.exact_char_poly``. ``read_literal`` reads an exact literal to integers, for
-documents and ``GaussianRational.parse``. Exact block kernels run on the embedding; the exact
-spectrum is in ``gaussian``, which loads only where a Fraction or GaussianRational goes in or out.
+zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints(a, b, c, d)``,
+which documents and the constructor call, writes the entries a/b + (c/d)i over their common
+denominator in the 2 x 2 layout, ``shape`` halves it, and only ``int_parts`` slices it, for
+``entries``, ``nonzero``, ``fro``, ``to_float`` and ``gaussian.exact_char_poly``. ``read_literal``
+reads an exact literal to (a, b, c, d), for documents and ``GaussianRational.parse``. Exact block
+kernels run on the embedding; the exact spectrum is in ``gaussian``, which loads only where a
+Fraction or GaussianRational goes in or out.
 ``scale``, ``hadamard``, ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix
 never mixes modes; mixed-mode binary operations raise ``ValueError``.
 """
@@ -89,17 +90,17 @@ class CMatrix(Immutable):
         if mode is Mode.EXACT:
             from .gaussian import _parts
 
-            parts = [_parts(v) for v in arr.flat]
-            den = math.lcm(*(f.denominator for pair in parts for f in pair))
-            ints = [[f.numerator * (den // f.denominator) for f in pair] for pair in parts]
-            x, y = np.moveaxis(np.array(ints, dtype=object).reshape(*arr.shape, 2), -1, 0)
-            return cls.from_ints(x, y, den)
+            ints = [(f.numerator, f.denominator) for v in arr.flat for f in _parts(v)]
+            ints = np.array(ints, dtype=object).reshape(*arr.shape, 4)
+            return cls.from_ints(*np.moveaxis(ints, -1, 0))
         return _build(arr, Mode.FLOAT)
 
     @classmethod
-    def from_ints(cls, x: np.ndarray, y: np.ndarray, den: int) -> "CMatrix":
-        """The Exact matrix (x + iy) / den in lowest terms, for int object arrays x and y of one
-        shape: the one writer of the 2 x 2 layout, which the Exact constructor calls too."""
+    def from_ints(cls, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> "CMatrix":
+        """The Exact matrix of the entries a/b + (c/d)i, for int object arrays of one shape with
+        b, d > 0, in lowest terms: the one writer of the 2 x 2 layout."""
+        den = math.lcm(*b.flat, *d.flat)
+        x, y = a * (den // b), c * (den // d)
         arr = np.empty((2 * x.shape[0], 2 * x.shape[1]), dtype=object)
         arr[0::2, 0::2] = arr[1::2, 1::2] = x
         arr[1::2, 0::2], arr[0::2, 1::2] = y, -y

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from flagdesic import CMatrix, FlagPartition, Mode, TangentVector
-from flagdesic.examples import _as_rng, _sample_cross_pairs
+from flagdesic.examples import _sample_cross_pairs
 from flagdesic.linalg import killing_flow
 
 settings.register_profile(
@@ -49,7 +49,7 @@ def compositions(n: int):
 def essentially_diagonal(partition: FlagPartition, seed, values, mode: Mode = Mode.EXACT):
     """Essentially diagonal tangent vector whose entries are drawn from ``values``, on the
     cross-block pairs ``random_essentially_diagonal`` samples: exact for exact values."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     arr = np.zeros((partition.total, partition.total), dtype=object)
     for r, c in _sample_cross_pairs(partition, rng, keep_prob=0.8):
         arr[r - 1, c - 1] = values[rng.integers(len(values))]

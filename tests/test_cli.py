@@ -133,11 +133,13 @@ def test_input_too_large_for_memory_exits_2(tmp_path):
     ["closedness", "--mode", "exact"],
 ], ids=" ".join)
 def test_exact_entry_outside_the_float_range_exits_2(tmp_path, entry, argv, capsys):
-    # overflowed (an OverflowError traceback, exit 1) or rounded to 0 (called the zero vector)
+    # overflowed (an OverflowError traceback, exit 1) or rounded to 0 (called the zero vector);
+    # exact closedness converts no entry, and here its theta = +-entry leaves the float range
     doc = {"parts": [1, 1], "mode": "exact", "blocks": {"1,2": [[entry]]}}
     assert main([argv[0], write_json(tmp_path / "v.json", doc), *argv[1:]]) == 2
-    assert capsys.readouterr() == ("", "error: entry (1, 2) is outside the float range: "
-                                       "nonzero magnitudes run from 4.9e-324 to 1.8e+308\n")
+    assert capsys.readouterr() == ("", SPECTRUM_PAST_RANGE if argv[-1] == "exact" else
+                                   "error: entry (1, 2) is outside the float range: "
+                                   "nonzero magnitudes run from 4.9e-324 to 1.8e+308\n")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -455,11 +457,16 @@ PERIOD_PAST_RANGE = "error: the period lies outside the float range: it exceeds 
     ({"parts": [1, 1, 1, 1], "mode": "exact",
       "blocks": {"1,2": [["1"]], "3,4": [[f"{10**400 + 1}/{10**400}"]]}},
      2, ("", PERIOD_PAST_RANGE)),
+    # an entry of 10^-400, which no float holds, beside a_12 = 1: theta = +-sqrt(1 + 10^-800), 0
+    ({"parts": [1, 1, 1], "mode": "exact", "blocks": {"1,2": [["1"]], "1,3": [[f"1/{10**400}"]]}},
+     0, ("spectrum (i * theta): 1  0  -1\nstatus: commensurate\n"
+         "base frequency: 1\nperiod: 6.28318530718\nmultipliers: 1 0 -1\n", "")),
     # singular values {1, 10^-400}: theta = 10^-400 is no float
     ({"parts": [2, 2], "mode": "exact",
       "blocks": {"1,2": [[f"1/{10**200}", f"{10**400 - 1}/{10**400}"], ["0", f"1/{10**200}"]]}},
      2, ("", SPECTRUM_PAST_RANGE)),
-], ids=["3e11", "2^600", "1e160", "chain", "1e-300", "1e-320", "1+1e-400", "1e-400"])
+], ids=["3e11", "2^600", "1e160", "chain", "1e-300", "1e-320", "1+1e-400", "entry-1e-400",
+         "1e-400"])
 def test_exact_closedness_beyond_float_squares(tmp_path, capsys, doc, code, expected):
     assert main(["closedness", write_json(tmp_path / "v.json", doc), "--mode", "exact"]) == code
     assert capsys.readouterr() == expected

@@ -1,7 +1,12 @@
 """Partition, root system, and tangent vector tests."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import compositions
 from flagdesic import (
@@ -243,6 +248,76 @@ def test_from_blocks_shapes_and_completion():
         TangentVector.from_blocks(p, {(2, 1): [[1.0, 0.0]]})
     with pytest.raises(ValueError, match="shape"):
         TangentVector.from_blocks(p, {(1, 2): [[1.0, 0.0]]})
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+#: Float entries with signed zeros among them, which every placement must keep bit for bit
+float_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def blocks_of_every_kind(draw):
+    """(mode, partition, blocks, the blocks' entries): each block a list, a CMatrix of
+    the vector's mode, an Exact CMatrix in Float mode, or a list of GaussianRational."""
+    mode = draw(st.sampled_from([Mode.FLOAT, Mode.EXACT]))
+    p = FlagPartition(tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))))
+    kinds = ["list", "own", "gaussian"] + (["exact"] if mode is Mode.FLOAT else [])
+    blocks, entries = {}, {}
+    for i, j in p.positive_pairs():
+        kind = draw(st.sampled_from(kinds + ["absent"]))
+        if kind == "absent":
+            continue
+        shape = (p.parts[i - 1], p.parts[j - 1])
+        if mode is Mode.FLOAT and kind in ("list", "own"):
+            entry = st.builds(complex, float_parts, float_parts)
+        elif kind == "list":
+            entry = st.one_of(st.integers(-9, 9), small_fractions)
+        else:
+            entry = st.builds(GaussianRational, small_fractions, small_fractions)
+        rows = draw(st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                             min_size=shape[0], max_size=shape[0]))
+        entries[(i, j)] = rows
+        if kind in ("own", "exact"):
+            rows = CMatrix(np.array(rows, dtype=object), Mode.EXACT if kind == "exact" else mode)
+        blocks[(i, j)] = rows
+    return mode, p, blocks, entries
+
+
+@given(blocks_of_every_kind())
+def test_from_blocks_places_every_block_as_its_entries(case):
+    # reference: the upper matrix U written entry by entry, then U - U^*
+    mode, p, blocks, entries = case
+    upper = np.zeros((p.total, p.total), dtype=np.complex128 if mode is Mode.FLOAT else object)
+    for (i, j), rows in entries.items():
+        r0, c0 = p.offsets[i - 1], p.offsets[j - 1]
+        for a, row in enumerate(rows):
+            for b, v in enumerate(row):
+                upper[r0 + a, c0 + b] = complex(v) if mode is Mode.FLOAT else v
+    u = CMatrix(upper, mode)
+    want, got = u - u.H, TangentVector.from_blocks(p, blocks, mode).matrix
+    assert (got.mode, got.den, got.data.shape) == (mode, want.den, want.data.shape)
+    if mode is Mode.FLOAT:
+        assert got.data.tobytes() == want.data.tobytes()
+    else:
+        assert (got.data == want.data).all()
+
+
+@pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])
+@pytest.mark.parametrize("blocks, message", [
+    ({(1, 2): [1, 2, 3]}, "block (1,2) has shape (3,), expected (3, 1)"),
+    ({(1, 2): [[1, 2, 3]]}, "block (1,2) has shape (1, 3), expected (3, 1)"),
+    ({(1, 3): [[1]]}, "block key (1,3) out of range 1..2"),
+    ({(2, 1): [[1, 2, 3]]}, "from_blocks accepts upper block keys only, got (2,1)"),
+])
+def test_from_blocks_error_texts(mode, blocks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TangentVector.from_blocks(FlagPartition((3, 1)), blocks, mode)
+
+
+def test_from_blocks_rejects_a_float_block_in_exact_mode():
+    block = CMatrix([[0.5], [0.0]], Mode.FLOAT)
+    with pytest.raises(ValueError, match="mode mixing is rejected"):
+        TangentVector.from_blocks(FlagPartition((2, 1)), {(1, 2): block}, Mode.EXACT)
 
 
 def test_off_block_positions():

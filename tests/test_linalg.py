@@ -533,6 +533,20 @@ def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
         assert abs(Fraction(norm) ** 2 / square_sum - 1) < 2**-51
 
 
+def test_from_ints_is_the_matrix_of_the_same_entries():
+    # a/b + (c/d) i, some not in lowest terms: lcm(b, d) = 420, and the lowest terms take 60
+    a, b = [[1, -3, 0], [2, 4, 0]], [[2, 4, 1], [4, 6, 3]]
+    c, d = [[0, 1, -2], [6, 0, 0]], [[1, 3, 5], [12, 1, 7]]
+    ints = (np.array(v, dtype=object) for v in (a, b, c, d))
+    got = CMatrix.from_ints(*ints)
+    want = CMatrix([[GR(Fraction(a[r][k], b[r][k]), Fraction(c[r][k], d[r][k])) for k in range(3)]
+                    for r in range(2)], Mode.EXACT)
+    assert (got.mode, got.den, got.data.tolist()) == (want.mode, want.den, want.data.tolist())
+    assert got.den == 60 and not got.data.flags.writeable
+    halves = CMatrix.from_ints(*(np.array([[v]], dtype=object) for v in (2, 4, 6, 4)))
+    assert (halves.den, halves.data.tolist()) == (2, [[1, -3], [3, 1]])
+
+
 def test_exact_norm_past_the_float_range_is_a_float_as_in_float_mode():
     # the square of 10^200 passes the float range and its norm does not; 2 * 10^308 does
     big = 10**308
