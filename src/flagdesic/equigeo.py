@@ -127,31 +127,27 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     """Bracket certificate: [X, L_ij X]_m = 0 for every 0/1 probe multiplier L_ij.
 
     The probes form a basis of all multiplier tables, so the s(s-1)/2 bracket
-    evaluations quantify over every invariant metric at once. Y = L_ij X is
-    a_ij + a_ji, so XY lives in the column slab I u J and YX in the row slab
-    I u J; each probe costs O(n (n_i + n_j)^2), and a probe with a_ij = 0
-    is skipped (Y = 0). The residual is ||[X, Y]_m|| / (||X|| ||Y||) of mu.X, so a
-    chain of small blocks cannot hide beside one large block.
+    evaluations quantify over every invariant metric at once. Only the off-diagonal blocks
+    and a_ji = -a_ij^* (in Float only to SKEW_TOL_FACTOR * ||A||) are read, so a vector and
+    its m-part get the same verdict. Y = L_ij X is a_ij + a_ji and YX = (XY)^*, so [X, Y]
+    vanishes on (I u J)^2 and its squared norm is twice that of XY on the rows K outside
+    I u J: a_Kj a_ji and a_Ki a_ij, O((n - n_i - n_j) n_i n_j) per probe. A probe is skipped
+    only when a_ij and a_ji are both 0: after balancing, a block may be of unit size beside
+    a zero mirror, and its products a_km a_ml still lie in rows K of probe {l, m}. The
+    residual is ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide
+    beside one large block.
     """
     _require_tol(tol)
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
-    total = norms.sum()
+    total = norms.sum() - norms.trace()  # ||X||^2 over the off-diagonal blocks
     worst = 0.0
     failed = False
     for i, j in p.positive_pairs():
-        if not norms[i - 1, j - 1]:
+        if not norms[i - 1, j - 1] + norms[j - 1, i - 1]:
             continue
-        bi, bj = slice(*p.block_range(i)), slice(*p.block_range(j))
-        ni = bi.stop - bi.start
-        slab = np.r_[bi, bj]
-        xy = np.hstack([a[:, bj] @ a[bj, bi], a[:, bi] @ a[bi, bj]])  # columns I, J of XY
-        yx = np.vstack([a[bi, bj] @ a[bj, :], a[bj, bi] @ a[bi, :]])  # rows I, J of YX
-        inner = xy[slab, :] - yx[:, slab]  # the bracket on rows and columns I u J
-        inner[:ni, :ni] = inner[ni:, ni:] = 0  # diagonal blocks: not in m
-        xy[slab, :] = inner
-        yx[:, slab] = 0
-        # disjoint supports; together [X, Y]_m, against ||X||^2 ||Y||^2
-        num = _norm_sq(xy) + _norm_sq(yx)
+        (i0, i1), (j0, j1) = p.block_range(i), p.block_range(j)
+        bi, bj, k = slice(i0, i1), slice(j0, j1), np.r_[:i0, i1:j0, j1:len(a)]
+        num = 2 * _norm_sq(np.hstack([a[k, bj] @ a[bj, bi], a[k, bi] @ a[bi, bj]]))
         den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
         worst = max(worst, math.sqrt(num / den))
         failed = failed or num > tol**2 * den

@@ -277,7 +277,7 @@ def _scan_block_products(x: TangentVector, tol: float):
     only the rows and columns of blocks joined to j by a nonzero block count.
     """
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
-    nonzero = norms != 0
+    nonzero = (norms != 0) | (norms.T != 0)  # Float skew only to tolerance: a mirror may be 0
     np.fill_diagonal(nonzero, False)
     parts = np.array(p.parts)
     block_of = p.block_index
@@ -285,16 +285,15 @@ def _scan_block_products(x: TangentVector, tol: float):
     peaks = []  # (-residual, triple) of the largest residual per middle block
     for j in range(p.s):
         # only the blocks joined to j by a nonzero block can give a nonzero product
-        near = np.flatnonzero(nonzero[:, j] | nonzero[j, :])
+        near = np.flatnonzero(nonzero[j])
         if near.size < 2:
             continue
         idx = np.flatnonzero(np.isin(block_of, near))
         lo, hi = p.offsets[j], p.offsets[j + 1]
-        prod = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
-        live = np.outer(nonzero[near, j], nonzero[j, near])
-        np.fill_diagonal(live, False)
-        num = np.where(live, prod, 0)
-        den = np.where(live, np.outer(norms[near, j], norms[j, near]), 1)
+        num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
+        # a zero product is a zero residual; + 1 there spares 0 / 0 where only a_ji is nonzero
+        den = np.outer(norms[near, j], norms[j, near]) + (num == 0)
         res = np.sqrt((num / den).astype(float))
         bad = num > tol**2 * den
         if bad.any():

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import CMatrix, Immutable, Mode, _skew_eigh, read_literal, require_skew_hermitian
+from .linalg import (CMatrix, Immutable, Mode, _build, _skew_eigh, read_literal,
+                     require_skew_hermitian)
 
 
 class GaussianRational(Immutable):
@@ -142,13 +143,32 @@ def _none_above(poly, z: int) -> bool:
     return True
 
 
+#: The ValueError message of a nonzero exact theta whose float rounds to 0 or inf.
+_ROUNDS_AWAY = "the spectrum lies outside the float range: some theta rounds to 0 or inf"
+
+
 def _sqrt_over(z: int, d: int) -> float:
     """sqrt(z) / d as one rounding of isqrt(z * 2^128) / (d * 2^64), with no float square to
     under- or overflow: z = k^2 gives the correctly rounded k/d. ValueError where no float holds it."""
     with contextlib.suppress(OverflowError):
         if (t := math.isqrt(z << 128) / (d << 64)) or not z:
             return t
-    raise ValueError("the spectrum lies outside the float range: some theta rounds to 0 or inf")
+    raise ValueError(_ROUNDS_AWAY)
+
+
+def _float_thetas(a: CMatrix) -> list:
+    """The float spectrum of an Exact skew-Hermitian a, descending: eigh on the Float copy of
+    a * 2^-e built from the integers, where e, the bit length of the largest |x| or |y| less D's,
+    puts every part below 2 and rounds one far below the largest to 0. Each theta is scaled
+    back by 2^e; ValueError where one passes the float range, or all round to 0."""
+    x, y = a.int_parts()
+    e = max(np.max(np.abs(x)), np.max(np.abs(y))).bit_length() - a.den.bit_length()
+    x, y = ((v << max(-e, 0)) / (a.den << max(e, 0)) for v in (x, y))
+    w, _ = _skew_eigh(_build((x + 1j * y).astype(complex), Mode.FLOAT), vectors=False)
+    with contextlib.suppress(OverflowError):
+        if any(thetas := [math.ldexp(t, e) for t in w[::-1].tolist()]):
+            return thetas
+    raise ValueError(_ROUNDS_AWAY)
 
 
 def exact_skew_squares(a: CMatrix):
@@ -167,7 +187,7 @@ def exact_skew_squares(a: CMatrix):
     often, as p is in Z[x]. A window without a root means an irrational theta^2 and an
     incommensurate spectrum (theta_k = q_k theta_ref with rational q_k makes tr(-a^2) =
     theta_ref^2 sum q_k^2, and so each theta^2, rational): then squares are all None, and
-    thetas the float spectrum."""
+    thetas the float spectrum of ``_float_thetas``."""
     p = exact_char_poly(a)
     s = np.convolve(p, p * (-1) ** np.arange(len(p)))[::2].tolist()
     y, spectrum = -s[1], []  # the sum of the roots
@@ -189,5 +209,5 @@ def exact_skew_squares(a: CMatrix):
                 theta, c = _sqrt_over(z, a.den), Fraction(z, a.den**2)
                 spectrum += [(theta, c)] * plus + [(-theta, c)] * (mult - plus)
         if len(s) == size:  # the largest root left is irrational
-            return [float(t) for t in _skew_eigh(a, vectors=False)[0][::-1]], [None] * a.n_rows
+            return _float_thetas(a), [None] * a.n_rows
     return [list(col) for col in zip(*sorted(spectrum, key=lambda tc: tc[0], reverse=True))]

@@ -14,12 +14,12 @@ Sums, products, negation, the conjugate transpose (the transpose of an embedding
 zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints(a, b, c, d)``,
 which documents and the constructor call, writes the entries a/b + (c/d)i over their common
 denominator in the 2 x 2 layout, ``shape`` halves it, and only ``int_parts`` slices it, for
-``entries``, ``nonzero``, ``fro``, ``to_float`` and ``gaussian.exact_char_poly``. ``read_literal``
-reads an exact literal to (a, b, c, d), for documents and ``GaussianRational.parse``. Exact block
-kernels run on the embedding; the exact spectrum is in ``gaussian``, which loads only where a
-Fraction or GaussianRational goes in or out.
-``scale``, ``hadamard``, ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix
-never mixes modes; mixed-mode binary operations raise ``ValueError``.
+``entries``, ``nonzero``, ``fro``, ``to_float`` and the exact spectrum in ``gaussian``.
+``read_literal`` reads an exact literal to (a, b, c, d), for documents and
+``GaussianRational.parse``. Exact block kernels run on the embedding; the exact spectrum is in
+``gaussian``, which loads only where a Fraction or GaussianRational goes in or out. ``scale``,
+``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never mixes modes;
+mixed-mode binary operations raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -209,11 +209,6 @@ class CMatrix(Immutable):
 
         return np.frompyfunc(entry, 2, 1)(*self.int_parts())
 
-    def hadamard(self, grid: np.ndarray) -> "CMatrix":
-        """Entrywise product with a real float array of this shape, or one that broadcasts to it."""
-        self._require_float("hadamard")
-        return _build(self.data * np.broadcast_to(grid, self.shape), Mode.FLOAT)
-
     def to_float(self) -> "CMatrix":
         """The Float matrix of the same entries; an Exact entry that overflows, or is
         nonzero and rounds to 0, raises ValueError naming it."""
@@ -347,12 +342,11 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
 
 
 def _skew_eigh(a: CMatrix, vectors: bool):
-    """(w, v) for a skew-Hermitian a: w ascending with eig(a) = {i * w_k}, and v the eigenvectors
-    or None. Solved on the ``_unit_scale`` copy, so no sum overflows; a |w_k| past the float
-    range raises ValueError."""
-    data = a.to_float().data
-    s = _unit_scale(data)
-    h = -1j * (data * s)
+    """(w, v) for a Float skew-Hermitian a: w ascending with eig(a) = {i * w_k}, and v the
+    eigenvectors or None. Solved on the ``_unit_scale`` copy, so no sum overflows; a |w_k| past
+    the float range raises ValueError."""
+    s = _unit_scale(a.data)
+    h = -1j * (a.data * s)
     h = (h + h.conj().T) / 2.0
     w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     if np.max(np.abs(w), initial=0.0) > sys.float_info.max * s:  # so w / s would overflow

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .flag import FlagPartition, TangentVector
-from .linalg import Immutable, Mode
+from .linalg import Immutable, Mode, _build
 
 
 class InvariantMetric(Immutable):
@@ -70,7 +70,7 @@ def hadamard_action(g: InvariantMetric, x: TangentVector) -> TangentVector:
         raise ValueError("metric and tangent vector live on different partitions")
     p = x.partition
     grid = np.repeat(np.repeat(g.multiplier_table, p.parts, axis=0), p.parts, axis=1)
-    return TangentVector(p, x.matrix.hadamard(grid))
+    return TangentVector(p, _build(x.matrix.data * grid, Mode.FLOAT))
 
 
 def metric_inner(g: InvariantMetric, x: TangentVector, y: TangentVector) -> float:

@@ -424,6 +424,11 @@ EXACT_CHAIN = {"parts": [1, 1, 1, 1], "mode": "exact",
                "blocks": {"1,2": [["1"]], "2,3": [["1"]], "3,4": [["1"]]}}
 
 
+def _closed_chain(entry):
+    """EXACT_CHAIN with a_14 = ``entry``: a cycle whose theta^2 are irrational."""
+    return {**EXACT_CHAIN, "blocks": {**EXACT_CHAIN["blocks"], "1,4": [[entry]]}}
+
+
 #: an error line naming the float range, where a decided verdict's floats would leave it
 SPECTRUM_PAST_RANGE = ("error: the spectrum lies outside the float range: "
                        "some theta rounds to 0 or inf\n")
@@ -465,8 +470,18 @@ PERIOD_PAST_RANGE = "error: the period lies outside the float range: it exceeds 
     ({"parts": [2, 2], "mode": "exact",
       "blocks": {"1,2": [[f"1/{10**200}", f"{10**400 - 1}/{10**400}"], ["0", f"1/{10**200}"]]}},
      2, ("", SPECTRUM_PAST_RANGE)),
+    # the chain closed by an entry no float holds: theta^2 is irrational, and the float spectrum
+    # is solved on a copy of a * 2^-e, where 10^-400 rounds to 0 beside the largest entry 1
+    (_closed_chain(f"1/{10**400}"), 1,
+     ("spectrum (i * theta): 1.61803398875  0.61803398875  -0.61803398875  -1.61803398875\n"
+      "status: incommensurate\n", "")),
+    # closed by 10^400: the float spectrum, scaled back by 2^e, passes the float range
+    (_closed_chain(str(10**400)), 2, ("", SPECTRUM_PAST_RANGE)),
+    # the open chain of three entries 10^-400: every theta, scaled back, rounds to 0
+    ({**EXACT_CHAIN, "blocks": {key: [[f"1/{10**400}"]] for key in EXACT_CHAIN["blocks"]}}, 2,
+     ("", SPECTRUM_PAST_RANGE)),
 ], ids=["3e11", "2^600", "1e160", "chain", "1e-300", "1e-320", "1+1e-400", "entry-1e-400",
-         "1e-400"])
+         "1e-400", "chain-1e-400", "chain-1e400", "chain-of-1e-400"])
 def test_exact_closedness_beyond_float_squares(tmp_path, capsys, doc, code, expected):
     assert main(["closedness", write_json(tmp_path / "v.json", doc), "--mode", "exact"]) == code
     assert capsys.readouterr() == expected

@@ -1,6 +1,7 @@
 """Equigeodesic tests: both decision routes, structure predicates, canonical form."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import essentially_diagonal, random_tangent
+from conftest import essentially_diagonal, probe_grid, random_tangent
 from flagdesic import (
     CMatrix,
     FlagPartition,
@@ -34,6 +35,7 @@ from flagdesic import (
 )
 from flagdesic.examples import fixture_vector
 from flagdesic.flag import build_roots
+from flagdesic.linalg import SKEW_TOL_FACTOR, commutator, project_m
 
 GR = GaussianRational
 
@@ -317,6 +319,101 @@ def test_exact_canonicalize_is_that_of_its_float_copy(x):
     assert form.pairs == copy.pairs and form.residual == copy.residual
     assert form.U.data.tobytes() == copy.U.data.tobytes()
     assert form.J.data.tobytes() == copy.J.data.tobytes()
+
+
+def reference_certificate_residual(x):
+    """max over the probes of ||[mu.X, Y]_m|| / (||mu.X|| ||Y||), Y = L_ij mu.X, from CMatrix
+    operations on the whole matrix: mu_ij = 2^-e_ij, e_ij = math.frexp(the largest |re| or |im|
+    of block (i, j))[1], as the certificate balances a Float vector."""
+    p, a = x.partition, x.matrix.data
+    mu = np.zeros(a.shape)
+    for i in range(1, p.s + 1):
+        for j in range(1, p.s + 1):
+            at = np.s_[slice(*p.block_range(i)), slice(*p.block_range(j))]
+            top = max(np.abs(a[at].real).max(), np.abs(a[at].imag).max())
+            mu[at] = math.ldexp(1.0, -math.frexp(top)[1]) if top else 0.0
+    mx = CMatrix(a * mu, Mode.FLOAT)
+    worst = 0.0
+    for i, j in p.positive_pairs():
+        y = CMatrix(mx.data * probe_grid(p, i, j), Mode.FLOAT)
+        if not y.is_zero():
+            worst = max(worst, project_m(commutator(mx, y), p).fro() / (mx.fro() * y.fro()))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_block_vectors(Mode.FLOAT))
+def test_certificate_residual_matches_reference(x):
+    # dyadic entries: the brackets are exact in both, and only the last roundings differ
+    assert equigeodesic_certificate(x).worst_residual == pytest.approx(
+        reference_certificate_residual(x), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 2), (3, 2, 2, 1), (2, 2, 2, 2)])
+def test_certificate_residual_matches_reference_off_exact_skew(parts):
+    # conjugated vectors are skew-Hermitian only to rounding, a_ji = -a_ij^* to the last bits
+    p = FlagPartition(parts)
+    rng = np.random.default_rng(31)
+    for seed in range(6):
+        u = random_block_unitary(p, seed)
+        for x in (random_equigeodesic(p, seed), random_tangent(p, rng).conjugated_by(u)):
+            assert equigeodesic_certificate(x).worst_residual == pytest.approx(
+                reference_certificate_residual(x), rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def vectors_with_diagonal_noise(draw):
+    """(X + N, the m-part of X + N): X a Float vector of m from ``from_blocks`` or
+    ``random_equigeodesic``, N skew-Hermitian noise on the diagonal blocks, of norm up to
+    what the ``TangentVector`` constructor accepts (SKEW_TOL_FACTOR * ||X + N||)."""
+    p = FlagPartition(tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=5))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        x = random_equigeodesic(p, seed)
+    else:
+        keep = draw(st.sampled_from([0.3, 0.6, 1.0]))
+        x = TangentVector.from_blocks(p, {
+            (i, j): rng.normal(size=(p.parts[i - 1], p.parts[j - 1])) * (1 + 1j)
+            for i, j in p.positive_pairs() if rng.random() < keep})
+    noise = np.zeros((p.total, p.total), dtype=complex)
+    for i in range(1, p.s + 1):
+        at = np.s_[slice(*p.block_range(i)), slice(*p.block_range(i))]
+        z = rng.normal(size=noise[at].shape) + 1j * rng.normal(size=noise[at].shape)
+        noise[at] = (z - z.conj().T) / 2
+    noise *= draw(st.floats(0.01, 0.99)) * SKEW_TOL_FACTOR * x.fro() / np.linalg.norm(noise)
+    noisy = TangentVector(p, x.matrix + CMatrix(noise, Mode.FLOAT))
+    return noisy, TangentVector(p, project_m(noisy.matrix, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors_with_diagonal_noise())
+def test_routes_read_only_the_off_diagonal_blocks(pair):
+    # diagonal noise the constructor accepts changes neither route's verdict nor its residual
+    noisy, m_part = pair
+    verdicts = []
+    for route in (is_equigeodesic, equigeodesic_certificate):
+        v, w = route(noisy), route(m_part)
+        assert v._replace(worst_residual=0.0) == w._replace(worst_residual=0.0)
+        assert v.worst_residual == pytest.approx(w.worst_residual, rel=1e-12, abs=0.0)
+        verdicts.append(v.is_equigeodesic)
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("pair, at", [
+    (pair, at) for pair in [(0, 1), (0, 2), (1, 2)] for at in permutations(range(3), 2)
+    if set(at) != set(pair)])
+def test_a_block_without_its_mirror_still_counts(pair, at):
+    # skew only to tolerance: a block pair at +-1 and one other block at 1e-12, its mirror 0
+    a = np.zeros((3, 3), dtype=complex)
+    a[pair], a[pair[::-1]], a[at] = 1, -1, 1e-12
+    x = TangentVector(FlagPartition((1, 1, 1)), CMatrix(a, Mode.FLOAT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0 / 0 where a block's mirror is zero
+        v, c = is_equigeodesic(x), equigeodesic_certificate(x)
+    ok, worst, triple = reference_block_condition(x)
+    assert (v.is_equigeodesic, v.worst_residual, v.violating_triple) == (ok, worst, triple)
+    assert not ok and not c.is_equigeodesic and c.violating_triple == triple
 
 
 @pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])

@@ -106,7 +106,6 @@ def test_float_only_operations_reject_exact_input():
     x = TangentVector.from_blocks(p, {(1, 2): [[GR(1, 1)]]}, Mode.EXACT)
     calls = {
         "scale": lambda: x.matrix.scale(2),
-        "hadamard": lambda: x.matrix.hadamard(np.ones((2, 2))),
         "hadamard_action": lambda: hadamard_action(InvariantMetric.normal(p), x),
         "skew_spectrum": lambda: skew_spectrum(x.matrix),
         "killing_flow": lambda: killing_flow(x.matrix),
@@ -195,9 +194,7 @@ def test_the_constructor_copies_and_every_computed_matrix_is_read_only(mode):
     results = {"m+m": m + m, "m-m": m - m, "-m": -m, "m@m": m @ m, "m.H": m.H,
                "project_m": project_m(m, p), "to_float": m.to_float()}
     if mode is Mode.FLOAT:
-        results.update(scale=m.scale(2j), hadamard=m.hadamard(np.full((2, 2), 3.0)))
-        with pytest.raises(ValueError):  # a grid that does not broadcast to the matrix
-            m.hadamard(np.ones((1, 2, 2)))
+        results.update(scale=m.scale(2j))
     for name, r in results.items():
         assert not r.data.flags.writeable, name
         if r.mode is Mode.EXACT:
