@@ -1,10 +1,11 @@
 """Command-line front door: flagdesic check|canonicalize|closedness|curve|examples|roots.
 
-Exit codes: 0 affirmative, 1 negative, 2 usage or parse error (or an input too
-large for memory), 3 undetermined. ``canonicalize`` exits 1 only where the block
-condition fails, in the document's own mode (exactly, on an exact document), and 3 where it
-holds but no canonical form can be certified (the singular vectors kept at the rank cut do
-not fit a block, or the residual exceeds the bound), after printing why.
+``check`` names each failing route's own witness: the block condition's first violating
+triple, the certificate's first violating probe. Exit codes: 0 affirmative, 1 negative, 2
+usage or parse error (or an input too large for memory), 3 undetermined. ``canonicalize``
+exits 1 only where the block condition fails, in the document's own mode (exactly, on an exact
+document), and 3 where it holds but no canonical form can be certified (the singular vectors
+kept at the rank cut do not fit a block, or the residual exceeds the bound), after printing why.
 
 A command runs in a process of its own, through :func:`run`, which flushes stdout and
 stderr after the command and then ends the process with ``os._exit``: the interpreter
@@ -113,6 +114,8 @@ def _cmd_check(args) -> int:
         line += f"  worst residual {v.worst_residual:.3e}"
         if v.violating_triple is not None:
             line += f"  violating triple {v.violating_triple}"
+        if v.violating_probe is not None:
+            line += f"  violating probe {v.violating_probe}"
         print(line)
     return 0 if (block.is_equigeodesic and cert.is_equigeodesic) else 1
 

@@ -6,12 +6,13 @@ metric) exactly when all cross products of its blocks vanish:
 
     a_ij a_jm = 0   for all ordered distinct triples (i, j, m).
 
-Two independent routes decide this: the block condition above (scanned by
-``flag._scan_block_products``), and a finite bracket certificate probing [X, L_ij X] over the
-0/1 multiplier basis. The equivalence of the two is one of the library's acceptance gates. Both
-run on ``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one
-scale, and apply its one residual rule in both modes: a residual sqrt(num / den),
-violated where num > tol^2 * den, with tol = 0 on Exact ints.
+Two independent routes decide this: the block condition above (``flag._scan_block_products``)
+and a finite bracket certificate probing [X, L_ij X] over the 0/1 multiplier basis. Their
+equivalence is one of the library's acceptance gates; neither reads the other's results, and
+each names its own witness, its first violating triple (i, j, m) or probe (i, j). Both run on
+``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one scale, and
+apply its one residual rule in both modes: a residual sqrt(num / den), violated where
+num > tol^2 * den, with tol = 0 on Exact ints.
 
 Equigeodesic matrices admit a block-unitary canonical form: conjugation by a
 suitable U = U_1 + ... + U_s (direct sum) turns A into an essentially diagonal
@@ -48,7 +49,8 @@ class EquigeodesicVerdict(NamedTuple):
     is_equigeodesic: bool
     method: str  # "block-condition" or "bracket-certificate"
     worst_residual: float
-    violating_triple: Optional[tuple] = None
+    violating_triple: Optional[tuple] = None  # the block condition's first (i, j, m)
+    violating_probe: Optional[tuple] = None  # the certificate's first (i, j), a metric direction
 
 
 class CanonicalForm(NamedTuple):
@@ -119,7 +121,7 @@ def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> Equigeod
     zero test. Vacuously true when the partition has fewer than three blocks.
     """
     _require_tol(tol)
-    worst, first_bad, _ = _scan_block_products(x, tol)
+    worst, first_bad = _scan_block_products(x, tol)
     return EquigeodesicVerdict(first_bad is None, "block-condition", worst, first_bad)
 
 
@@ -135,13 +137,13 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     only when a_ij and a_ji are both 0: after balancing, a block may be of unit size beside
     a zero mirror, and its products a_km a_ml still lie in rows K of probe {l, m}. The
     residual is ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide
-    beside one large block.
+    beside one large block. The witness is the first probe (i, j) whose residual breaks the
+    rule: a metric direction L_ij for which X is not geodesic.
     """
     _require_tol(tol)
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
     total = norms.sum() - norms.trace()  # ||X||^2 over the off-diagonal blocks
-    worst = 0.0
-    failed = False
+    worst, first_bad = 0.0, None
     for i, j in p.positive_pairs():
         if not norms[i - 1, j - 1] + norms[j - 1, i - 1]:
             continue
@@ -150,12 +152,9 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
         num = 2 * _norm_sq(np.hstack([a[k, bj] @ a[bj, bi], a[k, bi] @ a[bi, bj]]))
         den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
         worst = max(worst, math.sqrt(num / den))
-        failed = failed or num > tol**2 * den
-    triple = None
-    if failed:
-        _, first_bad, argmax = _scan_block_products(x, tol)
-        triple = first_bad if first_bad is not None else argmax
-    return EquigeodesicVerdict(not failed, "bracket-certificate", worst, triple)
+        if first_bad is None and num > tol**2 * den:
+            first_bad = (i, j)
+    return EquigeodesicVerdict(first_bad is None, "bracket-certificate", worst, None, first_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     underflows and U is that of the matrix; the pair values and the residual are
     divided back, and a pair value past the float range raises ValueError.
     """
-    _require_equigeodesic(x)
+    worst, tol = _require_equigeodesic(x), 0.0 if x.mode is Mode.EXACT else DEFAULT_EQUI_TOL
     x = x.to_float()
     p = x.partition
     scale = _unit_scale(x.matrix.data)
@@ -285,8 +284,8 @@ def canonicalize(x: TangentVector) -> CanonicalForm:
     bound = CANON_RESIDUAL_TOL * float(np.linalg.norm(A)) + math.sqrt(2.0 * cut)
     if residual > bound:
         raise RuntimeError(
-            f"canonical form residual {residual / scale:.3e} exceeds {bound / scale:.3e}; "
-            "input is too close to the rank boundary"
+            f"canonical form residual {residual / scale:.3e} exceeds {bound / scale:.3e}; the "
+            f"block condition's worst residual is {worst:.3e}, within its tolerance {tol:.3e}"
         )
     # the key rounds to the 12 digits the listing prints, so pairs equal in exact
     # arithmetic are listed by place, not by rounding noise in their last bits

@@ -271,18 +271,17 @@ class NotEquigeodesic(ValueError):
 def _scan_block_products(x: TangentVector, tol: float):
     """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
 
-    Returns (worst residual, first violating triple or None, argmax triple),
-    both triples the first in lexicographic (i, j, m) order. One middle block
-    j at a time: A[:, J] @ A[J, :] holds every product a_ij a_jm at once, and
-    only the rows and columns of blocks joined to j by a nonzero block count.
+    Returns (worst residual, first violating triple or None), the triple the first in
+    lexicographic (i, j, m) order. One middle block j at a time: A[:, J] @ A[J, :] holds
+    every product a_ij a_jm at once, and only the rows and columns of blocks joined to j
+    by a nonzero block count.
     """
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
     nonzero = (norms != 0) | (norms.T != 0)  # Float skew only to tolerance: a mirror may be 0
     np.fill_diagonal(nonzero, False)
     parts = np.array(p.parts)
     block_of = p.block_index
-    first_bad = None
-    peaks = []  # (-residual, triple) of the largest residual per middle block
+    worst, firsts = 0.0, []  # the first violating triple of each middle block j
     for j in range(p.s):
         # only the blocks joined to j by a nonzero block can give a nonzero product
         near = np.flatnonzero(nonzero[j])
@@ -294,22 +293,16 @@ def _scan_block_products(x: TangentVector, tol: float):
         np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
         # a zero product is a zero residual; + 1 there spares 0 / 0 where only a_ji is nonzero
         den = np.outer(norms[near, j], norms[j, near]) + (num == 0)
-        res = np.sqrt((num / den).astype(float))
-        bad = num > tol**2 * den
-        if bad.any():
-            i, m = near[np.argwhere(bad)[0]]
-            triple = (int(i) + 1, j + 1, int(m) + 1)
-            first_bad = triple if first_bad is None else min(first_bad, triple)
-        i, m = divmod(int(np.argmax(res)), near.size)
-        if res[i, m] > 0.0:
-            peaks.append((-float(res[i, m]), (int(near[i]) + 1, j + 1, int(near[m]) + 1)))
-    neg_worst, argmax = min(peaks, default=(-0.0, None))
-    return -neg_worst, first_bad, argmax
+        worst = max(worst, float(np.sqrt((num / den).astype(float)).max()))
+        for i, m in near[np.argwhere(num > tol**2 * den)[:1]].tolist():
+            firsts.append((i + 1, j + 1, m + 1))
+    return worst, min(firsts, default=None)
 
 
-def _require_equigeodesic(x: TangentVector) -> None:
-    """Raise NotEquigeodesic, naming the first violating triple, unless the block condition holds."""
-    worst, first_bad, _ = _scan_block_products(x, DEFAULT_EQUI_TOL)
+def _require_equigeodesic(x: TangentVector) -> float:
+    """Return the block condition's worst residual, or raise NotEquigeodesic at its first triple."""
+    worst, first_bad = _scan_block_products(x, DEFAULT_EQUI_TOL)
     if first_bad is not None:
         raise NotEquigeodesic(f"input is not equigeodesic: blocks {first_bad} have "
                               f"residual {worst:.3e}", violating_triple=first_bad)
+    return worst

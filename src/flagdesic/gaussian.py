@@ -187,7 +187,10 @@ def exact_skew_squares(a: CMatrix):
     often, as p is in Z[x]. A window without a root means an irrational theta^2 and an
     incommensurate spectrum (theta_k = q_k theta_ref with rational q_k makes tr(-a^2) =
     theta_ref^2 sum q_k^2, and so each theta^2, rational): then squares are all None, and
-    thetas the float spectrum of ``_float_thetas``."""
+    thetas the float spectrum of ``_float_thetas``. Where sum theta_k^2 = ||a||_F^2 reaches
+    n 2^2048, some theta >= 2^1024 rounds to inf: ValueError, before the polynomial is formed."""
+    if sum((v * v).sum() for v in a.int_parts()) >= a.n_rows * a.den**2 << 2048:
+        raise ValueError(_ROUNDS_AWAY)
     p = exact_char_poly(a)
     s = np.convolve(p, p * (-1) ** np.arange(len(p)))[::2].tolist()
     y, spectrum = -s[1], []  # the sum of the roots

@@ -64,7 +64,8 @@ def test_check_negative_with_triple(tmp_path, capsys):
         assert main(["check", write_json(tmp_path / "chain.json", chain_document(c))]) == 1
         out = capsys.readouterr().out
         assert out.count("false") == 2
-        assert out.count("(1, 2, 3)") == 2
+        assert out.count("violating triple (1, 2, 3)") == 1
+        assert out.count("violating probe (1, 2)") == 1
 
 
 def test_check_diagonal_block_error(tmp_path, capsys):
@@ -252,6 +253,31 @@ def test_canonicalize_of_a_marginal_equigeodesic_is_undetermined(tmp_path, capsy
     assert not out.exists()
 
 
+# a_12 = (1, 5e-9) and a_23 = e_2: the block condition holds to its tolerance (residual 5e-9),
+# and each block has the one singular value 1, so the rank cut drops nothing; the product
+# a_12 a_23 = 5e-9 stays in the form, past its residual bound
+_NEAR = {"parts": [1, 2, 1], "blocks": {"1,2": [[[1, 0], [5e-9, 0]]], "2,3": [[[0, 0]], [[1, 0]]]}}
+
+
+def test_canonicalize_of_a_form_past_its_residual_bound_is_undetermined(tmp_path, capsys):
+    path = write_json(tmp_path / "near.json", _NEAR)
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "canon.json"
+    assert main(["canonicalize", path, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: canonical form undetermined: canonical form residual "
+                                       "7.071e-09 exceeds 2.000e-09; the block condition's worst "
+                                       "residual is 5.000e-09, within its tolerance 1.000e-08\n")
+    assert not out.exists()
+    # the exact twin fails the block condition: canonicalize decides it exactly and exits 1
+    twin = write_json(tmp_path / "near.exact.json", {**_NEAR, "mode": "exact", "blocks": {
+        "1,2": [["1", "5/1000000000"]], "2,3": [["0"], ["1"]]}})
+    assert main(["canonicalize", twin, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "not equigeodesic: input is not equigeodesic: blocks "
+                                       "(1, 2, 3) have residual 5.000e-09\n")
+    assert not out.exists()
+
+
 def _exact_marginal(parts):
     """The exact twin of the marginal documents: a_12 = diag(1, 3/10^9) and a_13 = e_2."""
     pad = parts[0] - 2
@@ -266,7 +292,8 @@ def test_canonicalize_decides_the_block_condition_of_an_exact_document_exactly(t
                                                                                 parts):
     path = write_json(tmp_path / "marginal.exact.json", _exact_marginal(parts))
     assert main(["check", path, "--mode", "exact"]) == 1
-    assert capsys.readouterr().out.count("violating triple (2, 1, 3)") == 2
+    out = capsys.readouterr().out
+    assert out.count("violating triple (2, 1, 3)") == out.count("violating probe (1, 2)") == 1
     out = tmp_path / "canon.json"
     assert main(["canonicalize", path, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "not equigeodesic: input is not equigeodesic: blocks "
@@ -361,7 +388,7 @@ def test_check_exact_with_huge_denominators(tmp_path, capsys):
     exact_out = capsys.readouterr().out
     assert main(["check", path]) == 1
     assert exact_out == capsys.readouterr().out
-    assert "violating triple (1, 2, 3)" in exact_out
+    assert "violating triple (1, 2, 3)" in exact_out and "violating probe (1, 2)" in exact_out
 
 
 def test_closedness_exact_mode(tmp_path, capsys):
@@ -485,6 +512,24 @@ PERIOD_PAST_RANGE = "error: the period lies outside the float range: it exceeds 
 def test_exact_closedness_beyond_float_squares(tmp_path, capsys, doc, code, expected):
     assert main(["closedness", write_json(tmp_path / "v.json", doc), "--mode", "exact"]) == code
     assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_exact_closedness_past_the_float_range_by_its_norm_solves_nothing(monkeypatch, tmp_path,
+                                                                           capsys, n):
+    # every entry 10^4200: sum theta^2 = ||A||_F^2 >= n 2^2048, so the largest theta rounds to inf,
+    # before a characteristic polynomial that takes seconds (n = 13) or is out of reach (n = 20)
+    import flagdesic.gaussian as gaussian
+
+    calls = []
+    solve = gaussian.exact_char_poly
+    monkeypatch.setattr(gaussian, "exact_char_poly", lambda a: calls.append(a) or solve(a))
+    entry = [["1" + "0" * 4200]]
+    doc = {"parts": [1] * n, "mode": "exact",
+           "blocks": {f"{i},{j}": entry for i, j in FlagPartition((1,) * n).positive_pairs()}}
+    assert main(["closedness", write_json(tmp_path / "v.json", doc), "--mode", "exact"]) == 2
+    assert capsys.readouterr() == ("", SPECTRUM_PAST_RANGE)
+    assert calls == []
 
 
 def _run_warning_free(args, timeout=60):

@@ -130,7 +130,7 @@ def test_f3_chain_is_not_equigeodesic():
             assert v.worst_residual > 1e-8
             c = equigeodesic_certificate(x)
             assert not c.is_equigeodesic
-            assert c.violating_triple == (1, 2, 3)
+            assert (c.violating_triple, c.violating_probe) == (None, (1, 2))  # a_32 a_21 in rows 3
             residuals.append(c.worst_residual)
         assert residuals[0] == pytest.approx(residuals[1], rel=1e-12)
 
@@ -202,10 +202,11 @@ def test_exact_routes_with_huge_denominators(digits):
     x = TangentVector.from_blocks(
         FlagPartition((1, 1, 1)), dict(zip([(1, 2), (2, 3), (1, 3)], near_one)), Mode.EXACT
     )
-    for route in (is_equigeodesic, equigeodesic_certificate):
+    for route, witness in ((is_equigeodesic, ((1, 2, 3), None)),
+                           (equigeodesic_certificate, (None, (1, 2)))):
         v, vf = route(x), route(x.to_float())
         assert not v.is_equigeodesic
-        assert v.violating_triple == vf.violating_triple == (1, 2, 3)
+        assert v[3:] == vf[3:] == witness
         assert v.worst_residual == pytest.approx(vf.worst_residual, rel=1e-12)
     assert not is_essentially_block_diagonal(x)
     y = TangentVector.from_blocks(
@@ -255,6 +256,13 @@ def reference_block_condition(x, tol=1e-8):
     return ok, worst, None if ok else first_bad
 
 
+def reference_violating_triples(x):
+    """Every ordered triple (i, j, m) of distinct blocks whose product a_ij a_jm is not exactly
+    zero, of an Exact vector, from the same per-triple loop."""
+    return [(i, j, m) for i, j, m in permutations(range(1, x.partition.s + 1), 3)
+            if not (block(x, i, j) @ block(x, j, m)).is_zero()]
+
+
 @st.composite
 def sparse_block_vectors(draw, mode):
     """Small Gaussian-integer entries times 2**k, k in [-500, 0] per block, on a random
@@ -288,9 +296,13 @@ def _assert_matches_reference(x):
     assert v.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
     assert v.violating_triple == triple
     c = equigeodesic_certificate(x)
-    assert c.is_equigeodesic == ok and c.violating_triple == triple
-    # the entries are dyadic, so the other mode holds the same matrix
+    assert c.is_equigeodesic == ok and c.violating_triple is None
+    # the entries are dyadic, so the other mode holds the same matrix, and its brackets are exact
+    assert c.violating_probe == reference_certificate_residual(x.to_float())[1]
     if x.mode is Mode.EXACT:
+        # probe {j, m} holds the products a_kj a_jm and a_km a_mj of the rows k outside j and m
+        probes = [(min(j, m), max(j, m)) for _, j, m in reference_violating_triples(x)]
+        assert c.violating_probe == min(probes, default=None)
         other = x.to_float()
     else:
         rows = [[GR(Fraction(z.real), Fraction(z.imag)) for z in row] for row in x.matrix.data]
@@ -321,10 +333,11 @@ def test_exact_canonicalize_is_that_of_its_float_copy(x):
     assert form.J.data.tobytes() == copy.J.data.tobytes()
 
 
-def reference_certificate_residual(x):
-    """max over the probes of ||[mu.X, Y]_m|| / (||mu.X|| ||Y||), Y = L_ij mu.X, from CMatrix
-    operations on the whole matrix: mu_ij = 2^-e_ij, e_ij = math.frexp(the largest |re| or |im|
-    of block (i, j))[1], as the certificate balances a Float vector."""
+def reference_certificate_residual(x, tol=1e-8):
+    """(max over the probes of ||[mu.X, Y]_m|| / (||mu.X|| ||Y||), the first probe (i, j) in
+    (i, j) order whose ratio exceeds tol, or None), Y = L_ij mu.X, from CMatrix operations on
+    the whole Float matrix: mu_ij = 2^-e_ij, e_ij = math.frexp(the largest |re| or |im| of
+    block (i, j))[1], as the certificate balances a Float vector."""
     p, a = x.partition, x.matrix.data
     mu = np.zeros(a.shape)
     for i in range(1, p.s + 1):
@@ -333,20 +346,24 @@ def reference_certificate_residual(x):
             top = max(np.abs(a[at].real).max(), np.abs(a[at].imag).max())
             mu[at] = math.ldexp(1.0, -math.frexp(top)[1]) if top else 0.0
     mx = CMatrix(a * mu, Mode.FLOAT)
-    worst = 0.0
+    worst, first_bad = 0.0, None
     for i, j in p.positive_pairs():
         y = CMatrix(mx.data * probe_grid(p, i, j), Mode.FLOAT)
         if not y.is_zero():
-            worst = max(worst, project_m(commutator(mx, y), p).fro() / (mx.fro() * y.fro()))
-    return worst
+            res = project_m(commutator(mx, y), p).fro() / (mx.fro() * y.fro())
+            worst = max(worst, res)
+            if first_bad is None and res > tol:
+                first_bad = (i, j)
+    return worst, first_bad
 
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_block_vectors(Mode.FLOAT))
 def test_certificate_residual_matches_reference(x):
     # dyadic entries: the brackets are exact in both, and only the last roundings differ
-    assert equigeodesic_certificate(x).worst_residual == pytest.approx(
-        reference_certificate_residual(x), rel=1e-9, abs=0.0)
+    c, (worst, probe) = equigeodesic_certificate(x), reference_certificate_residual(x)
+    assert c.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
+    assert c.violating_probe == probe
 
 
 @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 2), (3, 2, 2, 1), (2, 2, 2, 2)])
@@ -358,7 +375,15 @@ def test_certificate_residual_matches_reference_off_exact_skew(parts):
         u = random_block_unitary(p, seed)
         for x in (random_equigeodesic(p, seed), random_tangent(p, rng).conjugated_by(u)):
             assert equigeodesic_certificate(x).worst_residual == pytest.approx(
-                reference_certificate_residual(x), rel=1e-9, abs=1e-12)
+                reference_certificate_residual(x)[0], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 2), (3, 2, 2, 1), (2, 2, 2, 2)])
+def test_equigeodesic_vectors_have_no_violating_probe(parts):
+    for seed in range(6):
+        x = random_equigeodesic(FlagPartition(parts), seed)
+        assert equigeodesic_certificate(x).violating_probe is None
+        assert reference_certificate_residual(x)[1] is None
 
 
 @st.composite
@@ -413,18 +438,22 @@ def test_a_block_without_its_mirror_still_counts(pair, at):
         v, c = is_equigeodesic(x), equigeodesic_certificate(x)
     ok, worst, triple = reference_block_condition(x)
     assert (v.is_equigeodesic, v.worst_residual, v.violating_triple) == (ok, worst, triple)
-    assert not ok and not c.is_equigeodesic and c.violating_triple == triple
+    assert not ok and not c.is_equigeodesic and c.violating_triple is None
+    # the one nonzero product a_kj a_jm lies in rows k of probe {j, m}; X is skew only to
+    # tolerance, so the whole-matrix reference brackets are not the certificate's here
+    assert c.violating_probe == tuple(sorted(triple[1:]))
 
 
 @pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])
 def test_first_violating_triple_is_lexicographic(mode):
-    # chains 1-4-5 and 2-3-6: (1, 4, 5) comes first although its middle block is later
+    # chains 1-4-5 and 2-3-6: (1, 4, 5) comes first although its middle block is later; the
+    # certificate's first probe is (1, 4), which holds a_54 a_41 in row 5
     p = FlagPartition((1,) * 6)
     one = [[GR(1)]] if mode is Mode.EXACT else [[1.0]]
     x = TangentVector.from_blocks(p, {(1, 4): one, (4, 5): one, (2, 3): one, (3, 6): one}, mode)
     assert reference_block_condition(x)[2] == (1, 4, 5)
     assert is_equigeodesic(x).violating_triple == (1, 4, 5)
-    assert equigeodesic_certificate(x).violating_triple == (1, 4, 5)
+    assert equigeodesic_certificate(x)[3:] == (None, (1, 4))
 
 
 # ---------------------------------------------------------------------------

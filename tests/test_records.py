@@ -42,7 +42,7 @@ RECORDS = {
     InvariantMetric: ({"partition": P, "lam": {(1, 2): 2.0}}, {}, {"lam": {(1, 2): 3.0}}),
     EquigeodesicVerdict: (
         {"is_equigeodesic": True, "method": "block-condition", "worst_residual": 0.0},
-        {"violating_triple": (None, (1, 2, 3))},
+        {"violating_triple": (None, (1, 2, 3)), "violating_probe": (None, (1, 2))},
         {"worst_residual": 1.0},
     ),
     CanonicalForm: (
