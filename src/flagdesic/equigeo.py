@@ -129,23 +129,19 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     """Bracket certificate: [X, L_ij X]_m = 0 for every 0/1 probe multiplier L_ij.
 
     The probes form a basis of all multiplier tables, so the s(s-1)/2 bracket
-    evaluations quantify over every invariant metric at once. Only the off-diagonal blocks
-    and a_ji = -a_ij^* (in Float only to SKEW_TOL_FACTOR * ||A||) are read, so a vector and
-    its m-part get the same verdict. Y = L_ij X is a_ij + a_ji and YX = (XY)^*, so [X, Y]
-    vanishes on (I u J)^2 and its squared norm is twice that of XY on the rows K outside
-    I u J: a_Kj a_ji and a_Ki a_ij, O((n - n_i - n_j) n_i n_j) per probe. A probe is skipped
-    only when a_ij and a_ji are both 0: after balancing, a block may be of unit size beside
-    a zero mirror, and its products a_km a_ml still lie in rows K of probe {l, m}. The
-    residual is ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide
-    beside one large block. The witness is the first probe (i, j) whose residual breaks the
-    rule: a metric direction L_ij for which X is not geodesic.
+    evaluations quantify over every invariant metric at once. X lies in m exactly, so
+    Y = L_ij X is a_ij + a_ji and YX = (XY)^*: [X, Y] vanishes on (I u J)^2 and its squared
+    norm is twice that of XY on the rows K outside I u J, a_Kj a_ji and a_Ki a_ij,
+    O((n - n_i - n_j) n_i n_j) per probe; a probe with a_ij = 0 is skipped. The residual is
+    ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide beside one
+    large block. The witness is the first probe (i, j) whose residual breaks the rule: a
+    metric direction L_ij for which X is not geodesic.
     """
     _require_tol(tol)
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
-    total = norms.sum() - norms.trace()  # ||X||^2 over the off-diagonal blocks
-    worst, first_bad = 0.0, None
+    total, worst, first_bad = norms.sum(), 0.0, None
     for i, j in p.positive_pairs():
-        if not norms[i - 1, j - 1] + norms[j - 1, i - 1]:
+        if not norms[i - 1, j - 1]:
             continue
         (i0, i1), (j0, j1) = p.block_range(i), p.block_range(j)
         bi, bj, k = slice(i0, i1), slice(j0, j1), np.r_[:i0, i1:j0, j1:len(a)]
@@ -185,7 +181,6 @@ def is_essentially_block_diagonal(x: TangentVector) -> bool:
     """
     _, _, norms, tol = _block_arrays(x, ESSENTIAL_ENTRY_TOL)
     nonzero = norms > tol**2 * norms.sum()
-    np.fill_diagonal(nonzero, False)
     return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 
 

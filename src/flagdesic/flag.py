@@ -3,11 +3,11 @@
 Partitions, block coordinates, tangent vectors, block-wise norms, and the
 positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
-everywhere in the public API. Outside ``linalg``, only this module reads an Exact ``data``,
-the 2 x 2 embedding: ``TangentVector.from_blocks`` places each block's ``data`` by one rule in
-both modes, and ``_block_arrays`` gives every block kernel its numbers and its tolerance (with
-``block_norms_sq`` and ``_norm_sq``). The block condition a_ij a_jm = 0, the gate of canonical
-forms and return distances, is scanned here.
+everywhere in the public API. A ``TangentVector`` holds a point of m exactly, so every block
+kernel may read a_ji = -a_ij^* and zero diagonal blocks. Outside ``linalg``, only this module
+reads an Exact ``data``: ``TangentVector.from_blocks`` places each block's ``data`` by one rule,
+and ``_block_arrays`` gives every block kernel its numbers and its tolerance (with
+``block_norms_sq`` and ``_norm_sq``). The block condition a_ij a_jm = 0 is scanned here.
 """
 
 from __future__ import annotations
@@ -112,8 +112,10 @@ def t_roots(partition: FlagPartition) -> list:
 
 
 class TangentVector(Immutable):
-    """Element of the tangent space m: skew-Hermitian with zero diagonal blocks.
-    Equality is identity."""
+    """Element of the tangent space m: skew-Hermitian with zero diagonal blocks, exactly.
+    Equality is identity. A Float A within SKEW_TOL_FACTOR * ||A|| of m is stored as its nearest
+    point of m (Fan & Hoffman), (A - A^*) / 2 with zero diagonal blocks: each entry that already
+    mirrors bit for bit, and a matrix already in m as given."""
 
     def __init__(self, partition: FlagPartition, matrix: CMatrix):
         object.__setattr__(self, "partition", partition)
@@ -132,6 +134,11 @@ class TangentVector(Immutable):
             fro = self.matrix.fro()
             raise ValueError(f"diagonal block {i + 1} is not zero "
                              f"(norm {math.sqrt(diag[i] / total) * fro:.3e} > {tol * fro:.3e})")
+        if self.mode is Mode.FLOAT:  # A is in m where each entry mirrors, its diagonal blocks 0
+            a, h, off = matrix.data, -matrix.data.conj().T, off_block_mask(partition)
+            if not (a == h).all() or a[~off].any():  # halved first, so no sum overflows
+                m = np.where(off, np.where(a == h, a, a / 2 + h / 2), 0)
+                object.__setattr__(self, "matrix", _build(m, Mode.FLOAT))
 
     @property
     def mode(self) -> Mode:
@@ -277,8 +284,7 @@ def _scan_block_products(x: TangentVector, tol: float):
     by a nonzero block count.
     """
     p, a, norms, tol = _block_arrays(x, tol, balance=True)
-    nonzero = (norms != 0) | (norms.T != 0)  # Float skew only to tolerance: a mirror may be 0
-    np.fill_diagonal(nonzero, False)
+    nonzero = norms != 0
     parts = np.array(p.parts)
     block_of = p.block_index
     worst, firsts = 0.0, []  # the first violating triple of each middle block j
@@ -291,8 +297,7 @@ def _scan_block_products(x: TangentVector, tol: float):
         lo, hi = p.offsets[j], p.offsets[j + 1]
         num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
         np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
-        # a zero product is a zero residual; + 1 there spares 0 / 0 where only a_ji is nonzero
-        den = np.outer(norms[near, j], norms[j, near]) + (num == 0)
+        den = np.outer(norms[near, j], norms[j, near])
         worst = max(worst, float(np.sqrt((num / den).astype(float)).max()))
         for i, m in near[np.argwhere(num > tol**2 * den)[:1]].tolist():
             firsts.append((i + 1, j + 1, m + 1))

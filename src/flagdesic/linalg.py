@@ -300,13 +300,16 @@ def _unit_scale(arr: np.ndarray) -> float:
 
 def require_skew_hermitian(a: CMatrix):
     """Raise NotSkewHermitian unless a + a^* vanishes: exactly in Exact mode, and
-    within SKEW_TOL_FACTOR * ||a||_F in Float mode."""
+    within SKEW_TOL_FACTOR * ||a||_F in Float mode, where a non-finite entry raises
+    ValueError naming the first one."""
     if not a.is_square:
         raise ValueError("skew-Hermitian test requires a square matrix")
     if a.mode is Mode.EXACT:
         # the embedding is antisymmetric <=> a is skew-Hermitian
         ok, tol = not (a.data + a.data.T).any(), "exact test"
     else:
+        for r, c in np.argwhere(~np.isfinite(a.data))[:1].tolist():
+            raise ValueError(f"entry ({r + 1}, {c + 1}) is not finite: {a.data[r, c]}")
         bound = SKEW_TOL_FACTOR * a.fro()
         ok, tol = (a + a.H).fro() <= bound, f"tolerance {bound:.3e}"
     if not ok:

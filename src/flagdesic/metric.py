@@ -31,6 +31,8 @@ class InvariantMetric(Immutable):
                 f"got {sorted(got)}"
             )
         for pair, v in self.lam.items():
+            if not np.isfinite(float(v)):
+                raise ValueError(f"metric multiplier {pair} must be finite, got {float(v)}")
             if float(v) <= 0:
                 raise ValueError(f"metric multiplier {pair} must be positive, got {float(v)}")
 

@@ -368,7 +368,8 @@ def test_certificate_residual_matches_reference(x):
 
 @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 2), (3, 2, 2, 1), (2, 2, 2, 2)])
 def test_certificate_residual_matches_reference_off_exact_skew(parts):
-    # conjugated vectors are skew-Hermitian only to rounding, a_ji = -a_ij^* to the last bits
+    # conjugated vectors are stored as their m-parts, whose entries differ from the products'
+    # in the last bits
     p = FlagPartition(parts)
     rng = np.random.default_rng(31)
     for seed in range(6):
@@ -429,19 +430,21 @@ def test_routes_read_only_the_off_diagonal_blocks(pair):
     (pair, at) for pair in [(0, 1), (0, 2), (1, 2)] for at in permutations(range(3), 2)
     if set(at) != set(pair)])
 def test_a_block_without_its_mirror_still_counts(pair, at):
-    # skew only to tolerance: a block pair at +-1 and one other block at 1e-12, its mirror 0
+    # given skew only to tolerance: a block pair at +-1 and one other block at 1e-12, its mirror 0
     a = np.zeros((3, 3), dtype=complex)
     a[pair], a[pair[::-1]], a[at] = 1, -1, 1e-12
     x = TangentVector(FlagPartition((1, 1, 1)), CMatrix(a, Mode.FLOAT))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no 0 / 0 where a block's mirror is zero
+        warnings.simplefilter("error")  # no 0 / 0 in either route
         v, c = is_equigeodesic(x), equigeodesic_certificate(x)
     ok, worst, triple = reference_block_condition(x)
     assert (v.is_equigeodesic, v.worst_residual, v.violating_triple) == (ok, worst, triple)
     assert not ok and not c.is_equigeodesic and c.violating_triple is None
-    # the one nonzero product a_kj a_jm lies in rows k of probe {j, m}; X is skew only to
-    # tolerance, so the whole-matrix reference brackets are not the certificate's here
-    assert c.violating_probe == tuple(sorted(triple[1:]))
+    # the vector holds the m-part, a_at and its mirror at +-5e-13, so the certificate's
+    # brackets are the whole-matrix reference's
+    worst, probe = reference_certificate_residual(x)
+    assert c.violating_probe == probe
+    assert c.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])

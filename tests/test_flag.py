@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
@@ -19,10 +19,12 @@ from flagdesic import (
     basis_unit,
     build_roots,
     project_m,
+    random_block_unitary,
     t_roots,
     weyl_vector,
 )
-from flagdesic.flag import off_block_positions
+from flagdesic.flag import off_block_mask, off_block_positions
+from flagdesic.linalg import SKEW_TOL_FACTOR, _unit_scale
 
 
 def test_partition_basics():
@@ -237,6 +239,78 @@ def test_tangent_vector_names_the_nonzero_diagonal_block():
     msg = r"^diagonal block 3 is not zero \(norm 5\.657e\+00 > 7\.071e-09\)$"
     with pytest.raises(ValueError, match=msg):
         TangentVector(p, CMatrix(fl, Mode.FLOAT))
+
+
+#: Entries of a vector already in m: the ends of the float range and a signed zero among them
+EDGE_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 1e-320, -1e-320])
+
+
+@st.composite
+def accepted_float_inputs(draw):
+    """(partition, a Float matrix A the constructor accepts, a point of m near A or None,
+    whether A is already in m): a vector of m with edge entries, or a conjugated vector, a
+    vector of m plus diagonal-block noise up to SKEW_TOL_FACTOR * ||A||, or a block pair at
+    +-1 beside one block whose mirror is 0 (and a mirrored subnormal pair), as drawn or
+    scaled so that its largest part lies in [2^1023, 2^1024) or [2^-1001, 2^-1000)."""
+    p = FlagPartition(tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["in m", "conjugated", "diagonal noise", "one-sided"]))
+    if kind == "in m":
+        blocks = {(i, j): draw(st.lists(st.lists(st.builds(complex, EDGE_PARTS, EDGE_PARTS),
+                                                 min_size=p.parts[j - 1], max_size=p.parts[j - 1]),
+                                        min_size=p.parts[i - 1], max_size=p.parts[i - 1]))
+                  for i, j in p.positive_pairs()}
+        x = TangentVector.from_blocks(p, blocks)
+        return p, x.matrix, x.matrix, True
+    e = draw(st.sampled_from([None, 1024, -1000]))
+
+    def scaled(arr, like):  # exactly, by the power of two that takes like's largest part there
+        return arr if e is None else arr * _unit_scale(like) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+
+    base = TangentVector.from_blocks(p, {
+        (i, j): rng.normal(size=(p.parts[i - 1], p.parts[j - 1]))
+        + 1j * rng.normal(size=(p.parts[i - 1], p.parts[j - 1])) for i, j in p.positive_pairs()})
+    if kind == "conjugated":
+        u = random_block_unitary(p, seed)
+        a = (u.H @ base.matrix @ u).data
+        return p, CMatrix(scaled(a, a), Mode.FLOAT), None, False
+    a, off = base.matrix.data.copy(), off_block_mask(p)
+    if kind == "diagonal noise":
+        z = np.where(off, 0, rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+        z = (z - z.conj().T) / 2
+        a += z * (draw(st.floats(0.01, 0.99)) * SKEW_TOL_FACTOR * base.fro() / np.linalg.norm(z))
+        near = CMatrix(scaled(base.matrix.data, a), Mode.FLOAT)
+        return p, CMatrix(scaled(a, a), Mode.FLOAT), near, False
+    a[:], at = 0, np.argwhere(off).tolist()
+    r, c = draw(st.sampled_from(at))
+    a[r, c], a[c, r] = 1, -1
+    r, c = draw(st.sampled_from([rc for rc in at if set(rc) != {r, c}]))
+    a[r, c] = 1e-12
+    a = scaled(a, a)
+    r, c = draw(st.sampled_from([(r, c) for r, c in at if not (a[r, c] or a[c, r])]))
+    a[r, c], a[c, r] = 1.5e-323, -1.5e-323  # 3 * 2^-1074, which halving would round
+    return p, CMatrix(a, Mode.FLOAT), None, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(accepted_float_inputs())
+def test_a_float_vector_holds_its_nearest_point_of_m(case):
+    p, m, near, in_m = case
+    x = TangentVector(p, m)
+    a, d = m.data, x.matrix.data
+    assert np.isfinite(d).all()  # the halves are added, not the entries
+    assert np.array_equal(d, -d.conj().T)  # skew-Hermitian exactly
+    assert not d[~off_block_mask(p)].any()  # diagonal blocks exactly 0
+    assert (x.matrix is m) == np.array_equal(d, a)  # a new matrix only where A leaves m
+    if in_m:
+        assert x.matrix is m
+    # an entry that already mirrors stays bit for bit
+    keep = off_block_mask(p) & (a == -a.conj().T)
+    assert d[keep].view(np.uint64).tolist() == a[keep].view(np.uint64).tolist()
+    if near is not None:  # the nearest point of m is no farther from A than another one
+        s = _unit_scale(a)  # exact, so no square overflows
+        assert np.linalg.norm((d - a) * s) <= np.linalg.norm((near.data - a) * s) * (1 + 1e-12)
 
 
 def test_from_blocks_shapes_and_completion():

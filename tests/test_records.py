@@ -1,6 +1,7 @@
 """Record semantics of the eleven value types: construction, equality and hashing,
 immutability, and validation messages."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from flagdesic import (
     TRoot,
     commensurability,
     is_killing_closed,
+    skew_spectrum,
     spectral_data,
 )
 from flagdesic.examples import fixture_vector
@@ -157,6 +159,7 @@ def _exact(rows):
 
 NOT_SKEW = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
 NOT_IN_M = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+NOT_FINITE = [[0, math.inf, 0], [-math.inf, 0, 0], [0, 0, 0]]
 I3, I2 = GaussianRational(0, Fraction(1, 3)), GaussianRational(0, Fraction(-1, 2))
 
 
@@ -192,6 +195,18 @@ I3, I2 = GaussianRational(0, Fraction(1, 3)), GaussianRational(0, Fraction(-1, 2
      "multiplier table must cover exactly the pairs [(1, 2)], got []"),
     (lambda: InvariantMetric(P, {(1, 2): 0.0}), ValueError,
      "metric multiplier (1, 2) must be positive, got 0.0"),
+    (lambda: InvariantMetric(P, {(1, 2): -math.inf}), ValueError,
+     "metric multiplier (1, 2) must be finite, got -inf"),
+    (lambda: InvariantMetric.from_pairs(P, {(1, 2): math.nan}), ValueError,
+     "metric multiplier (1, 2) must be finite, got nan"),
+    (lambda: InvariantMetric.from_pairs(P, {(2, 1): math.inf}), ValueError,
+     "metric multiplier (1, 2) must be finite, got inf"),
+    (lambda: TangentVector(P, CMatrix(NOT_FINITE, Mode.FLOAT)), ValueError,
+     "entry (1, 2) is not finite: (inf+0j)"),
+    (lambda: skew_spectrum(CMatrix(NOT_FINITE, Mode.FLOAT)), ValueError,
+     "entry (1, 2) is not finite: (inf+0j)"),
+    (lambda: skew_spectrum(CMatrix([[0, 1], [-1, complex(0, math.nan)]], Mode.FLOAT)), ValueError,
+     "entry (2, 2) is not finite: nanj"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
