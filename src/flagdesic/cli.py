@@ -131,10 +131,6 @@ def _cmd_canonicalize(args) -> int:
         return 1
     except RuntimeError as exc:
         raise _CliError(f"canonical form undetermined: {exc}", code=3)
-    print("pairs (row, col, value):")
-    for r, c, a in form.pairs:
-        print(f"  ({r}, {c})  {a:.12g}")
-    print(f"residual {form.residual:.3e}")
     u = form.U.data
     doc = {
         "J": serialize_vector(TangentVector(x.partition, form.J)),
@@ -142,7 +138,12 @@ def _cmd_canonicalize(args) -> int:
         "pairs": [[r, c, a] for r, c, a in form.pairs],
         "residual": form.residual,
     }
-    _write_out(json.dumps(doc, indent=2) + "\n", args.out)
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out is not None:  # written first, so a failed write prints no listing
+        _write_out(text, args.out)
+        text = ""
+    listing = "".join(f"  ({r}, {c})  {a:.12g}\n" for r, c, a in form.pairs)
+    print(f"pairs (row, col, value):\n{listing}residual {form.residual:.3e}\n{text}", end="")
     return 0
 
 

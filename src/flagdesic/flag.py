@@ -4,7 +4,8 @@ Partitions, block coordinates, tangent vectors, block-wise norms, and the
 positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
 everywhere in the public API. A ``TangentVector`` holds a point of m exactly, so every block
-kernel may read a_ji = -a_ij^* and zero diagonal blocks. Outside ``linalg``, only this module
+kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is one exact test, and
+only a matrix off m takes the tolerance route. Outside ``linalg``, only this module
 reads an Exact ``data``: ``TangentVector.from_blocks`` places each block's ``data`` by one rule,
 and ``_block_arrays`` gives every block kernel its numbers and its tolerance (with
 ``block_norms_sq`` and ``_norm_sq``). The block condition a_ij a_jm = 0 is scanned here.
@@ -113,9 +114,11 @@ def t_roots(partition: FlagPartition) -> list:
 
 class TangentVector(Immutable):
     """Element of the tangent space m: skew-Hermitian with zero diagonal blocks, exactly.
-    Equality is identity. A Float A within SKEW_TOL_FACTOR * ||A|| of m is stored as its nearest
-    point of m (Fan & Hoffman), (A - A^*) / 2 with zero diagonal blocks: each entry that already
-    mirrors bit for bit, and a matrix already in m as given."""
+    Equality is identity. A matrix in m (every entry finite and equal to its mirror, every
+    diagonal-block entry 0: one exact test in both modes) is stored as given, with no norm taken.
+    Only a matrix off m is tested to tolerance: a Float A within SKEW_TOL_FACTOR * ||A|| of m is
+    stored as its nearest point of m (Fan & Hoffman), (A - A^*) / 2 with zero diagonal blocks,
+    each entry that already mirrors bit for bit; an Exact one raises."""
 
     def __init__(self, partition: FlagPartition, matrix: CMatrix):
         object.__setattr__(self, "partition", partition)
@@ -125,6 +128,10 @@ class TangentVector(Immutable):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match partition total {n}"
             )
+        a, h, k = matrix.data, -matrix.H.data, len(matrix.data) // n  # k = 2 on an embedding
+        off = off_block_mask(partition).repeat(k, 0).repeat(k, 1)
+        if (self.mode is Mode.EXACT or np.isfinite(a).all()) and (a == h).all() and not a[~off].any():
+            return  # A is in m: each entry mirrors, its diagonal blocks are 0; no norm is taken
         require_skew_hermitian(self.matrix)
         _, _, norms, tol = _block_arrays(self, SKEW_TOL_FACTOR)
         diag, total = np.diag(norms), norms.sum()
@@ -134,11 +141,8 @@ class TangentVector(Immutable):
             fro = self.matrix.fro()
             raise ValueError(f"diagonal block {i + 1} is not zero "
                              f"(norm {math.sqrt(diag[i] / total) * fro:.3e} > {tol * fro:.3e})")
-        if self.mode is Mode.FLOAT:  # A is in m where each entry mirrors, its diagonal blocks 0
-            a, h, off = matrix.data, -matrix.data.conj().T, off_block_mask(partition)
-            if not (a == h).all() or a[~off].any():  # halved first, so no sum overflows
-                m = np.where(off, np.where(a == h, a, a / 2 + h / 2), 0)
-                object.__setattr__(self, "matrix", _build(m, Mode.FLOAT))
+        m = np.where(off, np.where(a == h, a, a / 2 + h / 2), 0)  # halved first: no sum overflows
+        object.__setattr__(self, "matrix", _build(m, Mode.FLOAT))
 
     @property
     def mode(self) -> Mode:

@@ -350,7 +350,6 @@ def _skew_eigh(a: CMatrix, vectors: bool):
     the float range raises ValueError."""
     s = _unit_scale(a.data)
     h = -1j * (a.data * s)
-    h = (h + h.conj().T) / 2.0
     w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     if np.max(np.abs(w), initial=0.0) > sys.float_info.max * s:  # so w / s would overflow
         raise ValueError(PAST_FLOAT_RANGE)
@@ -359,8 +358,8 @@ def _skew_eigh(a: CMatrix, vectors: bool):
 
 def skew_spectrum(a: CMatrix) -> list:
     """Sorted real list theta_1 >= ... >= theta_n with eig(a) = {i * theta_k}, for a Float
-    skew-Hermitian a, from the Hermitian eigenproblem for -i a. The exact spectrum of an
-    Exact matrix is ``gaussian.exact_skew_squares``."""
+    skew-Hermitian a, from the Hermitian eigenproblem for -i a, of which only the lower triangle
+    is read. The exact spectrum of an Exact matrix is ``gaussian.exact_skew_squares``."""
     a._require_float("skew_spectrum")
     require_skew_hermitian(a)
     w, _ = _skew_eigh(a, vectors=False)
@@ -368,9 +367,9 @@ def skew_spectrum(a: CMatrix) -> list:
 
 
 def killing_flow(a: CMatrix):
-    """(w, flow) for a Float skew-Hermitian a, from one eigendecomposition -i a = V diag(w) V^*:
-    ``w`` ascending, eig(a) = {i * w_k}, and ``flow(t)`` = exp(t a) = I + V diag(expm1(i t w)) V^*:
-    I exactly at t = 0, and each entry off I rounded relative to itself. Call it once for many t."""
+    """(w, flow) for a Float skew-Hermitian a, from one eigendecomposition -i a = V diag(w) V^* of
+    its lower triangle: ``w`` ascending, eig(a) = {i * w_k}, and ``flow(t)`` = exp(t a) = I +
+    V diag(expm1(i t w)) V^*, I exactly at t = 0, each entry off I rounded relative to itself."""
     a._require_float("killing_flow")
     require_skew_hermitian(a)
     w, v = _skew_eigh(a, vectors=True)

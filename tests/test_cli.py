@@ -202,6 +202,20 @@ def test_canonicalize_fixture(tmp_path, f9, capsys):
     assert len(doc["U"]) == 9
 
 
+def test_canonicalize_writes_out_before_its_listing(tmp_path, f9, capsys):
+    # a failed write prints no listing: exit 2, empty stdout and one error line
+    assert main(["canonicalize", f9, "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    failed = capsys.readouterr()
+    assert failed.out == ""
+    assert failed.err.startswith("error: ") and failed.err.count("\n") == 1
+    out_path = tmp_path / "canon.json"
+    assert main(["canonicalize", f9, "--out", str(out_path)]) == 0
+    listing = capsys.readouterr().out
+    # without --out, stdout is the listing, then the document
+    assert main(["canonicalize", f9]) == 0
+    assert capsys.readouterr().out == listing + out_path.read_text()
+
+
 def test_canonicalize_rejects_chain(f3_chain, capsys):
     assert main(["canonicalize", f3_chain]) == 1
     assert "not equigeodesic" in capsys.readouterr().err

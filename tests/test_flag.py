@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagdesic.flag as flag
 from conftest import compositions
 from flagdesic import (
     CMatrix,
@@ -23,8 +24,12 @@ from flagdesic import (
     t_roots,
     weyl_vector,
 )
+from flagdesic.documents import parse_vector_document
+from flagdesic.equigeo import canonicalize
+from flagdesic.examples import fixture_document, fixture_names, random_metric
 from flagdesic.flag import off_block_mask, off_block_positions
 from flagdesic.linalg import SKEW_TOL_FACTOR, _unit_scale
+from flagdesic.metric import hadamard_action
 
 
 def test_partition_basics():
@@ -311,6 +316,78 @@ def test_a_float_vector_holds_its_nearest_point_of_m(case):
     if near is not None:  # the nearest point of m is no farther from A than another one
         s = _unit_scale(a)  # exact, so no square overflows
         assert np.linalg.norm((d - a) * s) <= np.linalg.norm((near.data - a) * s) * (1 + 1e-12)
+
+
+@pytest.fixture
+def tolerance_route(monkeypatch):
+    """The matrices ``TangentVector`` sends to ``require_skew_hermitian``: the ones off m."""
+    calls, check = [], flag.require_skew_hermitian
+
+    def counting(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(flag, "require_skew_hermitian", counting)
+    return calls
+
+
+def test_a_vector_the_library_builds_in_m_takes_no_tolerance_route(tolerance_route):
+    for name in fixture_names():
+        for mode in ("float", "exact"):
+            x = parse_vector_document(fixture_document(name, mode))
+            y = x.to_float()
+            y.scaled(2.0)
+            hadamard_action(random_metric(x.partition, 0), y)
+            TangentVector(x.partition, canonicalize(x).J)
+    assert tolerance_route == []
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): 1e-12, (1, 0): -1e-12},  # a mirrored pair in diagonal block 1
+    {(1, 1): 1e-12j},  # a diagonal entry, skew-Hermitian on its own
+    {(2, 0): -1 + 2j + 1e-12},  # a_31 no longer mirrors a_13 = 1 + 2i
+])
+def test_a_matrix_off_m_is_tested_and_stored_as_its_nearest_point(tolerance_route, entries):
+    p = FlagPartition((2, 1))
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 2], a[2, 0], a[1, 2], a[2, 1] = 1 + 2j, -1 + 2j, 0.5, -0.5
+    for at, value in entries.items():
+        a[at] = value
+    m = CMatrix(a, Mode.FLOAT)
+    x = TangentVector(p, m)
+    assert tolerance_route == [m]
+    h = -a.conj().T
+    nearest = np.where(off_block_mask(p), np.where(a == h, a, a / 2 + h / 2), 0)
+    assert x.matrix is not m
+    assert x.matrix.data.view(np.uint64).tolist() == nearest.view(np.uint64).tolist()
+
+
+#: Parts of an Exact entry of m: 0, small integers, and rationals past both ends of the float range
+EXACT_PARTS = st.sampled_from([0, 1, -3, Fraction(2, 7), Fraction(1, 10**320), -(10**309)])
+
+
+@st.composite
+def points_of_m(draw):
+    """(partition, a matrix in m), Float or Exact, from upper blocks of edge entries."""
+    p = FlagPartition(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))))
+    mode = draw(st.sampled_from([Mode.FLOAT, Mode.EXACT]))
+    entry = (st.builds(complex, EDGE_PARTS, EDGE_PARTS) if mode is Mode.FLOAT
+             else st.builds(GaussianRational, EXACT_PARTS, EXACT_PARTS))
+    blocks = {(i, j): draw(st.lists(st.lists(entry, min_size=p.parts[j - 1], max_size=p.parts[j - 1]),
+                                    min_size=p.parts[i - 1], max_size=p.parts[i - 1]))
+              for i, j in p.positive_pairs()}
+    return p, TangentVector.from_blocks(p, blocks, mode).matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(points_of_m())
+def test_a_point_of_m_is_stored_as_given_without_a_norm(case):
+    p, a = case
+    with pytest.MonkeyPatch.context() as patch:
+        calls = []
+        patch.setattr(flag, "require_skew_hermitian", calls.append)
+        assert TangentVector(p, a).matrix is a
+    assert calls == []
 
 
 def test_from_blocks_shapes_and_completion():

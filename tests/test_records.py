@@ -159,7 +159,8 @@ def _exact(rows):
 
 NOT_SKEW = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
 NOT_IN_M = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
-NOT_FINITE = [[0, math.inf, 0], [-math.inf, 0, 0], [0, 0, 0]]
+NOT_FINITE = [[0, math.inf, 0], [-math.inf, 0, 0], [0, 0, 0]]  # mirrored, as are the next two
+INF_I, NAN = complex(0, math.inf), complex(math.nan, 0)
 I3, I2 = GaussianRational(0, Fraction(1, 3)), GaussianRational(0, Fraction(-1, 2))
 
 
@@ -203,6 +204,12 @@ I3, I2 = GaussianRational(0, Fraction(1, 3)), GaussianRational(0, Fraction(-1, 2
      "metric multiplier (1, 2) must be finite, got inf"),
     (lambda: TangentVector(P, CMatrix(NOT_FINITE, Mode.FLOAT)), ValueError,
      "entry (1, 2) is not finite: (inf+0j)"),
+    (lambda: TangentVector(P, CMatrix(np.negative(NOT_FINITE), Mode.FLOAT)), ValueError,
+     "entry (1, 2) is not finite: (-inf+0j)"),
+    (lambda: TangentVector(P, CMatrix([[0, INF_I, 0], [INF_I, 0, 0], [0, 0, 0]], Mode.FLOAT)),
+     ValueError, "entry (1, 2) is not finite: infj"),
+    (lambda: TangentVector(P, CMatrix([[0, NAN, 0], [NAN, 0, 0], [0, 0, 0]], Mode.FLOAT)),
+     ValueError, "entry (1, 2) is not finite: (nan+0j)"),
     (lambda: skew_spectrum(CMatrix(NOT_FINITE, Mode.FLOAT)), ValueError,
      "entry (1, 2) is not finite: (inf+0j)"),
     (lambda: skew_spectrum(CMatrix([[0, 1], [-1, complex(0, math.nan)]], Mode.FLOAT)), ValueError,
