@@ -12,7 +12,7 @@ equivalence is one of the library's acceptance gates; neither reads the other's 
 each names its own witness, its first violating triple (i, j, m) or probe (i, j). Both run on
 ``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one scale, and
 apply its one residual rule in both modes: a residual sqrt(num / den), violated where
-num > tol^2 * den, with tol = 0 on Exact ints.
+num > tol2 * den, with its squared tolerance tol2 = tol * tol, and 0 on Exact ints.
 
 Equigeodesic matrices admit a block-unitary canonical form: conjugation by a
 suitable U = U_1 + ... + U_s (direct sum) turns A into an essentially diagonal
@@ -138,7 +138,7 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     metric direction L_ij for which X is not geodesic.
     """
     _require_tol(tol)
-    p, a, norms, tol = _block_arrays(x, tol, balance=True)
+    p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
     total, worst, first_bad = norms.sum(), 0.0, None
     for i, j in p.positive_pairs():
         if not norms[i - 1, j - 1]:
@@ -148,7 +148,7 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
         num = 2 * _norm_sq(np.hstack([a[k, bj] @ a[bj, bi], a[k, bi] @ a[bi, bj]]))
         den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
         worst = max(worst, math.sqrt(num / den))
-        if first_bad is None and num > tol**2 * den:
+        if first_bad is None and num > tol2 * den:
             first_bad = (i, j)
     return EquigeodesicVerdict(first_bad is None, "bracket-certificate", worst, None, first_bad)
 
@@ -179,8 +179,8 @@ def is_essentially_block_diagonal(x: TangentVector) -> bool:
     each such product then has a zero factor. Float blocks count above
     ESSENTIAL_ENTRY_TOL * ||A||_F, Exact blocks when nonzero.
     """
-    _, _, norms, tol = _block_arrays(x, ESSENTIAL_ENTRY_TOL)
-    nonzero = norms > tol**2 * norms.sum()
+    _, _, norms, tol2 = _block_arrays(x, ESSENTIAL_ENTRY_TOL)
+    nonzero = norms > tol2 * norms.sum()
     return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 
 

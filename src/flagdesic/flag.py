@@ -4,11 +4,11 @@ Partitions, block coordinates, tangent vectors, block-wise norms, and the
 positive roots of a partition (``build_roots``, ``t_roots``: their types live
 in ``roots``, loaded on the first call). Block and inner indices are 1-based
 everywhere in the public API. A ``TangentVector`` holds a point of m exactly, so every block
-kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is one exact test, and
-only a matrix off m takes the tolerance route. Outside ``linalg``, only this module
-reads an Exact ``data``: ``TangentVector.from_blocks`` places each block's ``data`` by one rule,
-and ``_block_arrays`` gives every block kernel its numbers and its tolerance (with
-``block_norms_sq`` and ``_norm_sq``). The block condition a_ij a_jm = 0 is scanned here.
+kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is the exact answer of
+``require_skew_hermitian`` plus zero diagonal blocks, and only a matrix off m takes the tolerance
+route. Outside ``linalg``, only this module reads an Exact ``data``: ``from_blocks`` places each
+block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its numbers and its
+squared tolerance (with ``block_norms_sq`` and ``_norm_sq``). The block condition is scanned here.
 """
 
 from __future__ import annotations
@@ -114,11 +114,11 @@ def t_roots(partition: FlagPartition) -> list:
 
 class TangentVector(Immutable):
     """Element of the tangent space m: skew-Hermitian with zero diagonal blocks, exactly.
-    Equality is identity. A matrix in m (every entry finite and equal to its mirror, every
-    diagonal-block entry 0: one exact test in both modes) is stored as given, with no norm taken.
-    Only a matrix off m is tested to tolerance: a Float A within SKEW_TOL_FACTOR * ||A|| of m is
-    stored as its nearest point of m (Fan & Hoffman), (A - A^*) / 2 with zero diagonal blocks,
-    each entry that already mirrors bit for bit; an Exact one raises."""
+    Equality is identity. A matrix in m (``require_skew_hermitian`` answers True: each entry is
+    finite and equal to its mirror; and each diagonal-block entry is 0) is stored as given, with
+    no norm taken. Only a matrix off m is tested to tolerance: a Float A within SKEW_TOL_FACTOR *
+    ||A|| of m is stored as its nearest point of m (Fan & Hoffman), (A - A^*) / 2 with zero
+    diagonal blocks, each entry that already mirrors bit for bit; an Exact one raises."""
 
     def __init__(self, partition: FlagPartition, matrix: CMatrix):
         object.__setattr__(self, "partition", partition)
@@ -128,19 +128,19 @@ class TangentVector(Immutable):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match partition total {n}"
             )
-        a, h, k = matrix.data, -matrix.H.data, len(matrix.data) // n  # k = 2 on an embedding
+        a, k = matrix.data, len(matrix.data) // n  # k = 2 on an embedding
         off = off_block_mask(partition).repeat(k, 0).repeat(k, 1)
-        if (self.mode is Mode.EXACT or np.isfinite(a).all()) and (a == h).all() and not a[~off].any():
+        if require_skew_hermitian(matrix) and not a[~off].any():
             return  # A is in m: each entry mirrors, its diagonal blocks are 0; no norm is taken
-        require_skew_hermitian(self.matrix)
-        _, _, norms, tol = _block_arrays(self, SKEW_TOL_FACTOR)
+        _, _, norms, tol2 = _block_arrays(self, SKEW_TOL_FACTOR)
         diag, total = np.diag(norms), norms.sum()
-        for i in np.flatnonzero(diag > tol**2 * total)[:1]:
+        for i in np.flatnonzero(diag > tol2 * total)[:1]:
             if self.mode is Mode.EXACT:
                 raise ValueError(f"diagonal block {i + 1} is not zero (not in m)")
             fro = self.matrix.fro()
-            raise ValueError(f"diagonal block {i + 1} is not zero "
-                             f"(norm {math.sqrt(diag[i] / total) * fro:.3e} > {tol * fro:.3e})")
+            raise ValueError(f"diagonal block {i + 1} is not zero (norm "
+                             f"{math.sqrt(diag[i] / total) * fro:.3e} > {SKEW_TOL_FACTOR * fro:.3e})")
+        h = -matrix.H.data
         m = np.where(off, np.where(a == h, a, a / 2 + h / 2), 0)  # halved first: no sum overflows
         object.__setattr__(self, "matrix", _build(m, Mode.FLOAT))
 
@@ -234,9 +234,9 @@ def _norm_sq(arr: np.ndarray):
 
 
 def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
-    """(partition, array, squared block norms, tolerance): the one block layout of each
-    mode, for the one residual rule of the block kernels: a residual sqrt(num / den),
-    violated where num > tol^2 * den.
+    """(partition, array, squared block norms, squared tolerance): the one block layout of each
+    mode, for the one residual rule of the block kernels: a residual sqrt(num / den), violated
+    where num > tol2 * den, tol2 = tol * tol correctly rounded, inf past the float range.
 
     Float: the matrix times ``_unit_scale``, so no square or product over- or
     underflows, and ``tol``. Exact: ``data``, the integer embedding of D*A, over the
@@ -268,7 +268,7 @@ def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
             a = a * (1 << (e.max() - e))[bi][:, bi]
     elif x.mode is Mode.FLOAT:
         a = a * _unit_scale(a)
-    return p, a, block_norms_sq(p, a), tol
+    return p, a, block_norms_sq(p, a), tol * tol
 
 
 class NotEquigeodesic(ValueError):
@@ -287,7 +287,7 @@ def _scan_block_products(x: TangentVector, tol: float):
     every product a_ij a_jm at once, and only the rows and columns of blocks joined to j
     by a nonzero block count.
     """
-    p, a, norms, tol = _block_arrays(x, tol, balance=True)
+    p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
     nonzero = norms != 0
     parts = np.array(p.parts)
     block_of = p.block_index
@@ -303,7 +303,7 @@ def _scan_block_products(x: TangentVector, tol: float):
         np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
         den = np.outer(norms[near, j], norms[j, near])
         worst = max(worst, float(np.sqrt((num / den).astype(float)).max()))
-        for i, m in near[np.argwhere(num > tol**2 * den)[:1]].tolist():
+        for i, m in near[np.argwhere(num > tol2 * den)[:1]].tolist():
             firsts.append((i + 1, j + 1, m + 1))
     return worst, min(firsts, default=None)
 

@@ -298,23 +298,22 @@ def _unit_scale(arr: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def require_skew_hermitian(a: CMatrix):
-    """Raise NotSkewHermitian unless a + a^* vanishes: exactly in Exact mode, and
-    within SKEW_TOL_FACTOR * ||a||_F in Float mode, where a non-finite entry raises
-    ValueError naming the first one."""
+def require_skew_hermitian(a: CMatrix) -> bool:
+    """True where a = -a^* entry for entry (an embedding: antisymmetric), one exact test with no
+    norm taken; before it, a non-finite Float entry raises ValueError naming the first one. Off
+    it, raise NotSkewHermitian, but give False for a Float a + a^* within SKEW_TOL_FACTOR * ||a||_F."""
     if not a.is_square:
         raise ValueError("skew-Hermitian test requires a square matrix")
-    if a.mode is Mode.EXACT:
-        # the embedding is antisymmetric <=> a is skew-Hermitian
-        ok, tol = not (a.data + a.data.T).any(), "exact test"
-    else:
+    if a.mode is Mode.FLOAT and not np.isfinite(a.data).all():
         for r, c in np.argwhere(~np.isfinite(a.data))[:1].tolist():
             raise ValueError(f"entry ({r + 1}, {c + 1}) is not finite: {a.data[r, c]}")
-        bound = SKEW_TOL_FACTOR * a.fro()
-        ok, tol = (a + a.H).fro() <= bound, f"tolerance {bound:.3e}"
-    if not ok:
-        defect = (a + a.H).fro()
-        raise NotSkewHermitian(f"matrix is not skew-Hermitian (defect {defect:.3e}, {tol})")
+    if (a.data == -a.H.data).all():
+        return True
+    defect, bound = (a + a.H).fro(), SKEW_TOL_FACTOR * a.fro() if a.mode is Mode.FLOAT else -math.inf
+    if defect <= bound:  # Exact has no tolerance
+        return False
+    tol = f"tolerance {bound:.3e}" if a.mode is Mode.FLOAT else "exact test"
+    raise NotSkewHermitian(f"matrix is not skew-Hermitian (defect {defect:.3e}, {tol})")
 
 
 # ---------------------------------------------------------------------------

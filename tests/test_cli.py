@@ -88,6 +88,22 @@ def test_check_with_metric(tmp_path, capsys):
             "geodesic (fixed metric): true  residual 0.000e+00\n"
             "geodesic (fixed metric): false  residual 1.768e-01\n"
         )
+    zero = write_json(tmp_path / "zero.json", chain_document(0.0))  # geodesic for every metric
+    assert main(["check", zero, skewed]) == 0
+    assert capsys.readouterr() == ("geodesic (fixed metric): true  residual 0.000e+00\n", "")
+
+
+@pytest.mark.parametrize("tol", ["1e200", "1e308"])
+@pytest.mark.parametrize("doc", [chain_document(), fixture_document("f4-x2y3")], ids=["chain", "f4"])
+def test_check_with_a_tolerance_whose_square_passes_the_float_range(tmp_path, capsys, doc, tol):
+    # tol * tol is inf, so every residual passes, as at --tol 1: both residuals are at most 1
+    vec = write_json(tmp_path / "v.json", doc)
+    assert main(["check", vec, "--tol", "1"]) == 0
+    at_one = capsys.readouterr().out
+    assert main(["check", vec, "--tol", tol]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (at_one, "")
+    assert [line.split()[2] for line in out.splitlines()] == ["true", "true"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -568,6 +584,8 @@ NEAR_MAX = {"parts": [1, 1], "blocks": {"1,2": [[[1e308, 0]]]}}
 #: theta = sqrt(2) * 1.5e+308, past the float range
 PAST_MAX = {"parts": [1, 2], "blocks": {"1,2": [[[1.5e308, 0], [1.5e308, 0]]]}}
 PAST_RANGE = "error: the spectrum lies outside the float range: some |theta| exceeds 1.8e+308\n"
+#: theta = 2e+308: one singular value, sqrt(4) * 1e+308, past the float range
+PAST_MAX_4 = {"parts": [1, 4], "blocks": {"1,2": [[[1e308, 0]] * 4]}}
 EQUIGEODESIC = ("equigeodesic (block-condition): true  worst residual 0.000e+00\n"
                 "equigeodesic (bracket-certificate): true  worst residual 0.000e+00\n")
 
@@ -595,11 +613,15 @@ def _canonical_stdout(a):
     # U and J are computed on a scaled copy, so U is that of a_12 = 1 and J holds 1e+308 itself
     (NEAR_MAX, ["canonicalize"], 0, _canonical_stdout(1e308), ""),
     (PAST_MAX, ["canonicalize"], 2, "", PAST_RANGE),
+    (PAST_MAX_4, ["canonicalize"], 2, "", PAST_RANGE),
+    (PAST_MAX_4, ["closedness"], 2, "", PAST_RANGE),
+    (PAST_MAX_4, ["curve", "--t-max", "0", "--samples", "1"], 2, "", PAST_RANGE),
     (_exact_pair("1" + "0" * 308), ["closedness", "--mode", "exact"], 0,
      "spectrum (i * theta): 1e+308  -1e+308\nstatus: commensurate\n"
      "base frequency: 1e+308\nperiod: 6.28318530718e-308\nmultipliers: 1 -1\n", ""),
 ], ids=["closedness", "curve-phase", "check-modulus", "closedness-past", "curve-past",
-        "canonicalize-one", "canonicalize", "canonicalize-past", "exact-closedness"])
+        "canonicalize-one", "canonicalize", "canonicalize-past", "canonicalize-past-4",
+        "closedness-past-4", "curve-past-4", "exact-closedness"])
 def test_spectra_near_the_float_maximum(tmp_path, doc, args, code, out, err):
     vec = write_json(tmp_path / "v.json", doc)
     done = _run_warning_free([args[0], vec, *args[1:]])

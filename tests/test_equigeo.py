@@ -1,6 +1,7 @@
 """Equigeodesic tests: both decision routes, structure predicates, canonical form."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -35,7 +36,7 @@ from flagdesic import (
 )
 from flagdesic.examples import fixture_vector
 from flagdesic.flag import build_roots
-from flagdesic.linalg import SKEW_TOL_FACTOR, commutator, project_m
+from flagdesic.linalg import PAST_FLOAT_RANGE, SKEW_TOL_FACTOR, commutator, project_m
 
 GR = GaussianRational
 
@@ -146,9 +147,23 @@ def test_two_block_partition_vacuously_equigeodesic():
 
 def test_zero_vector_is_equigeodesic():
     p = FlagPartition((1, 1, 1))
-    x = TangentVector(p, CMatrix(np.zeros((3, 3)), Mode.FLOAT))
-    assert is_equigeodesic(x).is_equigeodesic
-    assert equigeodesic_certificate(x).is_equigeodesic
+    for mode in Mode:
+        x = TangentVector(p, CMatrix(np.zeros((3, 3), dtype=int), mode))
+        assert is_equigeodesic(x).is_equigeodesic
+        assert equigeodesic_certificate(x).is_equigeodesic
+        # and geodesic for every metric, with nothing to normalize by
+        assert is_geodesic_vector(x, random_metric(p, 1)) == (True, 0.0)
+
+
+@pytest.mark.parametrize("mode", [Mode.FLOAT, Mode.EXACT])
+def test_a_tolerance_whose_square_passes_the_float_range(mode):
+    # tol * tol is inf in Float, so the chain passes as at tol = 1; Exact tests at tol 0
+    x = TangentVector.from_blocks(FlagPartition((1, 1, 1)), {(1, 2): [[GR(1)]], (2, 3): [[GR(1)]]}, mode)
+    for route in (is_equigeodesic, equigeodesic_certificate):
+        for tol in (1e200, 1e308):
+            v = route(x, tol)
+            assert v.is_equigeodesic is (mode is Mode.FLOAT)
+            assert v.worst_residual == route(x, 1.0).worst_residual
 
 
 def test_equivalence_of_routes_small_sample():
@@ -586,6 +601,14 @@ def test_canonical_values_match_spectrum():
         padded = sorted(values + [0.0] * (p.total - 2 * len(values)) + [-a for a in values], reverse=True)
         spectrum = skew_spectrum(x.matrix)
         assert np.allclose(padded, spectrum, atol=1e-9)
+
+
+def test_a_spectrum_past_the_float_range_raises():
+    # theta = 2e+308, sqrt(4) * 1e+308: each part and a_k of the scaled copy is a float, a_k is not
+    x = TangentVector.from_blocks(FlagPartition((1, 4)), {(1, 2): [[1e308] * 4]})
+    for kernel in (canonicalize, lambda x: skew_spectrum(x.matrix)):
+        with pytest.raises(ValueError, match=f"^{re.escape(PAST_FLOAT_RANGE)}$"):
+            kernel(x)
 
 
 def test_canonicalize_repeated_singular_values():

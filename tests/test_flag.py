@@ -26,9 +26,11 @@ from flagdesic import (
 )
 from flagdesic.documents import parse_vector_document
 from flagdesic.equigeo import canonicalize
-from flagdesic.examples import fixture_document, fixture_names, random_metric
+from flagdesic.examples import fixture_document, fixture_names, fixture_vector, random_metric
 from flagdesic.flag import off_block_mask, off_block_positions
-from flagdesic.linalg import SKEW_TOL_FACTOR, _unit_scale
+from flagdesic.gaussian import exact_char_poly
+from flagdesic.linalg import (SKEW_TOL_FACTOR, _unit_scale, killing_flow, require_skew_hermitian,
+                              skew_spectrum)
 from flagdesic.metric import hadamard_action
 
 
@@ -318,28 +320,60 @@ def test_a_float_vector_holds_its_nearest_point_of_m(case):
         assert np.linalg.norm((d - a) * s) <= np.linalg.norm((near.data - a) * s) * (1 + 1e-12)
 
 
-@pytest.fixture
-def tolerance_route(monkeypatch):
-    """The matrices ``TangentVector`` sends to ``require_skew_hermitian``: the ones off m."""
-    calls, check = [], flag.require_skew_hermitian
+def record_seams(patch, norms=True):
+    """Patch the two seams of the tolerance route to record what reaches them, in order: the
+    vector's matrix at each ``flag._block_arrays`` call and, with ``norms``, each matrix whose
+    ``CMatrix.fro`` is taken. A point of m reaches neither."""
+    calls, block_arrays, fro = [], flag._block_arrays, CMatrix.fro
 
-    def counting(a):
+    def blocks(x, *args, **kwargs):
+        calls.append(x.matrix)
+        return block_arrays(x, *args, **kwargs)
+
+    def norm(a):
         calls.append(a)
-        return check(a)
+        return fro(a)
 
-    monkeypatch.setattr(flag, "require_skew_hermitian", counting)
+    patch.setattr(flag, "_block_arrays", blocks)
+    if norms:
+        patch.setattr(CMatrix, "fro", norm)
     return calls
 
 
-def test_a_vector_the_library_builds_in_m_takes_no_tolerance_route(tolerance_route):
+@pytest.fixture
+def tolerance_route(monkeypatch):
+    """The matrices whose block layout ``TangentVector`` reads: the ones off m."""
+    return record_seams(monkeypatch, norms=False)
+
+
+def test_a_vector_the_library_builds_in_m_takes_no_tolerance_route():
     for name in fixture_names():
         for mode in ("float", "exact"):
-            x = parse_vector_document(fixture_document(name, mode))
-            y = x.to_float()
-            y.scaled(2.0)
-            hadamard_action(random_metric(x.partition, 0), y)
-            TangentVector(x.partition, canonicalize(x).J)
-    assert tolerance_route == []
+            doc = fixture_document(name, mode)
+            x = parse_vector_document(doc)
+            j = canonicalize(x).J  # canonicalize takes norms itself
+            with pytest.MonkeyPatch.context() as patch:
+                calls = record_seams(patch)
+                parse_vector_document(doc)
+                y = x.to_float()
+                hadamard_action(random_metric(x.partition, 0), y.scaled(2.0))
+                TangentVector(x.partition, j)
+            assert calls == []
+
+
+def test_the_kernels_take_no_norm_of_a_vectors_matrix():
+    for name in fixture_names():
+        for mode in ("float", "exact"):
+            a = fixture_vector(name, mode).matrix
+            with pytest.MonkeyPatch.context() as patch:
+                calls = record_seams(patch)
+                assert require_skew_hermitian(a) is True
+                if mode == "float":
+                    skew_spectrum(a)
+                    killing_flow(a)
+                else:
+                    exact_char_poly(a)
+            assert calls == []
 
 
 @pytest.mark.parametrize("entries", [
@@ -384,8 +418,8 @@ def points_of_m(draw):
 def test_a_point_of_m_is_stored_as_given_without_a_norm(case):
     p, a = case
     with pytest.MonkeyPatch.context() as patch:
-        calls = []
-        patch.setattr(flag, "require_skew_hermitian", calls.append)
+        calls = record_seams(patch)
+        assert require_skew_hermitian(a) is True
         assert TangentVector(p, a).matrix is a
     assert calls == []
 

@@ -16,6 +16,9 @@ Three sections, each run side by side on the two checkouts, alternating which si
 Give it two checkouts of the commits to compare; it prints the report, progress to stderr:
 
     python3 tools/bench_membership.py PARENT_ROOT CHANGE_ROOT > BENCH_membership.json
+
+``main`` takes the ``layer`` script, so another topic runs the same protocol with its own
+(``tools/bench_skew_test.py``).
 """
 
 from __future__ import annotations
@@ -93,8 +96,10 @@ def _summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv=None, child: str = CHILD, doc: str = __doc__) -> int:
+    """Run the three sections on the two checkouts named in ``argv`` and print the report, with
+    ``child`` as the ``layer`` script and ``doc`` as the description."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
@@ -113,8 +118,10 @@ def main(argv=None) -> int:
             row = {"input": label, "parent": [], "change": []}
             for pair in range(PAIRS):
                 for side, root in _sides(pair, roots):
-                    out = _run(root, [sys.executable, "-c", CHILD, str(path), str(REPEAT)])
+                    out = _run(root, [sys.executable, "-c", child, str(path), str(REPEAT)])
                     row[side].append(json.loads(out))
+            row["best_ms"] = {side: {name: min(run[name] for run in row[side]) for name in row[side][0]}
+                              for side in roots}
             report["layer"].append(row)
             print(json.dumps(row), file=sys.stderr)
 
