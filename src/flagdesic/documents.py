@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .flag import FlagPartition, TangentVector, block_sums
+from .flag import FlagPartition, TangentVector, _upper_blocks
 from .linalg import CMatrix, Mode, read_literal
 
 if TYPE_CHECKING:
@@ -173,15 +173,10 @@ def parse_vector_document(doc: dict) -> TangentVector:
 
 
 def serialize_vector(x: TangentVector) -> dict:
-    """Upper-triangle document for a tangent vector; zero blocks are omitted."""
-    p, a = x.partition, x.matrix.entries()
-    nonzero = block_sums(p, x.matrix.nonzero())  # counts, not norms: tiny squares underflow to 0
+    """Upper-triangle document for a tangent vector: the upper blocks holding a nonzero entry, as
+    ``flag._upper_blocks`` lists them; zero blocks are omitted."""
     blocks = {}
-    for i, j in p.positive_pairs():
-        if not nonzero[i - 1, j - 1]:
-            continue
-        (r0, r1), (c0, c1) = p.block_range(i), p.block_range(j)
-        b = a[r0:r1, c0:c1]
+    for (i, j), b in _upper_blocks(x.partition, x.matrix.entries(), x.matrix.nonzero()):
         if x.mode is Mode.FLOAT:
             blocks[f"{i},{j}"] = np.stack((b.real, b.imag), axis=-1).tolist()
         else:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from .flag import (FlagPartition, TangentVector, _block_arrays, _norm_sq, _require_equigeodesic,
-                   _scan_block_products, block_sums)
+                   _scan_block_products, _upper_blocks)
 from .linalg import (DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _build, _unit_scale, commutator,
                      project_m)
 
@@ -196,12 +196,7 @@ def _block_svds(p: FlagPartition, a: np.ndarray):
 
     Exactly-zero blocks have rank zero and are left out.
     """
-    nonzero = block_sums(p, a != 0)  # counts, not norms: tiny squares underflow to 0
-    svds = {}
-    for i, j in p.positive_pairs():
-        if nonzero[i - 1, j - 1]:
-            blk = a[slice(*p.block_range(i)), slice(*p.block_range(j))]
-            svds[(i, j)] = np.linalg.svd(blk, full_matrices=False)
+    svds = {pair: np.linalg.svd(blk, full_matrices=False) for pair, blk in _upper_blocks(p, a, a != 0)}
     threshold = RANK_TOL * max((float(s[0]) for _, s, _ in svds.values()), default=0.0)
     cut = 0.0
     for pair, (u, s, vh) in svds.items():

@@ -9,6 +9,8 @@ kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is the 
 route. Outside ``linalg``, only this module reads an Exact ``data``: ``from_blocks`` places each
 block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its numbers and its
 squared tolerance (with ``block_norms_sq`` and ``_norm_sq``). The block condition is scanned here.
+It owns the block layout: ``_upper_blocks`` lists the nonzero upper blocks, and ``off_block_mask``
+masks the off-diagonal blocks of either layout, n x n or the 2n x 2n embedding.
 """
 
 from __future__ import annotations
@@ -128,8 +130,7 @@ class TangentVector(Immutable):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match partition total {n}"
             )
-        a, k = matrix.data, len(matrix.data) // n  # k = 2 on an embedding
-        off = off_block_mask(partition).repeat(k, 0).repeat(k, 1)
+        a, off = matrix.data, off_block_mask(partition, len(matrix.data) // n)  # k = 2 on an embedding
         if require_skew_hermitian(matrix) and not a[~off].any():
             return  # A is in m: each entry mirrors, its diagonal blocks are 0; no norm is taken
         _, _, norms, tol2 = _block_arrays(self, SKEW_TOL_FACTOR)
@@ -202,9 +203,10 @@ class TangentVector(Immutable):
         return cls(partition, u - u.H)
 
 
-def off_block_mask(partition: FlagPartition) -> np.ndarray:
-    """n x n boolean mask of the entries lying in off-diagonal blocks."""
-    return partition.block_index[:, None] != partition.block_index[None, :]
+def off_block_mask(partition: FlagPartition, k: int = 1) -> np.ndarray:
+    """Boolean mask of the off-diagonal blocks' entries: n x n, or the 2n x 2n embedding's for k = 2."""
+    b = partition.block_index.repeat(k)
+    return b[:, None] != b[None, :]
 
 
 def off_block_positions(partition: FlagPartition) -> list:
@@ -216,6 +218,15 @@ def block_sums(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
     """s x s table whose entry [i-1, j-1] is the sum of block (i, j) of ``arr``."""
     starts = partition.offsets[:-1]
     return np.add.reduceat(np.add.reduceat(arr, starts, axis=0), starts, axis=1)
+
+
+def _upper_blocks(partition: FlagPartition, a: np.ndarray, nonzero: np.ndarray):
+    """((i, j), block (i, j) of ``a``) for each i < j, in ``positive_pairs()`` order, whose block of
+    the boolean ``nonzero`` holds an entry: counts, not norms, as a tiny entry's square underflows."""
+    counts = block_sums(partition, nonzero)
+    for i, j in partition.positive_pairs():
+        if counts[i - 1, j - 1]:
+            yield (i, j), a[slice(*partition.block_range(i)), slice(*partition.block_range(j))]
 
 
 def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:

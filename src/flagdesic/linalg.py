@@ -10,8 +10,9 @@ Two computation modes run through the whole library:
 The ``CMatrix`` constructor copies and checks a caller's entries in both modes: complex numbers,
 or ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats. Every
 matrix the library computes is stored as it is by ``_build``, an Exact one in lowest terms.
-Sums, products, negation, the conjugate transpose (the transpose of an embedding),
-zero tests and ``project_m`` are one numpy expression for both modes. ``from_ints(a, b, c, d)``,
+Sums, products, negation, the conjugate transpose (the transpose of an embedding)
+and zero tests are one numpy expression for both modes, and ``project_m`` applies
+``flag.off_block_mask`` of either layout. ``from_ints(a, b, c, d)``,
 which documents and the constructor call, writes the entries a/b + (c/d)i over their common
 denominator in the 2 x 2 layout, ``shape`` halves it, and only ``int_parts`` slices it, for
 ``entries``, ``nonzero``, ``fro``, ``to_float`` and the exact spectrum in ``gaussian``.
@@ -339,8 +340,9 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
         raise ValueError(
             f"matrix shape {a.shape} does not match partition of total {partition.total}"
         )
-    idx = np.repeat(partition.block_index, a.data.shape[0] // partition.total)
-    return _build(np.where(idx[:, None] != idx[None, :], a.data, 0), a.mode, a.den)
+    from .flag import off_block_mask  # here, as flag imports linalg
+    off = off_block_mask(partition, len(a.data) // partition.total)  # k = 2 on an embedding
+    return _build(np.where(off, a.data, 0), a.mode, a.den)
 
 
 def _skew_eigh(a: CMatrix, vectors: bool):

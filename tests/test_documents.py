@@ -49,9 +49,9 @@ def test_exact_round_trip_is_identity():
 
 def test_zero_blocks_omitted():
     p = FlagPartition((1, 1, 1))
-    x = TangentVector.from_blocks(p, {(1, 2): [[1.0]]})
-    doc = serialize_vector(x)
-    assert set(doc["blocks"]) == {"1,2"}
+    for c in (1.0, 1e-200):  # a block whose square underflows is still written
+        doc = serialize_vector(TangentVector.from_blocks(p, {(1, 2): [[c]]}))
+        assert set(doc["blocks"]) == {"1,2"} and doc["blocks"]["1,2"] == [[[c, 0.0]]]
 
 
 def test_missing_blocks_are_zero_and_completion_applies():

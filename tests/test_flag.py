@@ -29,7 +29,7 @@ from flagdesic.equigeo import canonicalize
 from flagdesic.examples import fixture_document, fixture_names, fixture_vector, random_metric
 from flagdesic.flag import off_block_mask, off_block_positions
 from flagdesic.gaussian import exact_char_poly
-from flagdesic.linalg import (SKEW_TOL_FACTOR, _unit_scale, killing_flow, require_skew_hermitian,
+from flagdesic.linalg import (SKEW_TOL_FACTOR, _build, _unit_scale, killing_flow, require_skew_hermitian,
                               skew_spectrum)
 from flagdesic.metric import hadamard_action
 
@@ -508,3 +508,53 @@ def test_from_blocks_rejects_a_float_block_in_exact_mode():
 def test_off_block_positions():
     p = FlagPartition((2, 1))
     assert off_block_positions(p) == [(0, 2), (1, 2), (2, 0), (2, 1)]
+
+
+def _listed_upper_blocks(p, a, nonzero):
+    """The nonzero upper blocks by one ``block_sums`` count table, read in ``positive_pairs``
+    order: the reference for ``flag._upper_blocks``."""
+    counts, listed = flag.block_sums(p, nonzero), []
+    for i, j in p.positive_pairs():
+        if counts[i - 1, j - 1]:
+            (r0, r1), (c0, c1) = p.block_range(i), p.block_range(j)
+            listed.append(((i, j), a[r0:r1, c0:c1]))
+    return listed
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.integers(1, 4), min_size=1, max_size=6), mode=st.sampled_from(Mode),
+       density=st.sampled_from([0.0, 0.15, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_the_block_layout_is_read_from_flag_alone(parts, mode, density, seed):
+    # sparse upper supports, and in Float mode one block whose only entry is 1e-200: its square
+    # underflows to 0, so only a count of entries finds it
+    p, rng = FlagPartition(tuple(parts)), np.random.default_rng(seed)
+    n, off = p.total, off_block_mask(p)
+    keep = np.triu(off) & (rng.random((n, n)) < density)
+    if mode is Mode.FLOAT:
+        upper = np.where(keep, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+        if p.s > 1:
+            i, j = p.positive_pairs()[rng.integers(p.s * (p.s - 1) // 2)]
+            (r0, r1), (c0, c1) = p.block_range(i), p.block_range(j)
+            upper[r0:r1, c0:c1] = 0
+            upper[rng.integers(r0, r1), rng.integers(c0, c1)] = 1e-200
+    else:
+        upper = np.zeros((n, n), dtype=object)
+        for r, c in np.argwhere(keep).tolist():
+            upper[r, c] = GaussianRational(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+                                           Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+    u = CMatrix(upper, mode)
+    x = TangentVector(p, u - u.H)
+    scaled = x.to_float().matrix.data * _unit_scale(x.to_float().matrix.data)
+    for a, nonzero in [(x.matrix.entries(), x.matrix.nonzero()), (scaled, scaled != 0)]:
+        got, want = list(flag._upper_blocks(p, a, nonzero)), _listed_upper_blocks(p, a, nonzero)
+        assert [pair for pair, _ in got] == [pair for pair, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g.dtype == w.dtype and (g.tobytes() == w.tobytes() if a.dtype != object
+                                           else (g == w).all())
+    assert (off_block_mask(p, 2) == off.repeat(2, 0).repeat(2, 1)).all()
+    # project_m against the index grid of either layout, on a matrix with full diagonal blocks
+    m = u + CMatrix(np.identity(n, int).tolist(), mode)
+    idx = np.repeat(p.block_index, len(m.data) // n)
+    want = _build(np.where(idx[:, None] != idx[None, :], m.data, 0), mode, m.den)
+    got = project_m(m, p)
+    assert got.den == want.den and (got.data == want.data).all()

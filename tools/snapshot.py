@@ -10,16 +10,27 @@ are byte-identical exactly when the CLI gives the same output on every call:
 
     PYTHONPATH=src python tools/snapshot.py snapshot.jsonl
     cmp snapshot.jsonl other-commit-snapshot.jsonl
+
+With ``--digests`` it writes a header line naming the Python and numpy versions, then one
+line per call: its argv, its exit code and the sha256 of its snapshot line. That is the
+committed ``tests/snapshot_digests.jsonl``, which ``tests/test_snapshot.py`` compares with
+the CLI's output on every test run; a change that means to change some output regenerates it:
+
+    PYTHONPATH=src python tools/snapshot.py --digests tests/snapshot_digests.jsonl
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -59,24 +70,41 @@ def _calls(work: Path):
                    "--out", str(curve)], curve
 
 
+def records(work: Path):
+    """The snapshot line of every call, each run in-process through ``cli.main`` under ``work``."""
+    for args, out in _calls(work):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(args)
+        record = {"argv": args, "code": code, "stdout": stdout.getvalue(),
+                  "stderr": stderr.getvalue(),
+                  "out": out.read_text() if out is not None and out.exists() else None}
+        yield json.dumps(record).replace(str(work), TOKEN)
+
+
+def digest(line: str) -> dict:
+    """The argv and exit code of a snapshot line, and the sha256 of the whole line."""
+    record = json.loads(line)
+    return {"argv": record["argv"], "code": record["code"],
+            "sha256": hashlib.sha256(line.encode()).hexdigest()}
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python tools/snapshot.py OUTPUT", file=sys.stderr)
+    digests = argv[:1] == ["--digests"]
+    if len(argv) != 1 + digests:
+        print("usage: python tools/snapshot.py [--digests] OUTPUT", file=sys.stderr)
         return 2
-    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for args, out in _calls(work):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(args)
-            record = {"argv": args, "code": code, "stdout": stdout.getvalue(),
-                      "stderr": stderr.getvalue(),
-                      "out": out.read_text() if out is not None and out.exists() else None}
-            lines.append(json.dumps(record).replace(str(work), TOKEN))
-    Path(argv[0]).write_text("\n".join(lines) + "\n")
-    print(f"{len(lines)} calls written to {argv[0]}")
+        lines = list(records(Path(tmp)))
+    if digests:
+        lines = [json.dumps(d, separators=(",", ":")) for d in [versions(), *map(digest, lines)]]
+    Path(argv[-1]).write_text("\n".join(lines) + "\n")
+    print(f"{len(lines) - digests} calls written to {argv[-1]}")
     return 0
 
 
