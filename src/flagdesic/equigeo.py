@@ -6,13 +6,13 @@ metric) exactly when all cross products of its blocks vanish:
 
     a_ij a_jm = 0   for all ordered distinct triples (i, j, m).
 
-Two independent routes decide this: the block condition above (``flag._scan_block_products``)
-and a finite bracket certificate probing [X, L_ij X] over the 0/1 multiplier basis. Their
-equivalence is one of the library's acceptance gates; neither reads the other's results, and
-each names its own witness, its first violating triple (i, j, m) or probe (i, j). Both run on
-``flag._block_arrays(x, tol, balance=True)``, mu.X with every nonzero block at one scale, and
-apply its one residual rule in both modes: a residual sqrt(num / den), violated where
-num > tol2 * den, with its squared tolerance tol2 = tol * tol, and 0 on Exact ints.
+Two routes decide this: the block condition above (``flag._scan_block_products``) and a finite
+bracket certificate probing [X, L_ij X] over the 0/1 multiplier basis. They share one product
+pass, ``flag._block_products`` on mu.X (every nonzero block at one scale): the block condition
+reads its tables per triple, the certificate sums them per probe, and each names its own witness,
+its first violating triple (i, j, m) or probe (i, j). Both apply one residual rule in both modes:
+a residual sqrt(num / den), violated where num > tol2 * den, tol2 = tol * tol, and 0 on Exact
+ints. The tests check each route against its own product-form reference, and their agreement.
 
 Equigeodesic matrices admit a block-unitary canonical form: conjugation by a
 suitable U = U_1 + ... + U_s (direct sum) turns A into an essentially diagonal
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .flag import (FlagPartition, TangentVector, _block_arrays, _norm_sq, _require_equigeodesic,
+from .flag import (FlagPartition, TangentVector, _block_arrays, _block_products, _require_equigeodesic,
                    _scan_block_products, _upper_blocks)
 from .linalg import (DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _build, _unit_scale, commutator,
                      project_m)
@@ -131,25 +131,23 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     The probes form a basis of all multiplier tables, so the s(s-1)/2 bracket
     evaluations quantify over every invariant metric at once. X lies in m exactly, so
     Y = L_ij X is a_ij + a_ji and YX = (XY)^*: [X, Y] vanishes on (I u J)^2 and its squared
-    norm is twice that of XY on the rows K outside I u J, a_Kj a_ji and a_Ki a_ij,
-    O((n - n_i - n_j) n_i n_j) per probe; a probe with a_ij = 0 is skipped. The residual is
-    ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide beside one
-    large block. The witness is the first probe (i, j) whose residual breaks the rule: a
-    metric direction L_ij for which X is not geodesic.
+    norm is twice that of XY on the rows k outside I u J, sum_k ||a_kj a_ji||^2 + ||a_ki a_ij||^2:
+    column sums of the tables of ``flag._block_products``; a probe with a_ij = 0 is skipped.
+    The residual is ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide
+    beside one large block. The witness is the first probe (i, j) whose residual breaks the
+    rule: a metric direction L_ij for which X is not geodesic.
     """
     _require_tol(tol)
-    p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
-    total, worst, first_bad = norms.sum(), 0.0, None
-    for i, j in p.positive_pairs():
-        if not norms[i - 1, j - 1]:
-            continue
-        (i0, i1), (j0, j1) = p.block_range(i), p.block_range(j)
-        bi, bj, k = slice(i0, i1), slice(j0, j1), np.r_[:i0, i1:j0, j1:len(a)]
-        num = 2 * _norm_sq(np.hstack([a[k, bj] @ a[bj, bi], a[k, bi] @ a[bi, bj]]))
-        den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
-        worst = max(worst, math.sqrt(num / den))
-        if first_bad is None and num > tol2 * den:
-            first_bad = (i, j)
+    norms, tol2, tables = _block_products(x, tol)
+    c = np.zeros_like(norms)
+    for j, near, table in tables:
+        c[j, near] = table.sum(axis=0)  # c[j, m] = sum_k ||a_kj a_jm||^2
+    num, den = 2 * (c + c.T), norms.sum() * (norms + norms.T)
+    worst, first_bad = 0.0, None
+    for i, j in np.argwhere(np.triu(norms != 0, 1)).tolist():  # positive_pairs() order
+        worst = max(worst, math.sqrt(num[i, j] / den[i, j]))
+        if first_bad is None and num[i, j] > tol2 * den[i, j]:
+            first_bad = (i + 1, j + 1)
     return EquigeodesicVerdict(first_bad is None, "bracket-certificate", worst, None, first_bad)
 
 

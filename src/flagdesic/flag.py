@@ -8,7 +8,8 @@ kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is the 
 ``require_skew_hermitian`` plus zero diagonal blocks, and only a matrix off m takes the tolerance
 route. Outside ``linalg``, only this module reads an Exact ``data``: ``from_blocks`` places each
 block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its numbers and its
-squared tolerance (with ``block_norms_sq`` and ``_norm_sq``). The block condition is scanned here.
+squared tolerance (with ``block_norms_sq``); ``_block_products`` forms every block product that
+both equigeodesic routes read, and the block condition is scanned here.
 It owns the block layout: ``_upper_blocks`` lists the nonzero upper blocks, and ``off_block_mask``
 masks the off-diagonal blocks of either layout, n x n or the 2n x 2n embedding.
 """
@@ -238,12 +239,6 @@ def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
     return block_sums(partition, arr.real**2 + arr.imag**2)
 
 
-def _norm_sq(arr: np.ndarray):
-    """Squared Frobenius norm of a complex array, or the exact int of an integer embedding
-    (halved, as it holds every entry twice)."""
-    return (arr * arr).sum() // 2 if arr.dtype == object else np.vdot(arr, arr).real
-
-
 def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
     """(partition, array, squared block norms, squared tolerance): the one block layout of each
     mode, for the one residual rule of the block kernels: a residual sqrt(num / den), violated
@@ -290,28 +285,35 @@ class NotEquigeodesic(ValueError):
         self.violating_triple = violating_triple
 
 
-def _scan_block_products(x: TangentVector, tol: float):
-    """Normalized ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples.
-
-    Returns (worst residual, first violating triple or None), the triple the first in
-    lexicographic (i, j, m) order. One middle block j at a time: A[:, J] @ A[J, :] holds
-    every product a_ij a_jm at once, and only the rows and columns of blocks joined to j
-    by a nonzero block count.
-    """
+def _block_products(x: TangentVector, tol: float):
+    """(squared block norms, squared tolerance, tables) of mu.X, from ``_block_arrays(x, tol,
+    balance=True)``: the one pass that forms block products, for both equigeodesic routes.
+    ``tables`` yields (j, near, num) per middle block j (0-based) joined to two or more blocks:
+    near those blocks, num the table of ||a_ij a_jm||^2 over i, m in near (0 at i = m) from one
+    A[:, J] @ A[J, :] on near's rows and columns. One table at a time: all s would hold up to s^3 numbers."""
     p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
-    nonzero = norms != 0
-    parts = np.array(p.parts)
-    block_of = p.block_index
+
+    def tables():
+        nonzero, parts, block_of = norms != 0, np.array(p.parts), p.block_index
+        for j in range(p.s):
+            near = np.flatnonzero(nonzero[j])
+            if near.size < 2:
+                continue
+            idx = np.flatnonzero(np.isin(block_of, near))
+            lo, hi = p.offsets[j], p.offsets[j + 1]
+            num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+            np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
+            yield j, near, num
+
+    return norms, tol2, tables()
+
+
+def _scan_block_products(x: TangentVector, tol: float):
+    """(worst ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples, first violating triple
+    in lexicographic (i, j, m) order or None), from the tables of ``_block_products``."""
+    norms, tol2, tables = _block_products(x, tol)
     worst, firsts = 0.0, []  # the first violating triple of each middle block j
-    for j in range(p.s):
-        # only the blocks joined to j by a nonzero block can give a nonzero product
-        near = np.flatnonzero(nonzero[j])
-        if near.size < 2:
-            continue
-        idx = np.flatnonzero(np.isin(block_of, near))
-        lo, hi = p.offsets[j], p.offsets[j + 1]
-        num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
-        np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
+    for j, near, num in tables:
         den = np.outer(norms[near, j], norms[j, near])
         worst = max(worst, float(np.sqrt((num / den).astype(float)).max()))
         for i, m in near[np.argwhere(num > tol2 * den)[:1]].tolist():

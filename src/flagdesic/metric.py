@@ -4,7 +4,7 @@ A metric is a symmetric table {lambda_ij > 0} over unordered block pairs; it
 acts on Float tangent matrices entry by entry (Hadamard product with the
 block-constant multiplier matrix). The 0/1 probe multipliers L_ij, of which
 every table is a positive combination, are not metrics: the bracket
-certificate evaluates [X, L_ij X] on block slabs and never builds them.
+certificate evaluates [X, L_ij X] from block products and never builds them.
 """
 
 from __future__ import annotations

@@ -378,6 +378,25 @@ def test_exact_canonicalize_scans_the_blocks_once(monkeypatch, tmp_path, capsys)
     assert calls == ["exact"]
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_check_forms_the_block_products_once_per_route(monkeypatch, tmp_path, capsys, mode):
+    import flagdesic.equigeo as equigeo
+    import flagdesic.flag as flag
+
+    calls = []
+    products = flag._block_products
+
+    def counting(x, tol):
+        calls.append(x.mode.value)
+        return products(x, tol)
+
+    for module in (flag, equigeo):  # each route reads the one product pass
+        monkeypatch.setattr(module, "_block_products", counting)
+    path = write_json(tmp_path / "f9.json", fixture_document("f9-333", mode))
+    assert main(["check", path, "--mode", mode]) == 0
+    assert calls == [mode, mode]
+
+
 def test_closedness_computes_the_spectrum_once(monkeypatch, tmp_path, capsys):
     import flagdesic.closure as closure
 

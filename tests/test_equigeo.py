@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -35,8 +36,8 @@ from flagdesic import (
     weyl_vector,
 )
 from flagdesic.examples import fixture_vector
-from flagdesic.flag import build_roots
-from flagdesic.linalg import PAST_FLOAT_RANGE, SKEW_TOL_FACTOR, commutator, project_m
+from flagdesic.flag import _block_arrays, build_roots
+from flagdesic.linalg import DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, SKEW_TOL_FACTOR, commutator, project_m
 
 GR = GaussianRational
 
@@ -223,6 +224,8 @@ def test_exact_routes_with_huge_denominators(digits):
         assert not v.is_equigeodesic
         assert v[3:] == vf[3:] == witness
         assert v.worst_residual == pytest.approx(vf.worst_residual, rel=1e-12)
+    c = equigeodesic_certificate(x)
+    assert (c.worst_residual, c.violating_probe) == product_form_certificate(x)
     assert not is_essentially_block_diagonal(x)
     y = TangentVector.from_blocks(
         FlagPartition((1, 1, 1, 1)), dict(zip([(1, 2), (3, 4)], near_one)), Mode.EXACT
@@ -323,6 +326,12 @@ def _assert_matches_reference(x):
         rows = [[GR(Fraction(z.real), Fraction(z.imag)) for z in row] for row in x.matrix.data]
         other = TangentVector(x.partition, CMatrix(rows, Mode.EXACT))
     assert equigeodesic_certificate(other).worst_residual == pytest.approx(c.worst_residual, rel=1e-12)
+    worst, probe = product_form_certificate(x)
+    assert c.violating_probe == probe
+    if x.mode is Mode.EXACT:
+        assert c.worst_residual == worst
+    else:
+        assert c.worst_residual == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,6 +379,79 @@ def reference_certificate_residual(x, tol=1e-8):
             if first_bad is None and res > tol:
                 first_bad = (i, j)
     return worst, first_bad
+
+
+def product_form_certificate(x, tol=DEFAULT_EQUI_TOL):
+    """(worst residual, first violating probe or None) of the certificate with every product
+    formed here, on the certificate's mu.X (``_block_arrays(x, tol, balance=True)``): per probe
+    (i, j) with a_ij != 0, twice the squared norm of a[K, J] @ a[J, I] and a[K, I] @ a[I, J] over
+    the rows K outside I u J, against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2). Exact ints stay ints."""
+    p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
+    total, worst, first_bad = norms.sum(), 0.0, None
+    for i, j in p.positive_pairs():
+        if not norms[i - 1, j - 1]:
+            continue
+        (i0, i1), (j0, j1) = p.block_range(i), p.block_range(j)
+        bi, bj, k = slice(i0, i1), slice(j0, j1), np.r_[:i0, i1:j0, j1:len(a)]
+        q = np.hstack([a[k, bj] @ a[bj, bi], a[k, bi] @ a[bi, bj]])
+        num = 2 * ((q * q).sum() // 2 if x.mode is Mode.EXACT else np.vdot(q, q).real)
+        den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
+        worst = max(worst, math.sqrt(num / den))
+        if first_bad is None and num > tol2 * den:
+            first_bad = (i, j)
+    return worst, first_bad
+
+
+def rational_rotation(p, seed):
+    """Block-diagonal rational orthogonal U (Exact): a Pythagorean rotation on each 2 x 2 block,
+    and 1 on each 1 x 1 block."""
+    triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25)]
+    u = [[GR(0)] * p.total for _ in range(p.total)]
+    for b in range(1, p.s + 1):
+        lo, hi = p.block_range(b)
+        if hi - lo == 1:
+            u[lo][lo] = GR(1)
+            continue
+        c, s, r = triples[(seed + b) % len(triples)]
+        u[lo][lo], u[lo][lo + 1] = GR(Fraction(c, r)), GR(Fraction(-s, r))
+        u[lo + 1][lo], u[lo + 1][lo + 1] = GR(Fraction(s, r)), GR(Fraction(c, r))
+    return CMatrix(u, Mode.EXACT)
+
+
+@pytest.mark.parametrize("parts", [(2, 2, 2), (2, 1, 2, 2), (1, 2, 2, 1, 2), (2, 2, 2, 2, 2)])
+def test_exact_certificate_equals_its_product_form_on_rotated_chains(parts):
+    # chains a_i,i+1 a_i+1,i+2 through every block, beside sparse other blocks, then rotated by a
+    # rational U: dense blocks over several denominators; the residual is the same int / int
+    p = FlagPartition(parts)
+    rng = np.random.default_rng(37)
+    for seed in range(4):
+        blocks = {(i, j): [[GR(*rng.integers(-2, 3, 2).tolist()) for _ in range(parts[j - 1])]
+                           for _ in range(parts[i - 1])]
+                  for i, j in p.positive_pairs() if j == i + 1 or rng.random() < 0.3}
+        x = TangentVector.from_blocks(p, blocks, Mode.EXACT)
+        u = rational_rotation(p, seed)
+        for y in (x, TangentVector(p, u.H @ x.matrix @ u)):
+            c = equigeodesic_certificate(y)
+            assert c.is_equigeodesic == (not reference_violating_triples(y))
+            assert (c.worst_residual, c.violating_probe) == product_form_certificate(y)
+
+
+def test_both_routes_on_a_dense_full_flag_stay_small_in_memory():
+    # the product pass hands over one middle block's table at a time: here up to 127 x 127
+    # each, where one stacked s^3 float table would take 16.8 MB
+    n = 128
+    i, j = np.triu_indices(n, 1)
+    a = np.zeros((n, n), dtype=complex)
+    a[i, j] = (i + j + 2) % 3 - 1 + 1j * ((i + 1) * (j + 1) % 2)  # from {-1, 0, 1} + {0, 1}i
+    x = TangentVector(FlagPartition((1,) * n), CMatrix(a - a.conj().T, Mode.FLOAT))
+    tracemalloc.start()
+    try:
+        v, c = is_equigeodesic(x), equigeodesic_certificate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.violating_triple, c.violating_probe) == ((1, 2, 3), (1, 2))
+    assert peak < 8 * 10**6, peak
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,8 +17,8 @@ Give it two checkouts of the commits to compare; it prints the report, progress 
 
     python3 tools/bench_membership.py PARENT_ROOT CHANGE_ROOT > BENCH_membership.json
 
-``main`` takes the ``layer`` script, so another topic runs the same protocol with its own
-(``tools/bench_skew_test.py``).
+``main`` takes the ``layer`` script, its inputs and the ``traced`` counters, so another topic
+runs the same protocol with its own (``tools/bench_skew_test.py``, ``tools/bench_block_products.py``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ INPUTS = (
 )
 
 PAIRS, REPEAT, TRACE_SECONDS, E2E_PAIRS = 3, 7, 5, 10
+
+#: Per-request counters kept from each ``--trace 1`` run.
+TRACED = ("linalg.require_skew_hermitian.calls", "linalg.require_skew_hermitian.self_s", "flag.self_s")
 
 #: Run in each checkout's own interpreter: prints {"constructor_ms", "parse_ms"}, best of k.
 CHILD = """
@@ -96,9 +99,19 @@ def _summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None, child: str = CHILD, doc: str = __doc__) -> int:
+def cases(rng):
+    """(label, document) of each ``layer`` input, drawn from ``rng``."""
+    for label, parts in INPUTS:
+        n = sum(parts)
+        case = (workloads.exact_atoms_case(rng, parts, n // 2 - 1) if label.startswith("exact")
+                else workloads.float_atoms_case(rng, parts, n // 2 - 1, haar=max(parts) > 1))
+        yield label, case.doc
+
+
+def main(argv=None, child: str = CHILD, doc: str = __doc__, inputs=cases, traced=TRACED) -> int:
     """Run the three sections on the two checkouts named in ``argv`` and print the report, with
-    ``child`` as the ``layer`` script and ``doc`` as the description."""
+    ``child`` as the ``layer`` script, run on each JSON document of ``inputs(rng)``, ``traced``
+    as the counters kept, and ``doc`` as the description."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
@@ -109,12 +122,9 @@ def main(argv=None, child: str = CHILD, doc: str = __doc__) -> int:
 
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as work:
-        for label, parts in INPUTS:
-            n = sum(parts)
-            case = (workloads.exact_atoms_case(rng, parts, n // 2 - 1) if label.startswith("exact")
-                    else workloads.float_atoms_case(rng, parts, n // 2 - 1, haar=max(parts) > 1))
+        for label, data in inputs(rng):
             path = Path(work) / "doc.json"
-            path.write_text(json.dumps(case.doc), encoding="utf-8")
+            path.write_text(json.dumps(data), encoding="utf-8")
             row = {"input": label, "parent": [], "change": []}
             for pair in range(PAIRS):
                 for side, root in _sides(pair, roots):
@@ -125,8 +135,6 @@ def main(argv=None, child: str = CHILD, doc: str = __doc__) -> int:
             report["layer"].append(row)
             print(json.dumps(row), file=sys.stderr)
 
-    traced = ("linalg.require_skew_hermitian.calls", "linalg.require_skew_hermitian.self_s",
-              "flag.self_s")
     for workload in workloads.WORKLOADS:
         for seed in (1, 2, 3):
             row = {"workload": workload, "seed": seed}
