@@ -23,8 +23,9 @@ _EXPORTS = {
     ),
     "equigeo": (
         "CanonicalForm", "ConjugationInvariants", "EquigeodesicVerdict", "canonicalize",
-        "conjugation_invariants", "equigeodesic_certificate", "is_equigeodesic",
-        "is_essentially_block_diagonal", "is_essentially_diagonal", "is_geodesic_vector",
+        "conjugation_invariants", "equigeodesic_certificate", "equigeodesic_verdicts",
+        "is_equigeodesic", "is_essentially_block_diagonal", "is_essentially_diagonal",
+        "is_geodesic_vector",
     ),
     "examples": (
         "random_block_unitary", "random_equigeodesic", "random_essentially_diagonal",

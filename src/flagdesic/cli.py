@@ -99,7 +99,7 @@ def _write_out(text: str, out):
 
 
 def _cmd_check(args) -> int:
-    from .equigeo import equigeodesic_certificate, is_equigeodesic, is_geodesic_vector
+    from .equigeo import equigeodesic_verdicts, is_geodesic_vector
 
     x = _load_vector(args.vector, args.mode)
     if args.metric is not None:
@@ -107,9 +107,8 @@ def _cmd_check(args) -> int:
         ok, residual = is_geodesic_vector(x, g, args.tol)
         print(f"geodesic (fixed metric): {str(ok).lower()}  residual {residual:.3e}")
         return 0 if ok else 1
-    block = is_equigeodesic(x, args.tol)
-    cert = equigeodesic_certificate(x, args.tol)
-    for v in (block, cert):
+    verdicts = equigeodesic_verdicts(x, args.tol)
+    for v in verdicts:
         line = f"equigeodesic ({v.method}): {str(v.is_equigeodesic).lower()}"
         line += f"  worst residual {v.worst_residual:.3e}"
         if v.violating_triple is not None:
@@ -117,7 +116,7 @@ def _cmd_check(args) -> int:
         if v.violating_probe is not None:
             line += f"  violating probe {v.violating_probe}"
         print(line)
-    return 0 if (block.is_equigeodesic and cert.is_equigeodesic) else 1
+    return 0 if all(v.is_equigeodesic for v in verdicts) else 1
 
 
 def _cmd_canonicalize(args) -> int:

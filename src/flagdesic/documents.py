@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .flag import FlagPartition, TangentVector, _upper_blocks
-from .linalg import CMatrix, Mode, read_literal
+from .linalg import CMatrix, Mode, _build, read_literal
 
 if TYPE_CHECKING:
     from .metric import InvariantMetric
@@ -174,12 +174,15 @@ def parse_vector_document(doc: dict) -> TangentVector:
 
 def serialize_vector(x: TangentVector) -> dict:
     """Upper-triangle document for a tangent vector: the upper blocks holding a nonzero entry, as
-    ``flag._upper_blocks`` lists them; zero blocks are omitted."""
-    blocks = {}
-    for (i, j), b in _upper_blocks(x.partition, x.matrix.entries(), x.matrix.nonzero()):
+    ``flag._upper_blocks`` lists them, each converted on its own; zero blocks are omitted."""
+    p, m, blocks = x.partition, x.matrix, {}
+    if x.mode is Mode.EXACT:  # the embedding's blocks, over the doubled partition
+        p = FlagPartition(tuple(2 * k for k in p.parts))
+    for (i, j), b in _upper_blocks(p, m.data, m.data != 0):
         if x.mode is Mode.FLOAT:
             blocks[f"{i},{j}"] = np.stack((b.real, b.imag), axis=-1).tolist()
         else:
+            b = _build(b, Mode.EXACT, m.den, reduce=False).entries()
             blocks[f"{i},{j}"] = [[str(v) for v in row] for row in b]
     return {
         "n": x.partition.total,

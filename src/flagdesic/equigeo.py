@@ -6,13 +6,13 @@ metric) exactly when all cross products of its blocks vanish:
 
     a_ij a_jm = 0   for all ordered distinct triples (i, j, m).
 
-Two routes decide this: the block condition above (``flag._scan_block_products``) and a finite
-bracket certificate probing [X, L_ij X] over the 0/1 multiplier basis. They share one product
-pass, ``flag._block_products`` on mu.X (every nonzero block at one scale): the block condition
-reads its tables per triple, the certificate sums them per probe, and each names its own witness,
-its first violating triple (i, j, m) or probe (i, j). Both apply one residual rule in both modes:
-a residual sqrt(num / den), violated where num > tol2 * den, tol2 = tol * tol, and 0 on Exact
-ints. The tests check each route against its own product-form reference, and their agreement.
+Two routes decide this: the block condition above and a finite bracket certificate probing
+[X, L_ij X] over the 0/1 multiplier basis. ``equigeodesic_verdicts`` gives both from one walk of
+the block products of mu.X (every nonzero block at one scale), ``flag._equigeodesic_scan``: the
+block condition reads each table per triple, the certificate sums it per probe, and each names
+its own witness, its first violating triple (i, j, m) or probe (i, j). Both apply one residual
+rule in both modes: a residual sqrt(num / den), violated where num > tol2 * den, tol2 = tol * tol,
+and 0 on Exact ints. The tests check each route against its own product-form reference.
 
 Equigeodesic matrices admit a block-unitary canonical form: conjugation by a
 suitable U = U_1 + ... + U_s (direct sum) turns A into an essentially diagonal
@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .flag import (FlagPartition, TangentVector, _block_arrays, _block_products, _require_equigeodesic,
-                   _scan_block_products, _upper_blocks)
+from .flag import (FlagPartition, TangentVector, _block_arrays, _equigeodesic_scan,
+                   _require_equigeodesic, _upper_blocks)
 from .linalg import (DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _build, _unit_scale, commutator,
                      project_m)
 
@@ -113,6 +113,16 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 
+def equigeodesic_verdicts(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> tuple:
+    """(block condition, bracket certificate): both routes' verdicts from one walk of the block
+    products, ``flag._equigeodesic_scan``, in the order ``is_equigeodesic`` and
+    ``equigeodesic_certificate`` return them one by one."""
+    _require_tol(tol)
+    (worst, triple), (cert_worst, probe) = _equigeodesic_scan(x, tol)
+    return (EquigeodesicVerdict(triple is None, "block-condition", worst, triple),
+            EquigeodesicVerdict(probe is None, "bracket-certificate", cert_worst, None, probe))
+
+
 def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
     """Block condition: every ordered product a_ij a_jm (i, j, m distinct) vanishes.
 
@@ -120,9 +130,7 @@ def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> Equigeod
     the verdict scale-invariant; Exact mode is the same test at tol = 0, a strict
     zero test. Vacuously true when the partition has fewer than three blocks.
     """
-    _require_tol(tol)
-    worst, first_bad = _scan_block_products(x, tol)
-    return EquigeodesicVerdict(first_bad is None, "block-condition", worst, first_bad)
+    return equigeodesic_verdicts(x, tol)[0]
 
 
 def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:
@@ -132,23 +140,12 @@ def equigeodesic_certificate(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) ->
     evaluations quantify over every invariant metric at once. X lies in m exactly, so
     Y = L_ij X is a_ij + a_ji and YX = (XY)^*: [X, Y] vanishes on (I u J)^2 and its squared
     norm is twice that of XY on the rows k outside I u J, sum_k ||a_kj a_ji||^2 + ||a_ki a_ij||^2:
-    column sums of the tables of ``flag._block_products``; a probe with a_ij = 0 is skipped.
+    column sums of the block condition's tables; a probe with a_ij = 0 is skipped.
     The residual is ||[X, Y]|| / (||X|| ||Y||) of mu.X, so a chain of small blocks cannot hide
     beside one large block. The witness is the first probe (i, j) whose residual breaks the
     rule: a metric direction L_ij for which X is not geodesic.
     """
-    _require_tol(tol)
-    norms, tol2, tables = _block_products(x, tol)
-    c = np.zeros_like(norms)
-    for j, near, table in tables:
-        c[j, near] = table.sum(axis=0)  # c[j, m] = sum_k ||a_kj a_jm||^2
-    num, den = 2 * (c + c.T), norms.sum() * (norms + norms.T)
-    worst, first_bad = 0.0, None
-    for i, j in np.argwhere(np.triu(norms != 0, 1)).tolist():  # positive_pairs() order
-        worst = max(worst, math.sqrt(num[i, j] / den[i, j]))
-        if first_bad is None and num[i, j] > tol2 * den[i, j]:
-            first_bad = (i + 1, j + 1)
-    return EquigeodesicVerdict(first_bad is None, "bracket-certificate", worst, None, first_bad)
+    return equigeodesic_verdicts(x, tol)[1]
 
 
 # ---------------------------------------------------------------------------

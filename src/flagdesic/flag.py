@@ -8,8 +8,8 @@ kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is the 
 ``require_skew_hermitian`` plus zero diagonal blocks, and only a matrix off m takes the tolerance
 route. Outside ``linalg``, only this module reads an Exact ``data``: ``from_blocks`` places each
 block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its numbers and its
-squared tolerance (with ``block_norms_sq``); ``_block_products`` forms every block product that
-both equigeodesic routes read, and the block condition is scanned here.
+squared tolerance (with ``block_norms_sq``); ``_equigeodesic_scan`` is the one walk that forms
+the block products, and it reads both equigeodesic routes' verdicts off each table it forms.
 It owns the block layout: ``_upper_blocks`` lists the nonzero upper blocks, and ``off_block_mask``
 masks the off-diagonal blocks of either layout, n x n or the 2n x 2n embedding.
 """
@@ -285,45 +285,43 @@ class NotEquigeodesic(ValueError):
         self.violating_triple = violating_triple
 
 
-def _block_products(x: TangentVector, tol: float):
-    """(squared block norms, squared tolerance, tables) of mu.X, from ``_block_arrays(x, tol,
-    balance=True)``: the one pass that forms block products, for both equigeodesic routes.
-    ``tables`` yields (j, near, num) per middle block j (0-based) joined to two or more blocks:
-    near those blocks, num the table of ||a_ij a_jm||^2 over i, m in near (0 at i = m) from one
-    A[:, J] @ A[J, :] on near's rows and columns. One table at a time: all s would hold up to s^3 numbers."""
+def _equigeodesic_scan(x: TangentVector, tol: float):
+    """((worst, first violating triple or None), (worst, first violating probe or None)): both
+    equigeodesic routes from one walk of mu.X, ``_block_arrays(x, tol, balance=True)``. Per middle
+    block j (0-based) joined to two or more blocks, near those blocks, num is the table of
+    ||a_ij a_jm||^2 over i, m in near (0 at i = m), from one A[:, J] @ A[J, :] on near's rows and
+    columns; one at a time, as all s would hold up to s^3 numbers. The block condition reads it per
+    triple against ||a_ij||^2 ||a_jm||^2, its first violating triple the least (i, j, m). The
+    certificate keeps its column sums c[j, m] = sum_k ||a_kj a_jm||^2, and reads every probe (i, j)
+    with a_ij != 0 at once: 2 (c_ij + c_ji) against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2)."""
     p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
-
-    def tables():
-        nonzero, parts, block_of = norms != 0, np.array(p.parts), p.block_index
-        for j in range(p.s):
-            near = np.flatnonzero(nonzero[j])
-            if near.size < 2:
-                continue
-            idx = np.flatnonzero(np.isin(block_of, near))
-            lo, hi = p.offsets[j], p.offsets[j + 1]
-            num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
-            np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
-            yield j, near, num
-
-    return norms, tol2, tables()
-
-
-def _scan_block_products(x: TangentVector, tol: float):
-    """(worst ||a_ij a_jm|| / (||a_ij|| ||a_jm||) over all ordered triples, first violating triple
-    in lexicographic (i, j, m) order or None), from the tables of ``_block_products``."""
-    norms, tol2, tables = _block_products(x, tol)
-    worst, firsts = 0.0, []  # the first violating triple of each middle block j
-    for j, near, num in tables:
+    nonzero, parts, block_of = norms != 0, np.array(p.parts), p.block_index
+    worst, firsts, c = 0.0, [], np.zeros_like(norms)  # firsts: the first triple of each middle block
+    for j in range(p.s):
+        near = np.flatnonzero(nonzero[j])
+        if near.size < 2:
+            continue
+        idx, (lo, hi) = np.flatnonzero(nonzero[j][block_of]), p.offsets[j:j + 2]
+        num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
         den = np.outer(norms[near, j], norms[j, near])
-        worst = max(worst, float(np.sqrt((num / den).astype(float)).max()))
-        for i, m in near[np.argwhere(num > tol2 * den)[:1]].tolist():
-            firsts.append((i + 1, j + 1, m + 1))
-    return worst, min(firsts, default=None)
+        worst = max(worst, math.sqrt((num / den).max()))
+        bad = num > tol2 * den
+        if bad.any():  # argmax: the first True in row-major order, the least (i, m)
+            i, m = divmod(int(bad.argmax()), near.size)
+            firsts.append((int(near[i]) + 1, j + 1, int(near[m]) + 1))
+        c[j, near] = num.sum(axis=0)
+    probes = np.argwhere(np.triu(nonzero, 1))  # row-major: positive_pairs() order
+    i, j = probes.T
+    num, den = 2 * (c[i, j] + c[j, i]), norms.sum() * (norms[i, j] + norms[j, i])
+    probe = [(i + 1, j + 1) for i, j in probes[num > tol2 * den][:1].tolist()]
+    return ((worst, min(firsts, default=None)),
+            (math.sqrt((num / den).max(initial=0.0)), min(probe, default=None)))
 
 
 def _require_equigeodesic(x: TangentVector) -> float:
     """Return the block condition's worst residual, or raise NotEquigeodesic at its first triple."""
-    worst, first_bad = _scan_block_products(x, DEFAULT_EQUI_TOL)
+    (worst, first_bad), _ = _equigeodesic_scan(x, DEFAULT_EQUI_TOL)
     if first_bad is not None:
         raise NotEquigeodesic(f"input is not equigeodesic: blocks {first_bad} have "
                               f"residual {worst:.3e}", violating_triple=first_bad)

@@ -365,36 +365,36 @@ def test_exact_canonicalize_scans_the_blocks_once(monkeypatch, tmp_path, capsys)
     import flagdesic.flag as flag
 
     calls = []
-    scan = flag._scan_block_products
+    scan = flag._equigeodesic_scan
 
     def counting(x, tol):
         calls.append(x.mode.value)
         return scan(x, tol)
 
     for module in (flag, equigeo):  # equigeo holds the name too, so every caller is counted
-        monkeypatch.setattr(module, "_scan_block_products", counting)
+        monkeypatch.setattr(module, "_equigeodesic_scan", counting)
     path = write_json(tmp_path / "f9e.json", fixture_document("f9-333", "exact"))
     assert main(["canonicalize", path, "--out", os.devnull]) == 0
     assert calls == ["exact"]
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
-def test_check_forms_the_block_products_once_per_route(monkeypatch, tmp_path, capsys, mode):
+def test_check_forms_the_block_products_once(monkeypatch, tmp_path, capsys, mode):
     import flagdesic.equigeo as equigeo
     import flagdesic.flag as flag
 
     calls = []
-    products = flag._block_products
+    scan = flag._equigeodesic_scan
 
     def counting(x, tol):
         calls.append(x.mode.value)
-        return products(x, tol)
+        return scan(x, tol)
 
-    for module in (flag, equigeo):  # each route reads the one product pass
-        monkeypatch.setattr(module, "_block_products", counting)
+    for module in (flag, equigeo):  # both routes read one walk of the product tables
+        monkeypatch.setattr(module, "_equigeodesic_scan", counting)
     path = write_json(tmp_path / "f9.json", fixture_document("f9-333", mode))
     assert main(["check", path, "--mode", mode]) == 0
-    assert calls == [mode, mode]
+    assert calls == [mode]
 
 
 def test_closedness_computes_the_spectrum_once(monkeypatch, tmp_path, capsys):

@@ -437,7 +437,7 @@ def test_exact_certificate_equals_its_product_form_on_rotated_chains(parts):
 
 
 def test_both_routes_on_a_dense_full_flag_stay_small_in_memory():
-    # the product pass hands over one middle block's table at a time: here up to 127 x 127
+    # the walk forms one middle block's table at a time: here up to 127 x 127
     # each, where one stacked s^3 float table would take 16.8 MB
     n = 128
     i, j = np.triu_indices(n, 1)
@@ -554,6 +554,24 @@ def test_first_violating_triple_is_lexicographic(mode):
     assert reference_block_condition(x)[2] == (1, 4, 5)
     assert is_equigeodesic(x).violating_triple == (1, 4, 5)
     assert equigeodesic_certificate(x)[3:] == (None, (1, 4))
+
+
+def test_the_first_violating_probe_is_not_the_worst():
+    # a chain 1-2-3 into the triangle 3-4-5: every probe with a_ij != 0 violates; the first,
+    # (1, 2), is not the worst, which is (3, 5): only a tolerance just below the worst residual
+    # skips every probe before it
+    p = FlagPartition((1,) * 5)
+    entries = {(1, 2): "1", (2, 3): "2/3-1/3i", (3, 4): "3/5+4/5i", (3, 5): "-1/2i", (4, 5): "5/7"}
+    x = TangentVector.from_blocks(p, {k: [[GR.parse(v)]] for k, v in entries.items()}, Mode.EXACT)
+    c = equigeodesic_certificate(x)
+    assert c.violating_probe == (1, 2)
+    assert (c.worst_residual, c.violating_probe) == product_form_certificate(x)
+    xf = x.to_float()
+    for tol, probe in [(DEFAULT_EQUI_TOL, (1, 2)), (0.5, (2, 3)), (c.worst_residual * 0.999, (3, 5))]:
+        v, (worst, first) = equigeodesic_certificate(xf, tol), product_form_certificate(xf, tol)
+        assert v.violating_probe == first == probe
+        assert v.worst_residual == pytest.approx(worst, rel=1e-12, abs=0.0)
+        assert v.worst_residual == pytest.approx(c.worst_residual, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
