@@ -9,9 +9,10 @@ holding only the upper block triangle; the lower half is forced to
 a_ji = -a_ij^*, which removes a whole class of inconsistent inputs. Float
 entries are [re, im] pairs; exact entries, strings like "1/2-3/4i", are read by
 ``linalg.read_literal`` straight to the integers of ``CMatrix.from_ints``, without
-``gaussian`` or ``fractions``. Missing blocks are zero. Metric documents carry {"parts": [...],
-"lambda": {"i,j": value}} with absent pairs defaulting to 1. Any other top-level key is an
-error, so a misspelt key cannot read as a default.
+``gaussian`` or ``fractions``, and written from the blocks of the integer pair [x, y] of
+``CMatrix.data`` on the vector's own partition. Missing blocks are zero. Metric documents
+carry {"parts": [...], "lambda": {"i,j": value}} with absent pairs defaulting to 1. Any other
+top-level key is an error, so a misspelt key cannot read as a default.
 """
 
 from __future__ import annotations
@@ -175,10 +176,8 @@ def parse_vector_document(doc: dict) -> TangentVector:
 def serialize_vector(x: TangentVector) -> dict:
     """Upper-triangle document for a tangent vector: the upper blocks holding a nonzero entry, as
     ``flag._upper_blocks`` lists them, each converted on its own; zero blocks are omitted."""
-    p, m, blocks = x.partition, x.matrix, {}
-    if x.mode is Mode.EXACT:  # the embedding's blocks, over the doubled partition
-        p = FlagPartition(tuple(2 * k for k in p.parts))
-    for (i, j), b in _upper_blocks(p, m.data, m.data != 0):
+    m, blocks = x.matrix, {}
+    for (i, j), b in _upper_blocks(x.partition, m.data, m.nonzero()):
         if x.mode is Mode.FLOAT:
             blocks[f"{i},{j}"] = np.stack((b.real, b.imag), axis=-1).tolist()
         else:

@@ -174,7 +174,7 @@ def is_essentially_block_diagonal(x: TangentVector) -> bool:
     each such product then has a zero factor. Float blocks count above
     ESSENTIAL_ENTRY_TOL * ||A||_F, Exact blocks when nonzero.
     """
-    _, _, norms, tol2 = _block_arrays(x, ESSENTIAL_ENTRY_TOL)
+    _, norms, tol2 = _block_arrays(x, ESSENTIAL_ENTRY_TOL)
     nonzero = norms > tol2 * norms.sum()
     return bool(nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1)
 

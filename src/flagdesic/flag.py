@@ -11,7 +11,8 @@ block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its
 squared tolerance (with ``block_norms_sq``); ``_equigeodesic_scan`` is the one walk that forms
 the block products, and it reads both equigeodesic routes' verdicts off each table it forms.
 It owns the block layout: ``_upper_blocks`` lists the nonzero upper blocks, and ``off_block_mask``
-masks the off-diagonal blocks of either layout, n x n or the 2n x 2n embedding.
+masks the off-diagonal blocks; each indexes ``[..., rows, cols]``, a Float ``data`` or both
+parts of an Exact one.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import (DEFAULT_EQUI_TOL, SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _build, _unit_scale,
-                     require_skew_hermitian)
+from .linalg import (DEFAULT_EQUI_TOL, SKEW_TOL_FACTOR, CMatrix, Immutable, Mode, _build, _mul,
+                     _unit_scale, require_skew_hermitian)
 
 
 class _ByValue(Immutable):
@@ -131,10 +132,11 @@ class TangentVector(Immutable):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match partition total {n}"
             )
-        a, off = matrix.data, off_block_mask(partition, len(matrix.data) // n)  # k = 2 on an embedding
-        if require_skew_hermitian(matrix) and not a[~off].any():
+        a, off = matrix.data, off_block_mask(partition)
+        # a.T: the mask is symmetric, and numpy masks leading axes ~7x faster than a[..., ~off]
+        if require_skew_hermitian(matrix) and not a.T[~off].any():
             return  # A is in m: each entry mirrors, its diagonal blocks are 0; no norm is taken
-        _, _, norms, tol2 = _block_arrays(self, SKEW_TOL_FACTOR)
+        _, norms, tol2 = _block_arrays(self, SKEW_TOL_FACTOR)
         diag, total = np.diag(norms), norms.sum()
         for i in np.flatnonzero(diag > tol2 * total)[:1]:
             if self.mode is Mode.EXACT:
@@ -179,7 +181,7 @@ class TangentVector(Immutable):
         lower half is a_ji = -a_ij^*. Missing blocks are zero. Each block becomes a CMatrix
         of ``mode``, and its ``data`` goes into U's over the blocks' common denominator.
         """
-        k, dtype = (2, object) if mode is Mode.EXACT else (1, np.complex128)
+        lead, dtype = ((2,), object) if mode is Mode.EXACT else ((), np.complex128)
         placed = []
         for (i, j), blk in blocks.items():
             if not (1 <= i <= partition.s and 1 <= j <= partition.s):
@@ -195,18 +197,18 @@ class TangentVector(Immutable):
                     f"block ({i},{j}) has shape {blk.shape}, expected {(r1 - r0, c1 - c0)}"
                 )
             blk = CMatrix(blk, mode) if isinstance(blk, np.ndarray) else blk
-            placed.append((np.s_[k * r0:k * r1, k * c0:k * c1], blk))
+            placed.append((np.s_[..., r0:r1, c0:c1], blk))
         den = math.lcm(*(b.den for _, b in placed))
-        u = np.zeros((k * partition.total,) * 2, dtype)
+        u = np.zeros((*lead, partition.total, partition.total), dtype)
         for at, b in placed:
             u[at] = b.data if b.den == den else b.data * (den // b.den)
         u = _build(u, mode, den)
         return cls(partition, u - u.H)
 
 
-def off_block_mask(partition: FlagPartition, k: int = 1) -> np.ndarray:
-    """Boolean mask of the off-diagonal blocks' entries: n x n, or the 2n x 2n embedding's for k = 2."""
-    b = partition.block_index.repeat(k)
+def off_block_mask(partition: FlagPartition) -> np.ndarray:
+    """n x n boolean mask of the off-diagonal blocks' entries."""
+    b = partition.block_index
     return b[:, None] != b[None, :]
 
 
@@ -215,40 +217,38 @@ def off_block_positions(partition: FlagPartition) -> list:
     return [(r, c) for r, c in np.argwhere(off_block_mask(partition)).tolist()]
 
 
-def block_sums(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
-    """s x s table whose entry [i-1, j-1] is the sum of block (i, j) of ``arr``."""
-    starts = partition.offsets[:-1]
+def block_sums(starts: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """s x s table whose entry [i-1, j-1] is the sum of block (i, j) of the square ``arr``, for
+    the blocks' 0-based ``starts``, a partition's ``offsets[:-1]``."""
     return np.add.reduceat(np.add.reduceat(arr, starts, axis=0), starts, axis=1)
 
 
 def _upper_blocks(partition: FlagPartition, a: np.ndarray, nonzero: np.ndarray):
     """((i, j), block (i, j) of ``a``) for each i < j, in ``positive_pairs()`` order, whose block of
     the boolean ``nonzero`` holds an entry: counts, not norms, as a tiny entry's square underflows."""
-    counts = block_sums(partition, nonzero)
+    counts = block_sums(partition.offsets[:-1], nonzero)
     for i, j in partition.positive_pairs():
         if counts[i - 1, j - 1]:
-            yield (i, j), a[slice(*partition.block_range(i)), slice(*partition.block_range(j))]
+            yield (i, j), a[..., slice(*partition.block_range(i)), slice(*partition.block_range(j))]
 
 
-def block_norms_sq(partition: FlagPartition, arr: np.ndarray) -> np.ndarray:
-    """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j)
-    of a complex array, or the exact int of an integer embedding over the doubled
-    partition: the embedding holds every entry twice, so its table is halved."""
+def block_norms_sq(starts: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """s x s table whose entry [i-1, j-1] is the squared Frobenius norm of block (i, j), for the
+    blocks' 0-based ``starts``, of a complex array, or the exact int of an Exact pair [x, y]."""
     if arr.dtype == object:
-        return block_sums(partition, arr * arr) // 2
-    return block_sums(partition, arr.real**2 + arr.imag**2)
+        return block_sums(starts, (arr * arr).sum(axis=0))
+    return block_sums(starts, arr.real**2 + arr.imag**2)
 
 
 def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
-    """(partition, array, squared block norms, squared tolerance): the one block layout of each
-    mode, for the one residual rule of the block kernels: a residual sqrt(num / den), violated
-    where num > tol2 * den, tol2 = tol * tol correctly rounded, inf past the float range.
+    """(array, squared block norms, squared tolerance): the numbers of each mode, for the one
+    residual rule of the block kernels: a residual sqrt(num / den), violated where
+    num > tol2 * den, tol2 = tol * tol correctly rounded, inf past the float range.
 
     Float: the matrix times ``_unit_scale``, so no square or product over- or
-    underflows, and ``tol``. Exact: ``data``, the integer embedding of D*A, over the
-    doubled partition, so block (i, j) stays block (i, j), and tol = 0: int / int rounds
-    correctly at any size, and num > 0 * den is the strict zero test. Every residual is
-    a ratio of norms, so the scale and D cancel from it.
+    underflows, and ``tol``. Exact: ``data``, the integer pair [x, y] of D*A, and tol = 0:
+    int / int rounds correctly at any size, and num > 0 * den is the strict zero test. Every
+    residual is a ratio of norms, so the scale and D cancel from it.
 
     ``balance`` gives mu.X instead, mu_ij = 2^-e_ij with e_ij = math.frexp(the largest
     |re| or |im| of block (i, j))[1], so that every nonzero block's largest part lies in
@@ -256,14 +256,12 @@ def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
     the same residuals. mu acts termwise, as an invariant metric does, so every
     a_ij a_jm = 0 stays as it is, and a block far smaller than another still counts.
     """
-    p, a = x.partition, x.matrix.data
-    if x.mode is Mode.EXACT:
-        p, tol = FlagPartition(tuple(2 * k for k in p.parts)), 0
+    a, starts = x.matrix.data, x.partition.offsets[:-1]
+    tol = 0 if x.mode is Mode.EXACT else tol
     if balance:
-        mags = np.abs(a) if x.mode is Mode.EXACT else np.maximum(np.abs(a.real), np.abs(a.imag))
-        starts = p.offsets[:-1]
+        mags = np.maximum(*map(np.abs, a if x.mode is Mode.EXACT else (a.real, a.imag)))
         top = np.maximum.reduceat(np.maximum.reduceat(mags, starts, axis=0), starts, axis=1)
-        bi = p.block_index
+        bi = x.partition.block_index
         if x.mode is Mode.FLOAT:
             e = np.frexp(top)[1][bi][:, bi]
             a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)  # exact, past 2**1023 too
@@ -274,7 +272,7 @@ def _block_arrays(x: TangentVector, tol: float, balance: bool = False):
             a = a * (1 << (e.max() - e))[bi][:, bi]
     elif x.mode is Mode.FLOAT:
         a = a * _unit_scale(a)
-    return p, a, block_norms_sq(p, a), tol * tol
+    return a, block_norms_sq(starts, a), tol * tol
 
 
 class NotEquigeodesic(ValueError):
@@ -289,20 +287,21 @@ def _equigeodesic_scan(x: TangentVector, tol: float):
     """((worst, first violating triple or None), (worst, first violating probe or None)): both
     equigeodesic routes from one walk of mu.X, ``_block_arrays(x, tol, balance=True)``. Per middle
     block j (0-based) joined to two or more blocks, near those blocks, num is the table of
-    ||a_ij a_jm||^2 over i, m in near (0 at i = m), from one A[:, J] @ A[J, :] on near's rows and
-    columns; one at a time, as all s would hold up to s^3 numbers. The block condition reads it per
-    triple against ||a_ij||^2 ||a_jm||^2, its first violating triple the least (i, j, m). The
-    certificate keeps its column sums c[j, m] = sum_k ||a_kj a_jm||^2, and reads every probe (i, j)
-    with a_ij != 0 at once: 2 (c_ij + c_ji) against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2)."""
-    p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
+    ||a_ij a_jm||^2 over i, m in near (0 at i = m), from one ``_mul`` of A[:, J] and A[J, :] on
+    near's rows and columns, its blocks starting at the running sums of near's sizes; one at a
+    time, as all s would hold up to s^3 numbers. The block condition reads it per triple against
+    ||a_ij||^2 ||a_jm||^2, its first violating triple the least (i, j, m). The certificate keeps
+    its column sums c[j, m] = sum_k ||a_kj a_jm||^2, and reads every probe (i, j) with a_ij != 0
+    at once: 2 (c_ij + c_ji) against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2)."""
+    p, (a, norms, tol2) = x.partition, _block_arrays(x, tol, balance=True)
     nonzero, parts, block_of = norms != 0, np.array(p.parts), p.block_index
     worst, firsts, c = 0.0, [], np.zeros_like(norms)  # firsts: the first triple of each middle block
     for j in range(p.s):
         near = np.flatnonzero(nonzero[j])
         if near.size < 2:
             continue
-        idx, (lo, hi) = np.flatnonzero(nonzero[j][block_of]), p.offsets[j:j + 2]
-        num = block_norms_sq(FlagPartition(tuple(parts[near])), a[idx, lo:hi] @ a[lo:hi, idx])
+        idx, (lo, hi), sizes = np.flatnonzero(nonzero[j][block_of]), p.offsets[j:j + 2], parts[near]
+        num = block_norms_sq(np.cumsum(sizes) - sizes, _mul(a[..., idx, lo:hi], a[..., lo:hi, idx]))
         np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
         den = np.outer(norms[near, j], norms[j, near])
         worst = max(worst, math.sqrt((num / den).max()))

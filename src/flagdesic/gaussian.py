@@ -1,9 +1,9 @@
 """Gaussian rationals, the entries of Exact-mode matrices, and the exact spectral kernels.
 
-An Exact ``CMatrix`` computes on the integer embedding of its entries (see ``linalg``) and
+An Exact ``CMatrix`` computes on the integer parts [x, y] of its entries (see ``linalg``) and
 stores no GaussianRational: these are a caller's entries going in and ``entries()`` coming
 out, so they have no arithmetic. Here too is the exact spectrum of exact ``closedness``: the
-integer characteristic polynomial of D*H (``exact_char_poly``, on ``CMatrix.int_parts``) and
+integer characteristic polynomial of D*H (``exact_char_poly``, on ``CMatrix.data``) and
 its roots (``exact_skew_squares``). The only module to import ``fractions`` at module level,
 it loads only where a Fraction or GaussianRational goes in or out: exact ``closedness``'s
 squares, the Exact ``CMatrix`` constructor, ``entries()`` and writing exact documents.
@@ -83,7 +83,7 @@ def _parts(value) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact kernels on the integer embedding
+# exact kernels on the integer parts
 # ---------------------------------------------------------------------------
 
 
@@ -98,7 +98,7 @@ def exact_char_poly(a: CMatrix) -> np.ndarray:
     if a.mode is not Mode.EXACT:
         raise ValueError("exact_char_poly requires Exact mode")
     require_skew_hermitian(a)
-    (x, y), n = a.int_parts(), a.n_rows  # D a = x + i y, D H = y - i x
+    (x, y), n = a.data, a.n_rows  # D a = x + i y, D H = y - i x
     rows = (x * x + y * y).sum(axis=1)  # r_j^2
     bound = 2 * math.prod(2 + math.isqrt(r) for r in rows)  # > 2 prod(1 + r_j)
     count = bound.bit_length() // 19 + 1  # primes above 2^19 whose product passes the bound
@@ -161,7 +161,7 @@ def _float_thetas(a: CMatrix) -> list:
     a * 2^-e built from the integers, where e, the bit length of the largest |x| or |y| less D's,
     puts every part below 2 and rounds one far below the largest to 0. Each theta is scaled
     back by 2^e; ValueError where one passes the float range, or all round to 0."""
-    x, y = a.int_parts()
+    x, y = a.data
     e = max(np.max(np.abs(x)), np.max(np.abs(y))).bit_length() - a.den.bit_length()
     x, y = ((v << max(-e, 0)) / (a.den << max(e, 0)) for v in (x, y))
     w, _ = _skew_eigh(_build((x + 1j * y).astype(complex), Mode.FLOAT), vectors=False)
@@ -189,7 +189,7 @@ def exact_skew_squares(a: CMatrix):
     theta_ref^2 sum q_k^2, and so each theta^2, rational): then squares are all None, and
     thetas the float spectrum of ``_float_thetas``. Where sum theta_k^2 = ||a||_F^2 reaches
     n 2^2048, some theta >= 2^1024 rounds to inf: ValueError, before the polynomial is formed."""
-    if sum((v * v).sum() for v in a.int_parts()) >= a.n_rows * a.den**2 << 2048:
+    if (a.data * a.data).sum() >= a.n_rows * a.den**2 << 2048:
         raise ValueError(_ROUNDS_AWAY)
     p = exact_char_poly(a)
     s = np.convolve(p, p * (-1) ** np.arange(len(p)))[::2].tolist()

@@ -4,20 +4,19 @@ Two computation modes run through the whole library:
 
 * ``Mode.FLOAT``  -- numpy complex128 matrices, tolerance-based predicates.
 * ``Mode.EXACT``  -- the least common denominator ``den`` of the entries and the
-  real embedding of den * A as Python ints, each entry x + iy a 2 x 2 block
-  [[x, -y], [y, x]], in lowest terms: exact arithmetic and zero tests on ints.
+  integer parts of den * A = x + iy, stacked as the object array [x, y] of Python ints, in
+  lowest terms: exact arithmetic and zero tests on ints.
 
 The ``CMatrix`` constructor copies and checks a caller's entries in both modes: complex numbers,
 or ``int``, ``Fraction`` and ``GaussianRational`` in Exact mode, which rejects floats. Every
 matrix the library computes is stored as it is by ``_build``, an Exact one in lowest terms.
-Sums, products, negation, the conjugate transpose (the transpose of an embedding)
-and zero tests are one numpy expression for both modes, and ``project_m`` applies
-``flag.off_block_mask`` of either layout. ``from_ints(a, b, c, d)``,
-which documents and the constructor call, writes the entries a/b + (c/d)i over their common
-denominator in the 2 x 2 layout, ``shape`` halves it, and only ``int_parts`` slices it, for
-``entries``, ``nonzero``, ``fro``, ``to_float`` and the exact spectrum in ``gaussian``.
+Sums, negation and zero tests are one numpy expression for both modes, indexed
+``[..., rows, cols]``, as is ``project_m``'s ``flag.off_block_mask``; ``_mul`` is the product
+of both, ``np.dot`` on complex arrays and four integer products on pairs, for ``@`` and the
+block kernels. ``from_ints(a, b, c, d)``, which documents and the constructor call, writes the
+entries a/b + (c/d)i over their common denominator; ``x, y = a.data`` reads them back.
 ``read_literal`` reads an exact literal to (a, b, c, d), for documents and
-``GaussianRational.parse``. Exact block kernels run on the embedding; the exact spectrum is in
+``GaussianRational.parse``. Exact block kernels run on the pairs; the exact spectrum is in
 ``gaussian``, which loads only where a Fraction or GaussianRational goes in or out. ``scale``,
 ``skew_spectrum`` and ``killing_flow`` are Float-mode only. A matrix never mixes modes;
 mixed-mode binary operations raise ``ValueError``.
@@ -78,8 +77,8 @@ class CMatrix(Immutable):
     """Dense complex matrix in one of the two scalar modes, built from its entries.
 
     Float: ``data`` is the complex128 array of the entries and ``den`` is 1. Exact:
-    ``data`` is the embedding of den * A, an object array of ints with gcd(den, *data)
-    = 1. Both are frozen after construction. Equality is identity.
+    ``data`` is [x, y] with den * A = x + iy, a (2, rows, cols) object array of ints with
+    gcd(den, *data) = 1. Both are frozen after construction. Equality is identity.
     """
 
     def __new__(cls, data: np.ndarray, mode: Mode):
@@ -99,13 +98,9 @@ class CMatrix(Immutable):
     @classmethod
     def from_ints(cls, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> "CMatrix":
         """The Exact matrix of the entries a/b + (c/d)i, for int object arrays of one shape with
-        b, d > 0, in lowest terms: the one writer of the 2 x 2 layout."""
+        b, d > 0, in lowest terms."""
         den = math.lcm(*b.flat, *d.flat)
-        x, y = a * (den // b), c * (den // d)
-        arr = np.empty((2 * x.shape[0], 2 * x.shape[1]), dtype=object)
-        arr[0::2, 0::2] = arr[1::2, 1::2] = x
-        arr[1::2, 0::2], arr[0::2, 1::2] = y, -y
-        return _build(arr, Mode.EXACT, den)
+        return _build(np.array((a * (den // b), c * (den // d))), Mode.EXACT, den)
 
     # -- shape -------------------------------------------------------------
 
@@ -119,8 +114,7 @@ class CMatrix(Immutable):
 
     @property
     def shape(self) -> tuple:
-        r, c = self.data.shape
-        return (r, c) if self.mode is Mode.FLOAT else (r // 2, c // 2)
+        return self.data.shape[-2:]
 
     @property
     def is_square(self) -> bool:
@@ -154,7 +148,7 @@ class CMatrix(Immutable):
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check_binary(other, "matmul", matmul=True)
-        return _build(np.dot(self.data, other.data), self.mode, self.den * other.den)
+        return _build(_mul(self.data, other.data), self.mode, self.den * other.den)
 
     def _require_float(self, op: str) -> None:
         if self.mode is not Mode.FLOAT:
@@ -166,9 +160,10 @@ class CMatrix(Immutable):
 
     @property
     def H(self) -> "CMatrix":
-        """Conjugate transpose; transposing an embedding conjugates its entries."""
-        flipped = self.data.conj() if self.mode is Mode.FLOAT else self.data
-        return _build(flipped.T, self.mode, self.den, reduce=False)
+        """Conjugate transpose: (x^T, -y^T) in Exact mode."""
+        a = self.data
+        h = a.conj().T if self.mode is Mode.FLOAT else np.array((a[0].T, -a[1].T))
+        return _build(h, self.mode, self.den, reduce=False)
 
     def fro(self) -> float:
         """Frobenius norm, a float in both modes, inf past its range: Exact rounds the sum of
@@ -176,7 +171,7 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             s = _unit_scale(self.data)
             return float(np.linalg.norm(self.data * s)) / s
-        z, d2 = sum((v * v).sum() for v in self.int_parts()), self.den**2
+        z, d2 = (self.data * self.data).sum(), self.den**2
         with contextlib.suppress(OverflowError):  # else the sum passes the float range
             return math.sqrt(z / d2)
         root = math.isqrt(z // d2)
@@ -185,16 +180,10 @@ class CMatrix(Immutable):
     def is_zero(self) -> bool:
         return not any(self.data.flat)
 
-    def int_parts(self) -> tuple:
-        """Exact mode: read-only int views (x, y) of the embedding, with den * A = x + i y."""
-        return self.data[0::2, 0::2], self.data[1::2, 0::2]
-
     def nonzero(self) -> np.ndarray:
         """Boolean array of the entries that are not exactly zero."""
-        if self.mode is Mode.FLOAT:
-            return self.data != 0
-        x, y = self.int_parts()
-        return (x != 0) | (y != 0)
+        nonzero = self.data != 0
+        return nonzero if self.mode is Mode.FLOAT else nonzero.any(axis=0)
 
     def entries(self) -> np.ndarray:
         """The entries: the complex128 ``data`` in Float mode, an object array of
@@ -208,7 +197,7 @@ class CMatrix(Immutable):
         def entry(x, y):
             return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
 
-        return np.frompyfunc(entry, 2, 1)(*self.int_parts())
+        return np.frompyfunc(entry, 2, 1)(*self.data)
 
     def to_float(self) -> "CMatrix":
         """The Float matrix of the same entries; an Exact entry that overflows, or is
@@ -216,7 +205,7 @@ class CMatrix(Immutable):
         if self.mode is Mode.FLOAT:
             return self
         out = np.zeros(self.shape, dtype=np.complex128)
-        re, im = self.int_parts()
+        re, im = self.data
         for k, (x, y) in enumerate(zip(re.flat, im.flat)):
             with contextlib.suppress(OverflowError):  # int / int rounds correctly at any size
                 out.flat[k] = complex(x / self.den, y / self.den)
@@ -238,9 +227,18 @@ class CMatrix(Immutable):
         return f"CMatrix({self.n_rows}x{self.n_cols}, {self.mode.value})"
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of two ``data`` arrays of one mode, or of their [..., rows, cols] slices:
+    ``np.dot`` on complex arrays, and on Exact pairs (x + iy)(u + iv) in four integer products."""
+    if a.dtype != object:
+        return np.dot(a, b)
+    (x, y), (u, v) = a, b
+    return np.array((np.dot(x, u) - np.dot(y, v), np.dot(x, v) + np.dot(y, u)))
+
+
 def _build(data: np.ndarray, mode: Mode, den: int = 1, reduce: bool = True) -> CMatrix:
     """The matrix of an array the library computed, stored as it is, neither copied nor checked:
-    the complex128 entries (Float), or the embedding over ``den`` (Exact), divided by their gcd
+    the complex128 entries (Float), or the pair [x, y] over ``den`` (Exact), divided by their gcd
     unless ``reduce`` is False, as for -A and A^*, which keep the lowest terms of A."""
     g = math.gcd(den, *data.flat) if reduce and mode is Mode.EXACT else 1
     if g > 1:
@@ -300,7 +298,7 @@ def _unit_scale(arr: np.ndarray) -> float:
 
 
 def require_skew_hermitian(a: CMatrix) -> bool:
-    """True where a = -a^* entry for entry (an embedding: antisymmetric), one exact test with no
+    """True where a = -a^* entry for entry (x = -x^T, y = y^T), one exact test with no
     norm taken; before it, a non-finite Float entry raises ValueError naming the first one. Off
     it, raise NotSkewHermitian, but give False for a Float a + a^* within SKEW_TOL_FACTOR * ||a||_F."""
     if not a.is_square:
@@ -341,8 +339,7 @@ def project_m(a: CMatrix, partition: "FlagPartition") -> CMatrix:
             f"matrix shape {a.shape} does not match partition of total {partition.total}"
         )
     from .flag import off_block_mask  # here, as flag imports linalg
-    off = off_block_mask(partition, len(a.data) // partition.total)  # k = 2 on an embedding
-    return _build(np.where(off, a.data, 0), a.mode, a.den)
+    return _build(np.where(off_block_mask(partition), a.data, 0), a.mode, a.den)
 
 
 def _skew_eigh(a: CMatrix, vectors: bool):

@@ -381,20 +381,29 @@ def reference_certificate_residual(x, tol=1e-8):
     return worst, first_bad
 
 
+def written_out_product(a, rows, mid, cols):
+    """a[rows, mid] @ a[mid, cols] of a complex array, or of an Exact pair [x, y] the pair
+    [x u - y v, x v + y u] of (x + i y)(u + i v), its four integer products written out here."""
+    if a.dtype != object:
+        return a[rows, mid] @ a[mid, cols]
+    (x, y), (u, v) = a[:, rows, mid], a[:, mid, cols]
+    return np.stack((x @ u - y @ v, x @ v + y @ u))
+
+
 def product_form_certificate(x, tol=DEFAULT_EQUI_TOL):
     """(worst residual, first violating probe or None) of the certificate with every product
     formed here, on the certificate's mu.X (``_block_arrays(x, tol, balance=True)``): per probe
     (i, j) with a_ij != 0, twice the squared norm of a[K, J] @ a[J, I] and a[K, I] @ a[I, J] over
     the rows K outside I u J, against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2). Exact ints stay ints."""
-    p, a, norms, tol2 = _block_arrays(x, tol, balance=True)
+    p, (a, norms, tol2) = x.partition, _block_arrays(x, tol, balance=True)
     total, worst, first_bad = norms.sum(), 0.0, None
     for i, j in p.positive_pairs():
         if not norms[i - 1, j - 1]:
             continue
         (i0, i1), (j0, j1) = p.block_range(i), p.block_range(j)
-        bi, bj, k = slice(i0, i1), slice(j0, j1), np.r_[:i0, i1:j0, j1:len(a)]
-        q = np.hstack([a[k, bj] @ a[bj, bi], a[k, bi] @ a[bi, bj]])
-        num = 2 * ((q * q).sum() // 2 if x.mode is Mode.EXACT else np.vdot(q, q).real)
+        bi, bj, k = slice(i0, i1), slice(j0, j1), np.r_[:i0, i1:j0, j1:p.total]
+        q = np.concatenate([written_out_product(a, k, bj, bi), written_out_product(a, k, bi, bj)], axis=-1)
+        num = 2 * ((q * q).sum() if x.mode is Mode.EXACT else np.vdot(q, q).real)
         den = total * (norms[i - 1, j - 1] + norms[j - 1, i - 1])
         worst = max(worst, math.sqrt(num / den))
         if first_bad is None and num > tol2 * den:

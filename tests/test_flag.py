@@ -513,11 +513,11 @@ def test_off_block_positions():
 def _listed_upper_blocks(p, a, nonzero):
     """The nonzero upper blocks by one ``block_sums`` count table, read in ``positive_pairs``
     order: the reference for ``flag._upper_blocks``."""
-    counts, listed = flag.block_sums(p, nonzero), []
+    counts, listed = flag.block_sums(p.offsets[:-1], nonzero), []
     for i, j in p.positive_pairs():
         if counts[i - 1, j - 1]:
             (r0, r1), (c0, c1) = p.block_range(i), p.block_range(j)
-            listed.append(((i, j), a[r0:r1, c0:c1]))
+            listed.append(((i, j), a[..., r0:r1, c0:c1]))
     return listed
 
 
@@ -545,16 +545,18 @@ def test_the_block_layout_is_read_from_flag_alone(parts, mode, density, seed):
     u = CMatrix(upper, mode)
     x = TangentVector(p, u - u.H)
     scaled = x.to_float().matrix.data * _unit_scale(x.to_float().matrix.data)
-    for a, nonzero in [(x.matrix.entries(), x.matrix.nonzero()), (scaled, scaled != 0)]:
+    for a, nonzero in [(x.matrix.entries(), x.matrix.nonzero()), (x.matrix.data, x.matrix.nonzero()),
+                       (scaled, scaled != 0)]:
         got, want = list(flag._upper_blocks(p, a, nonzero)), _listed_upper_blocks(p, a, nonzero)
         assert [pair for pair, _ in got] == [pair for pair, _ in want]
         for (_, g), (_, w) in zip(got, want):
             assert g.dtype == w.dtype and (g.tobytes() == w.tobytes() if a.dtype != object
                                            else (g == w).all())
-    assert (off_block_mask(p, 2) == off.repeat(2, 0).repeat(2, 1)).all()
-    # project_m against the index grid of either layout, on a matrix with full diagonal blocks
+    # project_m against the block grid, on a matrix with full diagonal blocks: each Exact part,
+    # x and y, is masked as a Float data is
     m = u + CMatrix(np.identity(n, int).tolist(), mode)
-    idx = np.repeat(p.block_index, len(m.data) // n)
-    want = _build(np.where(idx[:, None] != idx[None, :], m.data, 0), mode, m.den)
+    grid = p.block_index[:, None] != p.block_index[None, :]
+    parts = [np.where(grid, v, 0) for v in (m.data if mode is Mode.EXACT else [m.data])]
+    want = _build(np.stack(parts) if mode is Mode.EXACT else parts[0], mode, m.den)
     got = project_m(m, p)
     assert got.den == want.den and (got.data == want.data).all()

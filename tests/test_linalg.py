@@ -89,7 +89,7 @@ def test_mode_mixing_rejected():
     with pytest.raises(ValueError, match="mode mixing"):
         CMatrix([[GR(1), 1j]], Mode.EXACT)
     coerced = CMatrix([[1, Fraction(1, 2)]], Mode.EXACT)
-    assert coerced.den == 2 and coerced.data.tolist() == [[2, 0, 1, 0], [0, 2, 0, 1]]
+    assert coerced.den == 2 and coerced.data.tolist() == [[[2, 1]], [[0, 0]]]
     assert all(type(v) is int for v in coerced.data.flat)
     assert coerced.entries()[0, 1] == GR(Fraction(1, 2))
     a = CMatrix([[1.0]], Mode.FLOAT)
@@ -482,13 +482,17 @@ def test_exact_signs_of_a_complex_three_cycle():
 
 def test_integer_embedding_scales_and_embeds():
     a = CMatrix([[GR(Fraction(1, 2), Fraction(1, 3)), GR(2)], [GR(0, -1), GR(Fraction(-1, 4))]], Mode.EXACT)
-    d, e = a.den, a.data
-    assert d == 12
-    assert e[:2, :2].tolist() == [[6, -4], [4, 6]]
-    assert e[2:, :2].tolist() == [[0, 12], [-12, 0]]
-    # a ring homomorphism: the embedding of (D a)^2 is E @ E
-    sq = a @ a
-    assert ((e @ e) * sq.den == sq.data * d * d).all()
+    b = CMatrix([[GR(Fraction(2, 5), -1), GR(0), GR(3, Fraction(1, 7))],
+                 [GR(-1, 2), GR(Fraction(5, 6)), GR(0, Fraction(-1, 2))]], Mode.EXACT)
+    assert a.den == 12 and a.data.tolist() == [[[6, 24], [0, -3]], [[4, 0], [-12, 0]]]
+    # @ is the product of the entries in Fractions, over a divisor of the product of the dens
+    for m, k in [(a, a), (a, b)]:
+        em, ek, inner = m.entries(), k.entries(), range(m.n_cols)
+        want = [[GR(sum(em[r, t].re * ek[t, c].re - em[r, t].im * ek[t, c].im for t in inner),
+                    sum(em[r, t].re * ek[t, c].im + em[r, t].im * ek[t, c].re for t in inner))
+                 for c in range(k.n_cols)] for r in range(m.n_rows)]
+        prod = m @ k
+        assert prod.entries().tolist() == want and (m.den * k.den) % prod.den == 0
 
 
 #: Exact parts with mixed denominators, numerators past int64, and magnitudes past the float
@@ -510,8 +514,8 @@ def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
     rows = [[GR(data.draw(_WIDE_PARTS), data.draw(_WIDE_PARTS)) for _ in range(c)]
             for _ in range(r)]
     a = CMatrix(rows, Mode.EXACT)
-    x, y = a.int_parts()
-    assert x.shape == y.shape == (r, c) and not (x.flags.writeable or y.flags.writeable)
+    assert a.data.shape == (2, r, c) and not a.data.flags.writeable
+    x, y = a.data
     assert all(type(v) is int for v in [*x.flat, *y.flat])
     # den * A = x + i y, entry by entry, as Fractions
     assert [list(zip(xr, yr)) for xr, yr in zip(x.tolist(), y.tolist())] == \
@@ -541,7 +545,7 @@ def test_from_ints_is_the_matrix_of_the_same_entries():
     assert (got.mode, got.den, got.data.tolist()) == (want.mode, want.den, want.data.tolist())
     assert got.den == 60 and not got.data.flags.writeable
     halves = CMatrix.from_ints(*(np.array([[v]], dtype=object) for v in (2, 4, 6, 4)))
-    assert (halves.den, halves.data.tolist()) == (2, [[1, -3], [3, 1]])
+    assert (halves.den, halves.data.tolist()) == (2, [[[1]], [[3]]])
 
 
 def test_exact_norm_past_the_float_range_is_a_float_as_in_float_mode():
