@@ -22,16 +22,16 @@ _EXPORTS = {
         "matrix_spectral_data", "spectral_data",
     ),
     "equigeo": (
-        "CanonicalForm", "ConjugationInvariants", "EquigeodesicVerdict", "canonicalize",
-        "conjugation_invariants", "equigeodesic_certificate", "equigeodesic_verdicts",
-        "is_equigeodesic", "is_essentially_block_diagonal", "is_essentially_diagonal",
-        "is_geodesic_vector",
+        "CanonicalForm", "ConjugationInvariants", "canonicalize", "conjugation_invariants",
+        "equigeodesic_certificate", "is_equigeodesic", "is_essentially_block_diagonal",
+        "is_essentially_diagonal", "is_geodesic_vector",
     ),
     "examples": (
         "random_block_unitary", "random_equigeodesic", "random_essentially_diagonal",
         "random_metric",
     ),
-    "flag": ("FlagPartition", "NotEquigeodesic", "TangentVector", "build_roots", "t_roots"),
+    "flag": ("EquigeodesicVerdict", "FlagPartition", "NotEquigeodesic", "TangentVector",
+             "build_roots", "equigeodesic_verdicts", "t_roots"),
     "gaussian": ("GaussianRational",),
     "linalg": (
         "CMatrix", "Mode", "NotSkewHermitian", "commutator", "project_m", "skew_spectrum",

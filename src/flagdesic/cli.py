@@ -38,8 +38,8 @@ import types
 import numpy as np
 
 from .documents import parse_metric_document, parse_vector_document, serialize_vector
-from .flag import (FlagPartition, NotEquigeodesic, TangentVector, build_roots, off_block_mask,
-                   off_block_positions, t_roots)
+from .flag import (FlagPartition, NotEquigeodesic, TangentVector, build_roots,
+                   equigeodesic_verdicts, off_block_mask, off_block_positions, t_roots)
 from .linalg import DEFAULT_BOUND, DEFAULT_EQUI_TOL, Mode, _unit_scale, killing_flow
 
 
@@ -99,10 +99,10 @@ def _write_out(text: str, out):
 
 
 def _cmd_check(args) -> int:
-    from .equigeo import equigeodesic_verdicts, is_geodesic_vector
-
     x = _load_vector(args.vector, args.mode)
     if args.metric is not None:
+        from .equigeo import is_geodesic_vector
+
         g = parse_metric_document(_load_json(args.metric), x.partition)
         ok, residual = is_geodesic_vector(x, g, args.tol)
         print(f"geodesic (fixed metric): {str(ok).lower()}  residual {residual:.3e}")

@@ -7,12 +7,13 @@ metric) exactly when all cross products of its blocks vanish:
     a_ij a_jm = 0   for all ordered distinct triples (i, j, m).
 
 Two routes decide this: the block condition above and a finite bracket certificate probing
-[X, L_ij X] over the 0/1 multiplier basis. ``equigeodesic_verdicts`` gives both from one walk of
-the block products of mu.X (every nonzero block at one scale), ``flag._equigeodesic_scan``: the
-block condition reads each table per triple, the certificate sums it per probe, and each names
-its own witness, its first violating triple (i, j, m) or probe (i, j). Both apply one residual
-rule in both modes: a residual sqrt(num / den), violated where num > tol2 * den, tol2 = tol * tol,
-and 0 on Exact ints. The tests check each route against its own product-form reference.
+[X, L_ij X] over the 0/1 multiplier basis. ``flag.equigeodesic_verdicts``, imported here, gives
+both from one walk of the block products of mu.X (every nonzero block at one scale): the block
+condition reads each table per triple, the certificate sums it per probe, and each names its own
+witness, its first violating triple (i, j, m) or probe (i, j); ``is_equigeodesic`` and
+``equigeodesic_certificate`` read one route each. Both apply one residual rule in both modes: a
+residual sqrt(num / den), violated where num > tol2 * den, tol2 = tol * tol, and 0 on Exact ints.
+The tests check each route against its own product-form reference.
 
 Equigeodesic matrices admit a block-unitary canonical form: conjugation by a
 suitable U = U_1 + ... + U_s (direct sum) turns A into an essentially diagonal
@@ -23,12 +24,12 @@ determine the spectrum {+/- i a_k}.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .flag import (FlagPartition, TangentVector, _block_arrays, _equigeodesic_scan,
-                   _require_equigeodesic, _upper_blocks)
+from .flag import (EquigeodesicVerdict, FlagPartition, TangentVector, _block_arrays,
+                   _require_equigeodesic, _require_tol, _upper_blocks, equigeodesic_verdicts)
 from .linalg import (DEFAULT_EQUI_TOL, PAST_FLOAT_RANGE, CMatrix, Mode, _build, _unit_scale, commutator,
                      project_m)
 
@@ -43,14 +44,6 @@ CANON_RESIDUAL_TOL = 1e-9
 
 #: Entry threshold for essential diagonality, relative to the largest modulus.
 ESSENTIAL_ENTRY_TOL = 1e-9
-
-
-class EquigeodesicVerdict(NamedTuple):
-    is_equigeodesic: bool
-    method: str  # "block-condition" or "bracket-certificate"
-    worst_residual: float
-    violating_triple: Optional[tuple] = None  # the block condition's first (i, j, m)
-    violating_probe: Optional[tuple] = None  # the certificate's first (i, j), a metric direction
 
 
 class CanonicalForm(NamedTuple):
@@ -72,12 +65,6 @@ class ConjugationInvariants(NamedTuple):
 
     ranks: dict
     singular_values: dict
-
-
-def _require_tol(tol: float) -> None:
-    # a nan tol would fail the block condition and pass the certificate on one vector
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +98,6 @@ def is_geodesic_vector(x: TangentVector, g: InvariantMetric, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 # equigeodesic tests
 # ---------------------------------------------------------------------------
-
-
-def equigeodesic_verdicts(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> tuple:
-    """(block condition, bracket certificate): both routes' verdicts from one walk of the block
-    products, ``flag._equigeodesic_scan``, in the order ``is_equigeodesic`` and
-    ``equigeodesic_certificate`` return them one by one."""
-    _require_tol(tol)
-    (worst, triple), (cert_worst, probe) = _equigeodesic_scan(x, tol)
-    return (EquigeodesicVerdict(triple is None, "block-condition", worst, triple),
-            EquigeodesicVerdict(probe is None, "bracket-certificate", cert_worst, None, probe))
 
 
 def is_equigeodesic(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> EquigeodesicVerdict:

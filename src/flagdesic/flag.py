@@ -8,7 +8,7 @@ kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is the 
 ``require_skew_hermitian`` plus zero diagonal blocks, and only a matrix off m takes the tolerance
 route. Outside ``linalg``, only this module reads an Exact ``data``: ``from_blocks`` places each
 block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its numbers and its
-squared tolerance (with ``block_norms_sq``); ``_equigeodesic_scan`` is the one walk that forms
+squared tolerance (with ``block_norms_sq``); ``equigeodesic_verdicts`` is the one walk that forms
 the block products, and it reads both equigeodesic routes' verdicts off each table it forms.
 It owns the block layout: ``_upper_blocks`` lists the nonzero upper blocks, and ``off_block_mask``
 masks the off-diagonal blocks; each indexes ``[..., rows, cols]``, a Float ``data`` or both
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -283,16 +283,32 @@ class NotEquigeodesic(ValueError):
         self.violating_triple = violating_triple
 
 
-def _equigeodesic_scan(x: TangentVector, tol: float):
-    """((worst, first violating triple or None), (worst, first violating probe or None)): both
-    equigeodesic routes from one walk of mu.X, ``_block_arrays(x, tol, balance=True)``. Per middle
-    block j (0-based) joined to two or more blocks, near those blocks, num is the table of
-    ||a_ij a_jm||^2 over i, m in near (0 at i = m), from one ``_mul`` of A[:, J] and A[J, :] on
-    near's rows and columns, its blocks starting at the running sums of near's sizes; one at a
-    time, as all s would hold up to s^3 numbers. The block condition reads it per triple against
-    ||a_ij||^2 ||a_jm||^2, its first violating triple the least (i, j, m). The certificate keeps
-    its column sums c[j, m] = sum_k ||a_kj a_jm||^2, and reads every probe (i, j) with a_ij != 0
-    at once: 2 (c_ij + c_ji) against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2)."""
+class EquigeodesicVerdict(NamedTuple):
+    is_equigeodesic: bool
+    method: str  # "block-condition" or "bracket-certificate"
+    worst_residual: float
+    violating_triple: Optional[tuple] = None  # the block condition's first (i, j, m)
+    violating_probe: Optional[tuple] = None  # the certificate's first (i, j), a metric direction
+
+
+def _require_tol(tol: float) -> None:
+    # a nan tol would fail the block condition and pass the certificate on one vector
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
+def equigeodesic_verdicts(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> tuple:
+    """(block condition, bracket certificate): both equigeodesic routes' verdicts, in the order
+    ``is_equigeodesic`` and ``equigeodesic_certificate`` read them, from one walk of mu.X,
+    ``_block_arrays(x, tol, balance=True)``. Per middle block j (0-based) joined to two or more
+    blocks, near those blocks, num is the table of ||a_ij a_jm||^2 over i, m in near (0 at i = m),
+    from one ``_mul`` of A[:, J] and A[J, :] on near's rows and columns, its blocks starting at the
+    running sums of near's sizes; one at a time, as all s would hold up to s^3 numbers. The block
+    condition reads it per triple against ||a_ij||^2 ||a_jm||^2, its first violating triple the
+    least (i, j, m). The certificate keeps its column sums c[j, m] = sum_k ||a_kj a_jm||^2, and
+    reads every probe (i, j) with a_ij != 0 at once, its first violating probe the least (i, j):
+    2 (c_ij + c_ji) against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2)."""
+    _require_tol(tol)
     p, (a, norms, tol2) = x.partition, _block_arrays(x, tol, balance=True)
     nonzero, parts, block_of = norms != 0, np.array(p.parts), p.block_index
     worst, firsts, c = 0.0, [], np.zeros_like(norms)  # firsts: the first triple of each middle block
@@ -313,15 +329,17 @@ def _equigeodesic_scan(x: TangentVector, tol: float):
     probes = np.argwhere(np.triu(nonzero, 1))  # row-major: positive_pairs() order
     i, j = probes.T
     num, den = 2 * (c[i, j] + c[j, i]), norms.sum() * (norms[i, j] + norms[j, i])
-    probe = [(i + 1, j + 1) for i, j in probes[num > tol2 * den][:1].tolist()]
-    return ((worst, min(firsts, default=None)),
-            (math.sqrt((num / den).max(initial=0.0)), min(probe, default=None)))
+    probe = next(((i + 1, j + 1) for i, j in probes[num > tol2 * den][:1].tolist()), None)
+    triple, cert_worst = min(firsts, default=None), math.sqrt((num / den).max(initial=0.0))
+    return (EquigeodesicVerdict(triple is None, "block-condition", worst, triple),
+            EquigeodesicVerdict(probe is None, "bracket-certificate", cert_worst, None, probe))
 
 
 def _require_equigeodesic(x: TangentVector) -> float:
     """Return the block condition's worst residual, or raise NotEquigeodesic at its first triple."""
-    (worst, first_bad), _ = _equigeodesic_scan(x, DEFAULT_EQUI_TOL)
-    if first_bad is not None:
-        raise NotEquigeodesic(f"input is not equigeodesic: blocks {first_bad} have "
-                              f"residual {worst:.3e}", violating_triple=first_bad)
-    return worst
+    block, _ = equigeodesic_verdicts(x)
+    if not block.is_equigeodesic:
+        raise NotEquigeodesic(f"input is not equigeodesic: blocks {block.violating_triple} have "
+                              f"residual {block.worst_residual:.3e}",
+                              violating_triple=block.violating_triple)
+    return block.worst_residual

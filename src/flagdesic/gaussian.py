@@ -21,6 +21,9 @@ import numpy as np
 from .linalg import (CMatrix, Immutable, Mode, _build, _skew_eigh, read_literal,
                      require_skew_hermitian)
 
+#: Product of the odd numbers 3 to 1023: an odd q in (1023, 2^20) is prime iff gcd(q, ODD) == 1.
+ODD = math.prod(range(3, 1025, 2))
+
 
 class GaussianRational(Immutable):
     """Exact complex scalar p/q + (r/s)i with arbitrary-precision rational parts.
@@ -102,8 +105,8 @@ def exact_char_poly(a: CMatrix) -> np.ndarray:
     rows = (x * x + y * y).sum(axis=1)  # r_j^2
     bound = 2 * math.prod(2 + math.isqrt(r) for r in rows)  # > 2 prod(1 + r_j)
     count = bound.bit_length() // 19 + 1  # primes above 2^19 whose product passes the bound
-    primes = list(itertools.islice((q for q in range(2**20 - 3, 2**19, -8)
-                                    if all(q % f for f in range(3, 1025, 2))), count))
+    candidates = range(2**20 - 3, 2**19, -8)  # q = 5 (mod 8), descending
+    primes = list(itertools.islice((q for q in candidates if math.gcd(q, ODD) == 1), count))
     if len(primes) < count or n > 4096:  # else a sum of products of residues may pass 2^53
         raise ValueError("the exact characteristic polynomial is out of reach: n > 4096, or "
                          "more primes needed than lie between 2^19 and 2^20")

@@ -360,19 +360,26 @@ def test_canonicalize_exits_1_exactly_where_exact_check_does(tmp_path_factory, d
     assert (canonical == 1) == (check == 1), (check, canonical)
 
 
-def test_exact_canonicalize_scans_the_blocks_once(monkeypatch, tmp_path, capsys):
+def count_walks(monkeypatch) -> list:
+    """The mode of each input ``flag.equigeodesic_verdicts`` walks from here on, as it fills."""
+    import flagdesic.cli as cli
     import flagdesic.equigeo as equigeo
     import flagdesic.flag as flag
 
     calls = []
-    scan = flag._equigeodesic_scan
+    walk = flag.equigeodesic_verdicts
 
-    def counting(x, tol):
+    def counting(x, tol=flag.DEFAULT_EQUI_TOL):
         calls.append(x.mode.value)
-        return scan(x, tol)
+        return walk(x, tol)
 
-    for module in (flag, equigeo):  # equigeo holds the name too, so every caller is counted
-        monkeypatch.setattr(module, "_equigeodesic_scan", counting)
+    for module in (flag, equigeo, cli):  # each holds the name, so every caller is counted
+        monkeypatch.setattr(module, "equigeodesic_verdicts", counting)
+    return calls
+
+
+def test_exact_canonicalize_scans_the_blocks_once(monkeypatch, tmp_path, capsys):
+    calls = count_walks(monkeypatch)
     path = write_json(tmp_path / "f9e.json", fixture_document("f9-333", "exact"))
     assert main(["canonicalize", path, "--out", os.devnull]) == 0
     assert calls == ["exact"]
@@ -380,18 +387,7 @@ def test_exact_canonicalize_scans_the_blocks_once(monkeypatch, tmp_path, capsys)
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
 def test_check_forms_the_block_products_once(monkeypatch, tmp_path, capsys, mode):
-    import flagdesic.equigeo as equigeo
-    import flagdesic.flag as flag
-
-    calls = []
-    scan = flag._equigeodesic_scan
-
-    def counting(x, tol):
-        calls.append(x.mode.value)
-        return scan(x, tol)
-
-    for module in (flag, equigeo):  # both routes read one walk of the product tables
-        monkeypatch.setattr(module, "_equigeodesic_scan", counting)
+    calls = count_walks(monkeypatch)  # both routes read one walk of the product tables
     path = write_json(tmp_path / "f9.json", fixture_document("f9-333", mode))
     assert main(["check", path, "--mode", mode]) == 0
     assert calls == [mode]

@@ -26,7 +26,7 @@ from flagdesic import (
     skew_spectrum,
 )
 from flagdesic.cli import main
-from flagdesic.gaussian import _sqrt_over, exact_char_poly, exact_skew_squares
+from flagdesic.gaussian import ODD, _sqrt_over, exact_char_poly, exact_skew_squares
 from flagdesic.linalg import killing_flow, require_skew_hermitian
 
 GR = GaussianRational
@@ -480,7 +480,7 @@ def test_exact_signs_of_a_complex_three_cycle():
     assert thetas == pytest.approx(skew_spectrum(a.to_float()), abs=1e-12)
 
 
-def test_integer_embedding_scales_and_embeds():
+def test_exact_matmul_is_the_product_of_the_entries():
     a = CMatrix([[GR(Fraction(1, 2), Fraction(1, 3)), GR(2)], [GR(0, -1), GR(Fraction(-1, 4))]], Mode.EXACT)
     b = CMatrix([[GR(Fraction(2, 5), -1), GR(0), GR(3, Fraction(1, 7))],
                  [GR(-1, 2), GR(Fraction(5, 6)), GR(0, Fraction(-1, 2))]], Mode.EXACT)
@@ -510,7 +510,7 @@ def _or_overflow(f):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_int_parts_and_the_entry_readers_match_fractions(r, c, data):
+def test_integer_parts_and_the_entry_readers_match_fractions(r, c, data):
     rows = [[GR(data.draw(_WIDE_PARTS), data.draw(_WIDE_PARTS)) for _ in range(c)]
             for _ in range(r)]
     a = CMatrix(rows, Mode.EXACT)
@@ -613,6 +613,13 @@ def test_exact_char_poly_matches_fraction_reference(n, data):
     p = exact_char_poly(a)
     assert list(p) == _char_poly_reference(m)
     assert all(type(c) is int for c in p)
+
+
+def test_the_char_poly_primes_are_those_trial_division_finds():
+    candidates = range(2**20 - 3, 2**19, -8)
+    primes = [q for q in candidates if math.gcd(q, ODD) == 1]
+    assert primes == [q for q in candidates if all(q % f for f in range(3, 1025, 2))]
+    assert len(primes) == 9652
 
 
 #: Rational rotation generators: (p^2 - q^2, 2pq) / (p^2 + q^2) for small p, q.

@@ -68,13 +68,13 @@ def files(tmp_path_factory):
 @pytest.mark.parametrize("argv, extra", [
     ("examples --list", ["flagdesic.examples"]),
     ("roots 3 3 3", ["flagdesic.roots"]),
-    ("check {vector}", ["flagdesic.equigeo"]),
+    ("check {vector}", []),
     ("check {vector} {metric}", ["flagdesic.equigeo", "flagdesic.metric"]),
     ("canonicalize {vector} --out {out}", ["flagdesic.equigeo"]),
     ("closedness {vector}", ["flagdesic.closure"]),
     ("closedness {exact} --mode exact", ["flagdesic.closure", "flagdesic.gaussian"]),
     ("curve {vector} --t-max 1 --samples 4 --out {out}", []),
-    ("check {exact} --mode exact", ["flagdesic.equigeo"]),
+    ("check {exact} --mode exact", []),
     ("canonicalize {exact} --out {out}", ["flagdesic.equigeo"]),
     ("curve {exact} --t-max 1 --samples 4 --out {out}", []),
 ])
@@ -131,6 +131,14 @@ def test_every_public_name_resolves():
         assert scope[name] is getattr(home, name)
         assert name in listed
     assert len(flagdesic.__all__) == sum(map(len, flagdesic._EXPORTS.values()))  # no name twice
+
+
+def test_the_verdict_names_are_one_object_wherever_they_are_read():
+    import flagdesic.equigeo as equigeo
+    import flagdesic.flag as flag
+
+    for name in ("equigeodesic_verdicts", "EquigeodesicVerdict"):
+        assert getattr(flagdesic, name) is getattr(flag, name) is getattr(equigeo, name)
 
 
 def test_unknown_attribute_raises():
