@@ -45,7 +45,7 @@ from .linalg import DEFAULT_BOUND, DEFAULT_EQUI_TOL, Mode, _unit_scale, killing_
 
 def __getattr__(name):
     # perfbench/test_perfbench.py::test_tracer_rebinds_by_name_imports_and_restores_them
-    # reads cli.spectral_data; it can go with the benchmark change of ROADMAP item 1
+    # reads cli.spectral_data; it can go with the benchmark change of ROADMAP item 10
     if name == "spectral_data":
         from .closure import spectral_data
 

@@ -167,10 +167,7 @@ def parse_vector_document(doc: dict) -> TangentVector:
                 f"{(given - implied).fro():.3e}; supply one half or make them consistent"
             )
 
-    try:
-        return TangentVector.from_blocks(partition, upper, mode)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return TangentVector.from_blocks(partition, upper, mode)
 
 
 def serialize_vector(x: TangentVector) -> dict:

@@ -6,10 +6,10 @@ in ``roots``, loaded on the first call). Block and inner indices are 1-based
 everywhere in the public API. A ``TangentVector`` holds a point of m exactly, so every block
 kernel may read a_ji = -a_ij^* and zero diagonal blocks; membership of m is the exact answer of
 ``require_skew_hermitian`` plus zero diagonal blocks, and only a matrix off m takes the tolerance
-route. Outside ``linalg``, only this module reads an Exact ``data``: ``from_blocks`` places each
-block's ``data`` by one rule, and ``_block_arrays`` gives every block kernel its numbers and its
-squared tolerance (with ``block_norms_sq``); ``equigeodesic_verdicts`` is the one walk that forms
-the block products, and it reads both equigeodesic routes' verdicts off each table it forms.
+route. Outside ``linalg``, an Exact ``data`` is read here, by ``gaussian``'s exact spectrum and by
+``documents.serialize_vector``: ``from_blocks`` places each block's ``data`` by one rule, and
+``_block_arrays`` gives every block kernel its numbers and squared tolerance (``block_norms_sq``);
+``equigeodesic_verdicts``, the one walk that forms block products, reads both routes off its tables.
 It owns the block layout: ``_upper_blocks`` lists the nonzero upper blocks, and ``off_block_mask``
 masks the off-diagonal blocks; each indexes ``[..., rows, cols]``, a Float ``data`` or both
 parts of an Exact one.
@@ -300,13 +300,14 @@ def _require_tol(tol: float) -> None:
 def equigeodesic_verdicts(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> tuple:
     """(block condition, bracket certificate): both equigeodesic routes' verdicts, in the order
     ``is_equigeodesic`` and ``equigeodesic_certificate`` read them, from one walk of mu.X,
-    ``_block_arrays(x, tol, balance=True)``. Per middle block j (0-based) joined to two or more
-    blocks, near those blocks, num is the table of ||a_ij a_jm||^2 over i, m in near (0 at i = m),
-    from one ``_mul`` of A[:, J] and A[J, :] on near's rows and columns, its blocks starting at the
-    running sums of near's sizes; one at a time, as all s would hold up to s^3 numbers. The block
-    condition reads it per triple against ||a_ij||^2 ||a_jm||^2, its first violating triple the
-    least (i, j, m). The certificate keeps its column sums c[j, m] = sum_k ||a_kj a_jm||^2, and
-    reads every probe (i, j) with a_ij != 0 at once, its first violating probe the least (i, j):
+    ``_block_arrays(x, tol, balance=True)``, one middle block j (0-based) at a time, as all s hold
+    up to s^3 numbers. Over near, the two or more blocks joined to j, den is ||a_ij||^2 ||a_jm||^2
+    and num ||a_ij a_jm||^2 (0 at i = m): den itself where j has one index (a column times a row),
+    else min(den, the table of one ``_mul`` of A[near, J] and A[J, near]), as a rounded product
+    can pass ||a_ij|| ||a_jm||; on ints neither rule changes a table. No residual exceeds 1.
+    The block condition reads num against den per triple, its first violating triple the least
+    (i, j, m). The certificate keeps num's column sums c[j, m] = sum_k ||a_kj a_jm||^2, and reads
+    every probe (i, j) with a_ij != 0 at once, its first violating probe the least (i, j):
     2 (c_ij + c_ji) against ||mu.X||^2 (||a_ij||^2 + ||a_ji||^2)."""
     _require_tol(tol)
     p, (a, norms, tol2) = x.partition, _block_arrays(x, tol, balance=True)
@@ -317,9 +318,10 @@ def equigeodesic_verdicts(x: TangentVector, tol: float = DEFAULT_EQUI_TOL) -> tu
         if near.size < 2:
             continue
         idx, (lo, hi), sizes = np.flatnonzero(nonzero[j][block_of]), p.offsets[j:j + 2], parts[near]
-        num = block_norms_sq(np.cumsum(sizes) - sizes, _mul(a[..., idx, lo:hi], a[..., lo:hi, idx]))
-        np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
         den = np.outer(norms[near, j], norms[j, near])
+        num = den.copy() if hi - lo == 1 else np.minimum(den, block_norms_sq(
+            np.cumsum(sizes) - sizes, _mul(a[..., idx, lo:hi], a[..., lo:hi, idx])))
+        np.fill_diagonal(num, 0)  # i = m: a_ij a_ji is no triple
         worst = max(worst, math.sqrt((num / den).max()))
         bad = num > tol2 * den
         if bad.any():  # argmax: the first True in row-major order, the least (i, m)

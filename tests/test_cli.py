@@ -93,10 +93,22 @@ def test_check_with_metric(tmp_path, capsys):
     assert capsys.readouterr() == ("geodesic (fixed metric): true  residual 0.000e+00\n", "")
 
 
+#: Chains whose rounded block product lands past the product of its blocks' norms: through a
+#: one-index middle block, and rank one through a two-index middle block.
+ROUNDED_CHAINS = [
+    {"parts": [1, 1, 1], "blocks": {"1,2": [[[0.11174561656926704, 0.5186526728489285]]],
+                                    "2,3": [[[2.360507256987883, -0.7557722370024144]]]}},
+    {"parts": [1, 2, 1], "blocks": {"1,2": [[[1.0, 0.14285714285714285], [9.666666666666666, 1.0]]],
+                                    "2,3": [[[1.0, -0.14285714285714285]], [[9.666666666666666, -1.0]]]}},
+]
+
+
 @pytest.mark.parametrize("tol", ["1e200", "1e308"])
-@pytest.mark.parametrize("doc", [chain_document(), fixture_document("f4-x2y3")], ids=["chain", "f4"])
+@pytest.mark.parametrize("doc", [chain_document(), fixture_document("f4-x2y3"), *ROUNDED_CHAINS],
+                         ids=["chain", "f4", "rounded-one-index-middle", "rounded-two-index-middle"])
 def test_check_with_a_tolerance_whose_square_passes_the_float_range(tmp_path, capsys, doc, tol):
-    # tol * tol is inf, so every residual passes, as at --tol 1: both residuals are at most 1
+    # tol * tol is inf, so every residual passes, as at --tol 1: both residuals are at most 1,
+    # also where the rounded product ||a_ij a_jm|| would pass ||a_ij|| ||a_jm||
     vec = write_json(tmp_path / "v.json", doc)
     assert main(["check", vec, "--tol", "1"]) == 0
     at_one = capsys.readouterr().out

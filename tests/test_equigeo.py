@@ -24,6 +24,7 @@ from flagdesic import (
     canonicalize,
     conjugation_invariants,
     equigeodesic_certificate,
+    equigeodesic_verdicts,
     is_equigeodesic,
     is_essentially_block_diagonal,
     is_essentially_diagonal,
@@ -470,6 +471,39 @@ def test_certificate_residual_matches_reference(x):
     c, (worst, probe) = equigeodesic_certificate(x), reference_certificate_residual(x)
     assert c.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
     assert c.violating_probe == probe
+
+
+@st.composite
+def generic_block_vectors(draw):
+    """Float vectors with generic entries, whose products round, unlike ``sparse_block_vectors``':
+    on full, near-full (1|2)^s and mixed partitions, s in 3..8, each drawn upper block holds
+    entries whose real and imaginary parts are uniform in [1, 2) with random signs, times 10^k,
+    one k in [-150, 150] per block."""
+    top = draw(st.sampled_from([1, 2, 3]))  # full, near-full, mixed
+    p = FlagPartition(tuple(draw(st.lists(st.integers(1, top), min_size=3, max_size=8))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    blocks = {}
+    for i, j in p.positive_pairs():
+        if rng.random() < density:
+            shape = (2, p.parts[i - 1], p.parts[j - 1])
+            z = rng.uniform(1, 2, shape) * rng.choice([-1, 1], shape)
+            blocks[(i, j)] = (z[0] + 1j * z[1]) * 10.0 ** int(rng.integers(-150, 151))
+    return TangentVector.from_blocks(p, blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generic_block_vectors())
+def test_generic_floats_pass_at_tol_one_and_match_the_references(x):
+    # ||a_ij a_jm|| <= ||a_ij|| ||a_jm||, and the walk's tables keep to it: no residual passes 1
+    assert all(v.is_equigeodesic for v in equigeodesic_verdicts(x, 1.0))
+    ok, worst, triple = reference_block_condition(x)
+    v, c = equigeodesic_verdicts(x)
+    assert (v.is_equigeodesic, v.violating_triple) == (ok, triple)
+    assert v.worst_residual == pytest.approx(worst, rel=1e-9, abs=0.0)
+    worst, probe = product_form_certificate(x)
+    assert (c.is_equigeodesic, c.violating_probe) == (probe is None, probe)
+    assert c.worst_residual == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 2), (3, 2, 2, 1), (2, 2, 2, 2)])
